@@ -229,7 +229,7 @@ def test_chaos_worker_kill_and_respawn(bench_suite, artifact_dir):
         pool = service.pool
         for rule_index, rule in plan.driver_actions("kill"):
             worker = next(iter(pool._workers.values()))
-            worker.task_q.put(("sleep", rule.seconds))
+            worker.inbox.put(("sleep", rule.seconds))
             victim = service.submit(cases[1])
             deadline = time.perf_counter() + 30.0
             while True:
@@ -239,7 +239,7 @@ def test_chaos_worker_kill_and_respawn(bench_suite, artifact_dir):
                 assert time.perf_counter() < deadline, \
                     "batch never dispatched"
                 time.sleep(0.01)
-            worker.process.terminate()
+            worker.runner.terminate()
             plan.record_driver_event("worker", "kill", call=1,
                                      rule_index=rule_index,
                                      note=rule.note)

@@ -104,7 +104,7 @@ def test_selfheal_watchdog_detects_hung_worker_within_budget(
         # so heartbeats stop and only a SIGKILL can reclaim it
         pool = service.pool
         hung = next(iter(pool._workers.values()))
-        hung.task_q.put(("sleep", 600.0))
+        hung.inbox.put(("sleep", 600.0))
         tickets = [(case, service.submit(case)) for case in cases]
         dispatch_deadline = time.perf_counter() + 30.0
         while True:  # the batch lands behind the hang

@@ -22,7 +22,7 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -114,6 +114,9 @@ class EvalConfig:
             infer_engine=resolve_engine_mode("auto"),
             infer_dtype=os.environ.get("REPRO_INFER_DTYPE") or None,
         )
+        unknown = sorted(set(overrides) - {f.name for f in fields(cls)})
+        if unknown:
+            raise TypeError(f"unknown EvalConfig field(s) {unknown}")
         for key, value in overrides.items():
             setattr(config, key, value)
         return config

@@ -13,9 +13,8 @@ gives every fallback one narrow waist:
   ``stats()`` surfaces (``PredictionService.stats()["degradations"]``,
   solver setup reports) can show exactly which rungs have been
   descended;
-* :class:`DegradationPolicy` — the knobs: which fallback chains are
-  allowed at all, and how many worker respawns before the pool declares
-  itself failed.  A policy with a chain disabled turns that silent
+* :class:`DegradationPolicy` — the knob: which preconditioner rungs
+  the solver may descend.  A chain without a rung turns that silent
   fallback into a loud error, which is what strict reproduction runs
   want.
 
@@ -116,20 +115,12 @@ class DegradationPolicy:
     ``precond_chain`` is ordered best-first; the solver tries each rung
     in turn when the previous one fails to *build* (setup exceptions —
     a preconditioner that builds but converges slowly is a perf problem,
-    not a fault).  ``engine_fallback=False`` turns the auto engine's
-    silent autograd fallback into a hard error.  ``max_respawns`` is the
-    worker pool's crash-loop ceiling (the old module constant, now a
-    policy knob).
+    not a fault).
     """
 
-    engine_fallback: bool = True
     precond_chain: Tuple[str, ...] = ("mg", "ic", "jacobi")
-    max_respawns: int = 8
 
     def __post_init__(self) -> None:
-        if self.max_respawns < 0:
-            raise ValueError(
-                f"max_respawns must be >= 0, got {self.max_respawns}")
         if not self.precond_chain:
             raise ValueError("precond_chain must name at least one rung")
         for rung in self.precond_chain:

@@ -21,6 +21,7 @@ Two extra surfaces exist for the grad-free inference engine
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,11 +48,19 @@ Axis = Union[None, int, Tuple[int, ...]]
 # ----------------------------------------------------------------------
 # Graph-building helpers
 # ----------------------------------------------------------------------
-_TRACE_HOOK = None
+class _TraceState(threading.local):
+    hook = None
+
+
+#: per thread, like the grad mode: worker threads compile their engines
+#: concurrently, and with one process-wide hook their interleaved
+#: restores could leave a stale hook swallowing every later op
+_TRACE = _TraceState()
 
 
 def set_trace_hook(hook):
-    """Install (or clear, with ``None``) the op-trace callback.
+    """Install (or clear, with ``None``) the calling thread's op-trace
+    callback.
 
     While a hook is installed every op reports
     ``hook(op_name, out_tensor, parent_tensors, meta)`` instead of
@@ -59,18 +68,18 @@ def set_trace_hook(hook):
     a module's forward into a flat kernel plan.  Returns the previously
     installed hook so callers can restore it.
     """
-    global _TRACE_HOOK
-    previous = _TRACE_HOOK
-    _TRACE_HOOK = hook
+    previous = _TRACE.hook
+    _TRACE.hook = hook
     return previous
 
 
 def _make(data: np.ndarray, parents: Tuple[Tensor, ...], backward_fn,
           op: Optional[str] = None, meta: Optional[dict] = None) -> Tensor:
     """Create an output tensor, recording the graph only when needed."""
-    if _TRACE_HOOK is not None:
+    hook = _TRACE.hook
+    if hook is not None:
         out = Tensor(data)
-        _TRACE_HOOK(op, out, parents, meta or {})
+        hook(op, out, parents, meta or {})
         return out
     if is_grad_enabled() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn)

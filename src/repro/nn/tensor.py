@@ -14,6 +14,7 @@ wrappers.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -22,24 +23,33 @@ __all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled", "as_tensor"]
 
 DEFAULT_DTYPE = np.float64
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+#: per thread: serving worker threads run forwards under ``no_grad``
+#: concurrently, and with one process-wide flag their interleaved
+#: restores could leave gradients off for every thread, training included
+_GRAD_MODE = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager disabling graph construction (inference mode) on
+    the calling thread."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradient information."""
-    return _GRAD_ENABLED
+    """Return whether operations on the calling thread record gradient
+    information."""
+    return _GRAD_MODE.enabled
 
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]

@@ -12,9 +12,10 @@ The layers, bottom to top:
 * :mod:`repro.serve.guard` — served-output integrity (checksum /
   NaN / Inf / shape / physical range) plus the sampled online audit
   against the golden solver;
-* :mod:`repro.serve.worker` — thread/process worker pools, each worker
-  owning a private predictor (engine plans, buffer arena, prep cache),
-  with heartbeats and a hung-worker watchdog;
+* :mod:`repro.serve.worker` — one worker supervisor over thread or
+  process transports, each worker owning a private predictor (engine
+  plans, buffer arena, prep cache), with heartbeats and a hung-worker
+  watchdog;
 * :mod:`repro.serve.service` — micro-batching scheduler + façade;
 * :mod:`repro.serve.registry` — content-addressed checkpoint registry
   feeding hot-swaps;
@@ -57,7 +58,7 @@ from repro.serve.queue import (
 )
 from repro.serve.registry import SERVE_CHECKPOINT_FORMAT, ModelRegistry
 from repro.serve.service import PredictionService
-from repro.serve.worker import PredictorSpec, ProcessWorkerPool, ThreadWorkerPool
+from repro.serve.worker import PredictorSpec
 
 __all__ = [
     "ServeConfig", "WORKER_KINDS",
@@ -70,7 +71,7 @@ __all__ = [
     "OnlineAuditor", "prediction_digest",
     "HEALTH_TIMELINE_FORMAT", "HealthMonitor", "HealthSnapshot",
     "WorkerHealth",
-    "PredictorSpec", "ThreadWorkerPool", "ProcessWorkerPool",
+    "PredictorSpec",
     "PredictionService",
     "ModelRegistry", "SERVE_CHECKPOINT_FORMAT",
     "LoadReport", "open_loop_load",

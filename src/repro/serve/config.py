@@ -26,8 +26,8 @@ REPRO_SERVE_DEADLINE_MS    per-request deadline, milliseconds (unset/
 REPRO_SERVE_BACKOFF_BASE_MS  first re-dispatch delay after a worker
                              death (exponential from here)
 REPRO_SERVE_BACKOFF_CAP_MS   re-dispatch delay ceiling
-REPRO_SERVE_MAX_RESPAWNS   process-worker respawn ceiling before the
-                           pool declares itself failed (crash-loop
+REPRO_SERVE_MAX_RESPAWNS   worker respawn ceiling before the pool
+                           declares itself failed (crash-loop
                            backstop)
 REPRO_SERVE_WATCHDOG_MS    hung-worker budget: a batch outstanding
                            longer than this marks the worker stalled

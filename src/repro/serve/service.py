@@ -57,7 +57,7 @@ from repro.serve.queue import (
     ServiceClosedError,
     TicketStateError,
 )
-from repro.serve.worker import PredictorSpec, ProcessWorkerPool, ThreadWorkerPool
+from repro.serve.worker import PredictorSpec, WorkerPool
 
 __all__ = ["PredictionService"]
 
@@ -107,11 +107,9 @@ class PredictionService:
                 every=self.config.audit_every,
                 divergence_v=self.config.audit_divergence_v,
                 on_divergence=self._on_divergence)
-        pool_cls = (ThreadWorkerPool if self.config.worker_kind == "thread"
-                    else ProcessWorkerPool)
-        self.pool = pool_cls(spec, self.config, on_result=self._record,
-                             on_failure=self._on_failure, guard=self.guard,
-                             health=self.health_monitor)
+        self.pool = WorkerPool(spec, self.config, on_result=self._record,
+                               on_failure=self._on_failure, guard=self.guard,
+                               health=self.health_monitor)
         self._ids = itertools.count()
         self._scheduler: Optional[threading.Thread] = None
         self._started = False
@@ -308,11 +306,13 @@ class PredictionService:
              timeout: Optional[float] = 60.0) -> None:
         """Hot-swap model weights without dropping in-flight requests.
 
-        Requests already dispatched complete on the old weights; every
-        request dispatched after :meth:`swap` returns is served by the
-        new ones.  ``load_state_dict`` bumps ``Module.state_version``, so
-        each worker's compiled engine invalidates its plans automatically
-        (no manual ``refresh_engine`` needed — the PR 7 staleness fix).
+        Dispatch pauses for the swap: requests already dispatched
+        complete on the old weights, and every request dispatched after
+        it is served by the new ones.  Raises
+        :class:`~repro.serve.queue.ServeError` when the swap cannot
+        finish within ``timeout`` seconds, on either worker kind.
+        ``load_state_dict`` bumps ``Module.state_version``, so each
+        worker's compiled engine invalidates its plans automatically.
         """
         if not self._started or self._stopped:
             raise ServiceClosedError("service is not running")
@@ -331,7 +331,7 @@ class PredictionService:
         return self.health_monitor.snapshot(
             breaker=None if self.breaker is None else self.breaker.state,
             queue_depth=len(self.queue),
-            pool_failed=getattr(self.pool, "_failed", None))
+            pool_failed=self.pool.failed)
 
     def stats(self) -> dict:
         """Serving counters plus latency/TAT percentile summaries.
@@ -369,7 +369,7 @@ class PredictionService:
             # arbitrarily stale (or never have happened)
             "health": self.health_monitor.summary(
                 breaker=None if self.breaker is None else self.breaker.state,
-                pool_failed=getattr(self.pool, "_failed", None)),
+                pool_failed=self.pool.failed),
             "guard": self.guard.stats(),
         }
         if self.breaker is not None:

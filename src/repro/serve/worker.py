@@ -1,38 +1,45 @@
-"""Serving workers: each owns a full private inference stack.
+"""Serving workers: one supervisor over two transports.
 
 A worker is one :class:`~repro.core.pipeline.IRPredictor` built from a
 picklable :class:`PredictorSpec` — its own compiled-plan cache, its own
 :class:`~repro.infer.arena.BufferArena`, its own
 :class:`~repro.train.loader.PreparedCaseCache` — so workers never share
-mutable hot-path state.  Two pool flavours implement one interface
-(``start`` / ``submit`` / ``swap`` / ``stop``):
+mutable hot-path state.
 
-* :class:`ThreadWorkerPool` — in-process threads sharing the spec's
-  model object (weights are read-only during serving; a hot-swap takes
-  the pool's write lock, so in-flight forwards finish first).  The
-  default: on the measured single-core reference box, process fan-out
-  buys nothing and micro-batching is the throughput lever.
-* :class:`ProcessWorkerPool` — real OS processes (``spawn`` by default,
-  so the threaded parent is never forked), each with a private copy of
-  the model.  The parent monitors liveness: a dead worker's in-flight
-  batch is re-dispatched up to ``retries`` times, then failed loudly
-  with :class:`~repro.serve.queue.WorkerDiedError` — requests never
-  hang on a corpse.
+:class:`WorkerPool` is the one supervisor: dispatch, the hung-worker
+watchdog, death handling (retries, backoff re-dispatch, the respawn
+budget), hot-swap sequencing, the ``failed`` state, stop-time totality,
+and every degradation-ledger and health call.  Under it, a private
+transport keeps only mechanism:
 
-Hot-swaps go through ``Module.load_state_dict``, which bumps the model's
-``state_version``; the compiled inference engines notice and drop their
-plans on the next forward, so a swap can never serve stale folded
-weights (see ``repro.infer.engine``).
+* **thread** (the default) — in-process threads sharing the spec's
+  model.  A thread cannot be killed, so a stalled batch is failed with
+  :class:`~repro.serve.queue.WorkerStalledError` and the thread flagged
+  until its forward returns.  On the single-core reference box process
+  fan-out buys nothing; micro-batching is the throughput lever.
+* **process** — OS processes (``spawn`` by default, so the threaded
+  parent is never forked), each with a private model copy.  A stalled
+  worker is SIGKILLed; a dead worker's batch is re-dispatched up to
+  ``retries`` times, then failed with
+  :class:`~repro.serve.queue.WorkerDiedError`.
+
+A hot-swap pauses dispatch, waits until no batch is outstanding (raising
+:class:`~repro.serve.queue.ServeError` past its ``timeout``), loads the
+weights, then resumes: in-flight requests finish on the old weights, and
+nothing ages against the watchdog during the swap.
+``Module.load_state_dict`` bumps ``state_version``, so compiled engines
+drop stale plans on their next forward (see ``repro.infer.engine``).
 """
 
 from __future__ import annotations
 
+import itertools
 import queue as _stdlib_queue
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,12 +63,7 @@ from repro.serve.queue import (
 )
 from repro.train.loader import CasePreprocessor
 
-__all__ = ["PredictorSpec", "ThreadWorkerPool", "ProcessWorkerPool"]
-
-#: Default cap on process-worker respawns per pool — a backstop against
-#: a crash-looping spec burning CPU forever, far above any real
-#: recovery.  Tunable per pool via ``ServeConfig.max_respawns``.
-MAX_RESPAWNS = 8
+__all__ = ["PredictorSpec", "WorkerPool"]
 
 ResultCallback = Callable[[PredictionRequest, ServeResult], None]
 FailureCallback = Callable[[BaseException], None]
@@ -124,41 +126,6 @@ class PredictorSpec:
         )
 
 
-class _RWLock:
-    """Many concurrent readers (forwards) or one writer (hot-swap)."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writing = False
-
-    @contextmanager
-    def read(self):
-        with self._cond:
-            while self._writing:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                self._cond.notify_all()
-
-    @contextmanager
-    def write(self):
-        with self._cond:
-            while self._writing or self._readers:
-                self._cond.wait()
-            self._writing = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writing = False
-                self._cond.notify_all()
-
-
 def _batch_entries(predictor: IRPredictor, cases) -> list:
     """Run one micro-batch; on failure, isolate the guilty case(s).
 
@@ -191,57 +158,6 @@ def _batch_entries(predictor: IRPredictor, cases) -> list:
         return entries
 
 
-def _resolve_batch(batch: List[PredictionRequest], entries: list,
-                   worker: str, model_version: int,
-                   on_result: Optional[ResultCallback],
-                   guard: Optional[OutputGuard] = None,
-                   on_failure: Optional[FailureCallback] = None) -> None:
-    completed = time.perf_counter()
-    for request, entry in zip(batch, entries):
-        if request.ticket.done():
-            continue  # a shutdown sweep beat this resolution to it
-        if entry[0] == "fail":
-            error: BaseException = PredictionFailedError(
-                f"worker {worker} failed on {request.case!r}: {entry[1]}")
-            request.ticket.fail(error)
-            if on_failure is not None:
-                on_failure(error)
-            continue
-        _, prediction, tat, digest = entry
-        # the chaos corruption point sits on the fulfilment path, between
-        # the worker's checksum and the guard's re-verification — exactly
-        # where real transport corruption would land
-        prediction = maybe_corrupt("serve.guard", prediction)
-        if guard is not None:
-            try:
-                guard.check(
-                    prediction,
-                    case_shape=getattr(request.case, "shape", None),
-                    digest=digest,
-                    context=f"request {request.id} "
-                            f"({request.case.name!r}) via {worker}")
-            except IntegrityError as error:
-                request.ticket.fail(error)
-                if on_failure is not None:
-                    on_failure(error)
-                continue
-        dispatched = (request.dispatched if request.dispatched is not None
-                      else request.submitted)
-        result = ServeResult(
-            prediction=prediction,
-            tat_seconds=float(tat),
-            latency_seconds=completed - request.submitted,
-            queue_seconds=dispatched - request.submitted,
-            batch_size=len(batch),
-            worker=worker,
-            model_version=int(model_version),
-            attempts=request.attempts + 1,
-        )
-        request.ticket.fulfill(result)
-        if on_result is not None:
-            on_result(request, result)
-
-
 def _fail_batch(batch: List[PredictionRequest], error: BaseException,
                 on_failure: Optional[FailureCallback] = None) -> None:
     """Fail every still-unresolved ticket in a batch.
@@ -258,244 +174,30 @@ def _fail_batch(batch: List[PredictionRequest], error: BaseException,
 
 
 # ----------------------------------------------------------------------
-# Thread workers
+# Worker side: one loop for threads and processes
 # ----------------------------------------------------------------------
-class ThreadWorkerPool:
-    """In-process workers: private predictor each, shared model weights.
+def _worker_main(worker_id: int, spec: PredictorSpec, group_size: int,
+                 inbox, outbox, heartbeat_s: float) -> None:
+    """Build the worker's private predictor, then serve its inbox.
 
-    Threads cannot be force-killed, so the hung-worker watchdog here is
-    *detection plus loud failure*: a batch outstanding past
-    ``config.watchdog_s`` is failed with
-    :class:`~repro.serve.queue.WorkerStalledError`, the thread is
-    flagged ``unhealthy`` on the health model, and the degradation
-    ledger records the stall.  If the wedged forward eventually returns,
-    the recovery is recorded and the thread rejoins service (its late
-    results are dropped by the tickets' done() checks).
-    """
-
-    _STOP = object()
-
-    def __init__(self, spec: PredictorSpec, config: ServeConfig,
-                 on_result: Optional[ResultCallback] = None,
-                 on_failure: Optional[FailureCallback] = None,
-                 guard: Optional[OutputGuard] = None,
-                 health: Optional[HealthMonitor] = None):
-        self.config = config
-        self.on_result = on_result
-        self.on_failure = on_failure
-        self.guard = guard
-        self.health = health
-        self._predictors = [spec.build(group_size=config.max_batch)
-                            for _ in range(config.workers)]
-        self._tasks: "_stdlib_queue.Queue" = _stdlib_queue.Queue(
-            maxsize=config.workers)
-        self._threads: List[threading.Thread] = []
-        self._swap_lock = _RWLock()
-        # index -> (dispatch perf_counter, batch): what each thread
-        # holds; the timestamp is None while the thread is still waiting
-        # on the swap read-lock (owned but not yet on the watchdog clock)
-        self._state_lock = threading.Lock()
-        self._outstanding: Dict[
-            int, Tuple[Optional[float], List[PredictionRequest]]] = {}
-        self._stalled: Dict[int, float] = {}
-        self._stop_event = threading.Event()
-        self._watchdog: Optional[threading.Thread] = None
-
-    @property
-    def worker_count(self) -> int:
-        return len(self._predictors)
-
-    def start(self) -> None:
-        for index in range(len(self._predictors)):
-            if self.health is not None:
-                self.health.register(f"thread-{index}")
-            thread = threading.Thread(
-                target=self._worker_loop, args=(index,),
-                name=f"repro-serve-thread-{index}", daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        if self.config.watchdog_s is not None:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop, name="repro-serve-watchdog",
-                daemon=True)
-            self._watchdog.start()
-
-    def _worker_loop(self, index: int) -> None:
-        predictor = self._predictors[index]
-        worker = f"thread-{index}"
-        while True:
-            try:
-                batch = self._tasks.get(timeout=self.config.heartbeat_s)
-            except _stdlib_queue.Empty:
-                # idle heartbeat: the loop itself proves liveness — a
-                # wedged forward stops the beats, a side thread would not
-                if self.health is not None:
-                    self.health.beat(worker)
-                continue
-            if batch is self._STOP:
-                return
-            with self._state_lock:
-                # own the batch for shutdown accounting immediately, but
-                # with no timestamp: the watchdog clock must not start
-                # while the thread is queued behind a hot-swap writer —
-                # swap wait is not compute time, and counting it would
-                # fail innocent batches (and flag healthy threads) on a
-                # slow swap, the same misattribution the process pool
-                # avoids for respawns by deferring dispatch to ready
-                # workers
-                self._outstanding[index] = (None, batch)
-            with self._swap_lock.read():
-                with self._state_lock:
-                    self._outstanding[index] = (time.perf_counter(), batch)
-                entries = _batch_entries(
-                    predictor, [request.case for request in batch])
-                version = predictor.model.state_version
-            with self._state_lock:
-                self._outstanding.pop(index, None)
-                stalled_at = self._stalled.pop(index, None)
-            if stalled_at is not None:
-                # the wedged forward finally returned; its tickets were
-                # already failed by the watchdog, so resolution below is
-                # a no-op and the thread rejoins service
-                record_degradation(
-                    "serve.watchdog", worker, "recovered",
-                    f"stalled batch completed after "
-                    f"{time.perf_counter() - stalled_at:.3f}s; "
-                    f"thread back in service")
-                if self.health is not None:
-                    self.health.mark_recovered(worker)
-            _resolve_batch(batch, entries, worker, version, self.on_result,
-                           guard=self.guard, on_failure=self.on_failure)
-            if self.health is not None:
-                self.health.beat(worker)
-
-    def _watchdog_loop(self) -> None:
-        budget = self.config.watchdog_s
-        assert budget is not None
-        interval = max(min(budget / 4.0, 0.25), 0.005)
-        while not self._stop_event.wait(interval):
-            now = time.perf_counter()
-            victims: List[Tuple[int, List[PredictionRequest], float]] = []
-            with self._state_lock:
-                for index, (started, batch) in self._outstanding.items():
-                    if started is None:
-                        continue  # still queued behind a hot-swap writer
-                    age = now - started
-                    if index not in self._stalled and age > budget:
-                        self._stalled[index] = now
-                        victims.append((index, batch, age))
-            for index, batch, age in victims:
-                worker = f"thread-{index}"
-                record_degradation(
-                    "serve.watchdog", worker, "stalled",
-                    f"batch outstanding {age:.3f}s > watchdog "
-                    f"{budget:g}s; thread flagged, batch failed")
-                if self.health is not None:
-                    self.health.mark_stalled(
-                        worker, note=f"batch outstanding {age:.3f}s "
-                                     f"> watchdog {budget:g}s")
-                _fail_batch(batch, WorkerStalledError(
-                    f"worker {worker} stalled: batch outstanding "
-                    f"{age:.3f}s exceeds the {budget:g}s watchdog budget "
-                    f"(thread workers cannot be killed; the batch is "
-                    f"failed and the thread flagged unhealthy)"),
-                    self.on_failure)
-
-    def submit(self, batch: List[PredictionRequest]) -> None:
-        """Hand a micro-batch to the next free worker (blocks for
-        capacity — the scheduler's own backpressure)."""
-        self._tasks.put(batch)
-
-    def swap(self, state: Dict[str, np.ndarray],
-             timeout: Optional[float] = None) -> None:
-        """Load new weights once every in-flight forward has finished.
-
-        ``load_state_dict`` bumps the model's ``state_version``; each
-        worker's compiled engine drops its stale plans on its next
-        forward automatically.
-        """
-        with self._swap_lock.write():
-            models = {id(p.model): p.model for p in self._predictors}
-            for model in models.values():
-                model.load_state_dict(state)
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Stop the pool; every batch it still holds resolves.
-
-        Threads cannot be killed, so shutdown totality is enforced here:
-        queued-but-undispatched batches are pulled back (with every
-        thread potentially wedged, nothing would ever pick them up), and
-        after the join deadline any batch still held by a thread that
-        did not exit is failed with
-        :class:`~repro.serve.queue.ServiceClosedError`.  A wedged
-        forward that eventually returns resolves against already-done
-        tickets — a no-op.
-        """
-        self._stop_event.set()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout)
-            self._watchdog = None
-        undispatched: List[List[PredictionRequest]] = []
-        while True:
-            try:
-                item = self._tasks.get_nowait()
-            except _stdlib_queue.Empty:
-                break
-            if item is not self._STOP:
-                undispatched.append(item)
-        for _ in self._threads:
-            self._tasks.put(self._STOP)
-        deadline = time.perf_counter() + timeout
-        for thread in self._threads:
-            thread.join(max(0.0, deadline - time.perf_counter()))
-        wedged = [thread for thread in self._threads if thread.is_alive()]
-        self._threads = []
-        for thread in wedged:
-            record_degradation(
-                "serve.pool", thread.name, "wedged",
-                f"thread still alive {timeout:g}s after stop; "
-                f"failing its in-flight tickets")
-        with self._state_lock:
-            held = [(index, batch) for index, (_, batch)
-                    in self._outstanding.items()]
-            self._outstanding.clear()
-            self._stalled.clear()
-        for batch in undispatched:
-            _fail_batch(batch, ServiceClosedError(
-                "service stopped before the batch reached a worker"))
-        for index, batch in held:
-            _fail_batch(batch, ServiceClosedError(
-                f"service stopped while thread-{index} held the batch "
-                f"and the worker did not finish within the {timeout:g}s "
-                f"stop deadline"))
-
-
-# ----------------------------------------------------------------------
-# Process workers
-# ----------------------------------------------------------------------
-def _process_worker_main(worker_id: int, spec: PredictorSpec,
-                         group_size: int, task_q, result_q,
-                         heartbeat_s: float = 0.2) -> None:
-    """Child entry point: build the private predictor, serve messages.
-
-    Protocol (parent -> child): ``("predict", batch_id, cases)``,
+    Protocol (supervisor -> worker): ``("predict", batch_id, cases)``,
     ``("swap", swap_id, state)``, ``("sleep", seconds)`` (chaos/testing
     hook: occupies the worker so liveness and watchdog handling can be
     exercised deterministically), ``("stop",)``.
-    Child -> parent: ``("ready", wid)``, ``("beat", wid)`` heartbeats
-    emitted by the idle poll loop (a hung compute stops them — that is
-    the liveness signal, so no side thread may fake them), ``("done",
-    wid, batch_id, entries, model_version)`` with one tagged entry per
-    case (see :func:`_batch_entries`), ``("swapped", wid, swap_id,
-    model_version)``, ``("error", wid, batch_id, text)``.
+    Worker -> supervisor: ``("ready", wid)``, ``("beat", wid)``
+    heartbeats emitted by the idle poll (a hung compute stops them —
+    that is the liveness signal, so no side thread may fake them),
+    ``("done", wid, batch_id, entries, model_version)`` with one tagged
+    entry per case (see :func:`_batch_entries`), ``("swapped", wid,
+    swap_id, model_version)``, ``("error", wid, batch_id, text)``.
     """
     predictor = spec.build(group_size=group_size)
-    result_q.put(("ready", worker_id))
+    outbox.put(("ready", worker_id))
     while True:
         try:
-            message = task_q.get(timeout=heartbeat_s)
+            message = inbox.get(timeout=heartbeat_s)
         except _stdlib_queue.Empty:
-            result_q.put(("beat", worker_id))
+            outbox.put(("beat", worker_id))
             continue
         kind = message[0]
         if kind == "stop":
@@ -506,60 +208,163 @@ def _process_worker_main(worker_id: int, spec: PredictorSpec,
         if kind == "swap":
             _, swap_id, state = message
             predictor.model.load_state_dict(state)
-            result_q.put(("swapped", worker_id, swap_id,
-                          predictor.model.state_version))
+            outbox.put(("swapped", worker_id, swap_id,
+                        predictor.model.state_version))
             continue
         _, batch_id, cases = message
         try:
             entries = _batch_entries(predictor, cases)
-            result_q.put(("done", worker_id, batch_id, entries,
-                          predictor.model.state_version))
+            outbox.put(("done", worker_id, batch_id, entries,
+                        predictor.model.state_version))
         except Exception as error:  # catastrophic (pickling, queue ...)
-            result_q.put(("error", worker_id, batch_id,
-                          f"{type(error).__name__}: {error}"))
+            outbox.put(("error", worker_id, batch_id,
+                        f"{type(error).__name__}: {error}"))
+
+
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left until a perf_counter ``deadline`` (None = forever)."""
+    return None if deadline is None else max(
+        0.0, deadline - time.perf_counter())
 
 
 def _discard_queue(q) -> None:
-    """Release a multiprocessing queue whose reader is gone.
+    """Release a worker queue whose reader is gone.
 
-    A killed worker leaves its task queue with a parent-side feeder
-    thread blocked mid-``send`` (the parent holds a read end, so the
-    pipe never breaks); ``cancel_join_thread`` keeps interpreter exit
-    from joining that stuck feeder forever.
+    A killed worker leaves its multiprocessing task queue with a
+    parent-side feeder thread blocked mid-``send`` (the parent holds a
+    read end, so the pipe never breaks); ``cancel_join_thread`` keeps
+    interpreter exit from joining that stuck feeder forever.  The
+    thread transport's plain queues need no release.
     """
     try:
         q.cancel_join_thread()
         q.close()
-    except (OSError, ValueError):  # already torn down
+    except (AttributeError, OSError, ValueError):  # plain or torn down
         pass
 
 
-class _ProcessWorker:
-    """Parent-side handle on one worker process."""
+@dataclass
+class _Worker:
+    """Supervisor-side handle on one worker thread or process."""
 
-    def __init__(self, worker_id: int, process, task_q):
-        self.id = worker_id
-        self.process = process
-        self.task_q = task_q
-        self.ready = threading.Event()
-        # set by the watchdog just before the force-kill so the reaper
-        # can tell a stall-kill from an organic death (error taxonomy)
-        self.stalled = False
-
-    @property
-    def name(self) -> str:
-        return f"process-{self.id}"
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
+    id: int
+    name: str
+    inbox: object   # FIFO of protocol messages
+    runner: object  # threading.Thread or multiprocessing Process
+    ready: threading.Event = field(default_factory=threading.Event)
 
 
-class ProcessWorkerPool:
-    """OS-process workers with liveness monitoring and loud failure.
+# ----------------------------------------------------------------------
+# Transports: mechanism only, no policy
+# ----------------------------------------------------------------------
+class _ThreadTransport:
+    """In-process worker threads sharing the spec's model object.
 
-    The parent keeps at most one outstanding micro-batch per worker; a
-    monitor thread collects results, detects deaths, respawns workers and
-    re-dispatches (or fails) orphaned batches.
+    Messages reach the supervisor inline, on the worker thread, so a
+    batch resolves without a thread hop.  Threads cannot be killed.
+    """
+
+    kind = "thread"
+    out_of_process = False
+    queue_type = _stdlib_queue.Queue
+    runner_type = threading.Thread
+
+    def __init__(self, pool: "WorkerPool"):
+        self.pool = pool
+        self.outbox = SimpleNamespace(put=pool._handle)
+
+    def catch_up(self, inbox) -> None:
+        pass  # a respawn wraps the shared, already swapped model
+
+    def pump(self, timeout: float) -> None:
+        self.pool._halt.wait(timeout)  # messages arrive inline
+
+    def swap(self, state: Dict[str, np.ndarray],
+             deadline: Optional[float]) -> None:
+        # every thread's predictor wraps the spec's model: one distinct
+        # model, loaded once, while no forward can be running
+        self.pool.spec.model.load_state_dict(state)
+
+
+class _ProcessTransport:
+    """Spawned worker processes, each with a private model copy."""
+
+    kind = "process"
+    # results arrive only through the pump; a stalled worker is killed
+    out_of_process = True
+
+    def __init__(self, pool: "WorkerPool"):
+        import multiprocessing
+
+        self.pool = pool
+        context = multiprocessing.get_context(pool.config.mp_context)
+        self.queue_type = context.Queue
+        self.runner_type = context.Process
+        self.outbox = context.Queue()
+        # latest hot-swapped weights: a respawn (built from the original
+        # spec) must catch up before serving anything
+        self._swap_state: Optional[Dict[str, np.ndarray]] = None
+        self._swap_acks: Dict[int, set] = {}
+
+    def catch_up(self, inbox) -> None:
+        if self._swap_state is not None:
+            # FIFO on the inbox: the catch-up swap applies before any
+            # batch this worker is handed
+            inbox.put(("swap", -1, self._swap_state))
+
+    def pump(self, timeout: float) -> None:
+        """Route every result message that arrives within ``timeout``."""
+        try:
+            message = self.outbox.get(timeout=timeout)
+            while True:
+                if message[0] == "swapped":
+                    with self.pool._lock:
+                        acks = self._swap_acks.get(message[2])
+                        if acks is not None:
+                            acks.add(message[1])
+                            self.pool._lock.notify_all()
+                else:
+                    self.pool._handle(message)
+                message = self.outbox.get_nowait()
+        except _stdlib_queue.Empty:
+            pass
+
+    def swap(self, state: Dict[str, np.ndarray],
+             deadline: Optional[float]) -> None:
+        """Broadcast the weights and wait for every worker's ack."""
+        pool = self.pool
+        with pool._lock:
+            swap_id = next(pool._batch_ids)
+            self._swap_state = dict(state)
+            targets = set(pool._workers)
+            for worker in pool._workers.values():
+                worker.inbox.put(("swap", swap_id, state))
+            acked = self._swap_acks[swap_id] = set()
+
+            def missing() -> List[int]:
+                # a worker that dies mid-swap needs no ack: its respawn
+                # catches up to the new weights before serving anything
+                return sorted(targets.intersection(pool._workers) - acked)
+
+            try:
+                if not pool._lock.wait_for(lambda: not missing(),
+                                           _remaining(deadline)):
+                    raise ServeError(f"hot-swap timed out; workers "
+                                     f"{missing()} did not ack")
+            finally:
+                self._swap_acks.pop(swap_id, None)
+
+
+# ----------------------------------------------------------------------
+# The supervisor
+# ----------------------------------------------------------------------
+class WorkerPool:
+    """Supervise ``config.workers`` workers of ``config.worker_kind``.
+
+    At most one batch is outstanding per worker, and at most one more
+    per live worker waits in the pending deque; beyond that
+    :meth:`submit` blocks, which is the scheduler's backpressure and
+    what lets micro-batches form behind a busy worker.
     """
 
     def __init__(self, spec: PredictorSpec, config: ServeConfig,
@@ -567,39 +372,39 @@ class ProcessWorkerPool:
                  on_failure: Optional[FailureCallback] = None,
                  guard: Optional[OutputGuard] = None,
                  health: Optional[HealthMonitor] = None):
-        import multiprocessing
-
+        self.spec = spec
         self.config = config
         self.on_result = on_result
         self.on_failure = on_failure
         self.guard = guard
         self.health = health
-        self._spec = spec
-        self._ctx = multiprocessing.get_context(config.mp_context)
-        self._result_q = self._ctx.Queue()
+        #: why the pool gave up (respawn budget exhausted), else None
+        self.failed: Optional[str] = None
         self._lock = threading.Condition()
-        self._workers: Dict[int, _ProcessWorker] = {}
+        self._workers: Dict[int, _Worker] = {}
         self._idle: List[int] = []
         # (ready_at, batch): re-dispatches after a worker death wait out
-        # a jittered exponential backoff instead of hammering the fresh
-        # worker; first-time submits are ready immediately (ready_at=0)
+        # a jittered exponential backoff; first-time submits are ready
+        # immediately (ready_at=0)
         self._pending: Deque[Tuple[float, List[PredictionRequest]]] = deque()
-        self._backoff = BackoffPolicy(base_s=config.backoff_base_s,
-                                      cap_s=config.backoff_cap_s)
-        # worker_id -> (batch_id, batch, dispatch perf_counter): the
-        # timestamp is what the hung-worker watchdog ages against
+        # worker id -> (batch_id, batch, dispatch perf_counter): the
+        # timestamp is what the watchdog ages against
         self._outstanding: Dict[
             int, Tuple[int, List[PredictionRequest], float]] = {}
-        self._swap_acks: Dict[int, set] = {}
-        # latest hot-swapped weights; respawned workers (built from the
-        # original spec) must catch up before serving anything
-        self._swap_state: Optional[Dict[str, np.ndarray]] = None
-        self._next_worker_id = 0
-        self._next_batch_id = 0
+        # worker id -> when the watchdog flagged it
+        self._stalled: Dict[int, float] = {}
+        self._backoff = BackoffPolicy(base_s=config.backoff_base_s,
+                                      cap_s=config.backoff_cap_s)
+        self._worker_ids = itertools.count()
+        self._batch_ids = itertools.count()
         self._respawns = 0
-        self._failed: Optional[str] = None
+        self._swapping = False
         self._stopping = False
-        self._monitor: Optional[threading.Thread] = None
+        self._halt = threading.Event()
+        self._supervisor: Optional[threading.Thread] = None
+        transport = (_ThreadTransport if config.worker_kind == "thread"
+                     else _ProcessTransport)
+        self._transport = transport(self)
 
     @property
     def worker_count(self) -> int:
@@ -609,50 +414,53 @@ class ProcessWorkerPool:
     # ------------------------------------------------------------------
     def start(self, ready_timeout: float = 120.0) -> None:
         with self._lock:
-            for _ in range(self.config.workers):
-                self._spawn_locked()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-serve-monitor",
-            daemon=True)
-        self._monitor.start()
+            workers = [self._spawn_locked()
+                       for _ in range(self.config.workers)]
+        if self._transport.out_of_process or self.config.watchdog_s:
+            # inline thread results leave an unwatched thread pool no
+            # background work, and an idle extra thread costs resident
+            # memory (one more malloc arena; measured on serve_recurring)
+            self._supervisor = threading.Thread(
+                target=self._supervise, name="repro-serve-supervisor",
+                daemon=True)
+            self._supervisor.start()
         deadline = time.perf_counter() + ready_timeout
-        for worker in list(self._workers.values()):
-            remaining = deadline - time.perf_counter()
-            if not worker.ready.wait(max(0.0, remaining)):
-                raise ServeError(
-                    f"worker {worker.name} did not become ready within "
-                    f"{ready_timeout}s")
+        for worker in workers:
+            while not worker.ready.wait(0.05):
+                if (not worker.runner.is_alive()
+                        or time.perf_counter() > deadline):
+                    raise ServeError(
+                        f"worker {worker.name} died or did not become "
+                        f"ready within {ready_timeout}s")
 
-    def _spawn_locked(self) -> _ProcessWorker:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        task_q = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_process_worker_main,
-            args=(worker_id, self._spec, self.config.max_batch,
-                  task_q, self._result_q, self.config.heartbeat_s),
-            daemon=True)
-        process.start()
-        worker = _ProcessWorker(worker_id, process, task_q)
-        if self._swap_state is not None:
-            # FIFO on the task queue: the catch-up swap applies before
-            # any batch this worker is handed
-            task_q.put(("swap", -1, self._swap_state))
-        self._workers[worker_id] = worker
-        self._idle.append(worker_id)
+    def _spawn_locked(self) -> _Worker:
+        transport, config = self._transport, self.config
+        worker_id = next(self._worker_ids)
+        name = self._name(worker_id)
+        inbox = transport.queue_type()
+        runner = transport.runner_type(
+            target=_worker_main, name=f"repro-serve-{name}", daemon=True,
+            args=(worker_id, self.spec, config.max_batch, inbox,
+                  transport.outbox, config.heartbeat_s))
+        runner.start()
+        transport.catch_up(inbox)
+        worker = self._workers[worker_id] = _Worker(worker_id, name, inbox,
+                                                    runner)
         if self.health is not None:
-            self.health.register(worker.name)
+            self.health.register(name)
         return worker
+
+    def _name(self, worker_id: int) -> str:
+        return f"{self._transport.kind}-{worker_id}"
 
     # ------------------------------------------------------------------
     def submit(self, batch: List[PredictionRequest]) -> None:
         """Queue a micro-batch for the next idle worker (blocks while
-        every worker already holds a batch)."""
+        every live worker already has one batch pending)."""
         with self._lock:
             while True:
-                if self._failed is not None:
-                    raise ServeError(
-                        f"process worker pool failed: {self._failed}")
+                if self.failed is not None:
+                    raise ServeError(f"worker pool failed: {self.failed}")
                 if self._stopping:
                     raise ServiceClosedError("worker pool is stopping")
                 if len(self._pending) < max(1, len(self._workers)):
@@ -662,208 +470,236 @@ class ProcessWorkerPool:
             self._dispatch_locked()
 
     def _dispatch_locked(self) -> None:
+        if self._swapping:
+            return  # a hot-swap holds dispatch until the weights land
         now = time.perf_counter()
         index = 0
-        deferred: List[int] = []
         while self._idle and index < len(self._pending):
             ready_at, batch = self._pending[index]
             if ready_at > now:
                 index += 1  # backoff not elapsed; try the next batch
                 continue
-            worker_id = self._idle.pop(0)
-            worker = self._workers.get(worker_id)
-            if worker is None or not worker.alive():
-                continue  # monitor will reap it; batch stays pending
-            if not worker.ready.is_set():
-                # a respawn still building its model: handing it work now
-                # would start the batch's watchdog clock on init time and
-                # get the replacement killed in turn — keep it idle, the
-                # monitor loop redispatches once it reports ready
-                deferred.append(worker_id)
-                continue
+            worker = self._workers.get(self._idle.pop(0))
+            if worker is None or not worker.runner.is_alive():
+                continue  # the reaper will handle it; batch stays pending
             del self._pending[index]
-            batch_id = self._next_batch_id
-            self._next_batch_id += 1
-            self._outstanding[worker_id] = (batch_id, batch,
+            batch_id = next(self._batch_ids)
+            self._outstanding[worker.id] = (batch_id, batch,
                                             time.perf_counter())
-            worker.task_q.put(
-                ("predict", batch_id,
-                 [request.case for request in batch]))
-        self._idle.extend(deferred)
+            worker.inbox.put(("predict", batch_id,
+                              [request.case for request in batch]))
 
     # ------------------------------------------------------------------
-    def _monitor_loop(self) -> None:
-        import queue as stdlib_queue
-
-        while True:
-            with self._lock:
-                if self._stopping and not self._outstanding \
-                        and not self._pending:
-                    return
-            try:
-                message = self._result_q.get(timeout=0.05)
-            except stdlib_queue.Empty:
-                message = None
-            if message is not None:
-                self._handle_message(message)
+    def _supervise(self) -> None:
+        budget = self.config.watchdog_s
+        interval = (0.05 if budget is None
+                    else max(min(budget / 4.0, 0.05), 0.005))
+        while not self._halt.is_set():
+            self._transport.pump(interval)
+            if self._stopping:
+                continue  # stop() owns the teardown; just route results
             self._watchdog_sweep()
             self._reap_dead()
             with self._lock:
-                # flush retries whose backoff window has elapsed
-                if self._pending and self._idle:
-                    self._dispatch_locked()
+                self._dispatch_locked()  # retries whose backoff elapsed
+
+    def _handle(self, message) -> None:
+        """Route one worker message (on the supervisor thread for
+        processes, inline on the worker thread for threads)."""
+        kind, worker_id = message[0], message[1]
+        name = self._name(worker_id)
+        if kind in ("beat", "ready"):
+            if kind == "ready":
+                # only a built worker goes idle: dispatching to one still
+                # building its model would start the batch's watchdog
+                # clock on init time and get a respawn killed in turn
+                with self._lock:
+                    worker = self._workers.get(worker_id)
+                    if worker is not None:
+                        worker.ready.set()
+                        self._idle.append(worker_id)
+                        self._dispatch_locked()
+            if self.health is not None:
+                self.health.beat(name)
+            return
+        with self._lock:
+            entry = self._outstanding.get(worker_id)
+            if entry is None or entry[0] != message[2]:
+                return  # stale: reaped, or swept by stop()
+            del self._outstanding[worker_id]
+            # a killed worker's stall ends when it is reaped; a thread's
+            # ends here, when its wedged forward finally returns
+            stalled_at = (None if self._transport.out_of_process
+                          else self._stalled.pop(worker_id, None))
+            if worker_id in self._workers:
+                self._idle.append(worker_id)
+            self._dispatch_locked()
+            self._lock.notify_all()
+        batch = entry[1]
+        if stalled_at is not None:
+            # the watchdog already failed these tickets, so resolution
+            # below is a no-op and the thread rejoins service
+            record_degradation(
+                "serve.watchdog", name, "recovered",
+                f"stalled batch completed after "
+                f"{time.perf_counter() - stalled_at:.3f}s; "
+                f"thread back in service")
+            if self.health is not None:
+                self.health.mark_recovered(name)
+        if self.health is not None:
+            # a completed batch is the strongest liveness proof
+            self.health.beat(name)
+        if kind == "done":
+            self._resolve(batch, message[3], name, message[4])
+        else:
+            _fail_batch(batch, PredictionFailedError(
+                f"worker {name} failed: {message[3]}"), self.on_failure)
+
+    def _resolve(self, batch: List[PredictionRequest], entries: list,
+                 worker: str, model_version: int) -> None:
+        """Fulfil (or fail) each request from its worker entry, re-verifying
+        every prediction through the integrity guard first."""
+        completed = time.perf_counter()
+        for request, entry in zip(batch, entries):
+            if request.ticket.done():
+                continue  # a shutdown sweep beat this resolution to it
+            if entry[0] == "fail":
+                error: BaseException = PredictionFailedError(
+                    f"worker {worker} failed on {request.case!r}: {entry[1]}")
+                _fail_batch([request], error, self.on_failure)
+                continue
+            _, prediction, tat, digest = entry
+            # the chaos corruption point sits on the fulfilment path, between
+            # the worker's checksum and the guard's re-verification — exactly
+            # where real transport corruption would land
+            prediction = maybe_corrupt("serve.guard", prediction)
+            if self.guard is not None:
+                try:
+                    self.guard.check(
+                        prediction,
+                        case_shape=getattr(request.case, "shape", None),
+                        digest=digest,
+                        context=f"request {request.id} "
+                                f"({request.case.name!r}) via {worker}")
+                except IntegrityError as error:
+                    _fail_batch([request], error, self.on_failure)
+                    continue
+            dispatched = (request.dispatched if request.dispatched is not None
+                          else request.submitted)
+            result = ServeResult(
+                prediction=prediction,
+                tat_seconds=float(tat),
+                latency_seconds=completed - request.submitted,
+                queue_seconds=dispatched - request.submitted,
+                batch_size=len(batch),
+                worker=worker,
+                model_version=int(model_version),
+                attempts=request.attempts + 1,
+            )
+            request.ticket.fulfill(result)
+            if self.on_result is not None:
+                self.on_result(request, result)
 
     def _watchdog_sweep(self) -> None:
-        """Force-kill workers whose batch is outstanding past the
-        watchdog budget; the reaper then routes the batch through the
-        normal backoff/re-dispatch/respawn path."""
+        """Act on batches outstanding past ``config.watchdog_s``: fail
+        them in place on a thread, SIGKILL the process otherwise (the
+        reaper then routes the batch through backoff/re-dispatch)."""
         budget = self.config.watchdog_s
         if budget is None:
             return
         now = time.perf_counter()
-        victims: List[Tuple[_ProcessWorker, float]] = []
         with self._lock:
-            for worker_id, (_, _, dispatched_at) in \
-                    list(self._outstanding.items()):
-                worker = self._workers.get(worker_id)
-                if worker is None or worker.stalled:
-                    continue
-                age = now - dispatched_at
-                if age > budget:
-                    worker.stalled = True
-                    victims.append((worker, age))
-        for worker, age in victims:
-            record_degradation(
-                "serve.watchdog", worker.name, "killed",
-                f"batch outstanding {age:.3f}s > watchdog {budget:g}s; "
-                f"force-killing the hung worker")
-            if self.health is not None:
-                self.health.mark_stalled(
-                    worker.name,
-                    note=f"batch outstanding {age:.3f}s > watchdog "
-                         f"{budget:g}s; killed")
-            try:
-                worker.process.kill()
-            except (OSError, ValueError):  # already gone
-                pass
-
-    def _handle_message(self, message) -> None:
-        kind = message[0]
-        if kind == "beat":
-            if self.health is not None:
-                with self._lock:
-                    worker = self._workers.get(message[1])
-                if worker is not None:
-                    self.health.beat(worker.name)
-            return
-        if kind == "ready":
-            with self._lock:
-                worker = self._workers.get(message[1])
-            if worker is not None:
-                worker.ready.set()
+            victims = []
+            for worker_id, (_, batch, started) in self._outstanding.items():
+                age = now - started
+                if worker_id not in self._stalled and age > budget:
+                    self._stalled[worker_id] = now
+                    victims.append((self._workers[worker_id], batch, age))
+        for worker, batch, age in victims:
+            over = f"batch outstanding {age:.3f}s > watchdog {budget:g}s"
+            if self._transport.out_of_process:
+                record_degradation("serve.watchdog", worker.name, "killed",
+                                   f"{over}; force-killing the hung worker")
                 if self.health is not None:
-                    self.health.beat(worker.name)
-            return
-        if kind == "swapped":
-            _, worker_id, swap_id, _version = message
-            with self._lock:
-                self._swap_acks.setdefault(swap_id, set()).add(worker_id)
-                self._lock.notify_all()
-            return
-        if kind in ("done", "error"):
-            worker_id, batch_id = message[1], message[2]
-            with self._lock:
-                entry = self._outstanding.get(worker_id)
-                if entry is None or entry[0] != batch_id:
-                    return  # stale (pre-respawn) message
-                del self._outstanding[worker_id]
-                batch = entry[1]
-                if worker_id in self._workers:
-                    self._idle.append(worker_id)
-                self._dispatch_locked()
-                self._lock.notify_all()
-            worker_name = f"process-{worker_id}"
+                    self.health.mark_stalled(worker.name,
+                                             note=f"{over}; killed")
+                worker.runner.kill()
+                continue
+            record_degradation("serve.watchdog", worker.name, "stalled",
+                               f"{over}; thread flagged, batch failed")
             if self.health is not None:
-                # a completed message is the strongest liveness proof
-                self.health.beat(worker_name)
-            if kind == "done":
-                _resolve_batch(batch, message[3], worker_name,
-                               message[4], self.on_result,
-                               guard=self.guard, on_failure=self.on_failure)
-            else:
-                _fail_batch(batch, PredictionFailedError(
-                    f"worker {worker_name} failed: {message[3]}"),
-                    self.on_failure)
+                self.health.mark_stalled(worker.name, note=over)
+            _fail_batch(batch, WorkerStalledError(
+                f"worker {worker.name} stalled: batch outstanding "
+                f"{age:.3f}s exceeds the {budget:g}s watchdog budget "
+                f"(thread workers cannot be killed; the batch is "
+                f"failed and the thread flagged unhealthy)"),
+                self.on_failure)
 
     def _reap_dead(self) -> None:
+        """Retry or fail a dead worker's batch, then respawn it within
+        the ``max_respawns`` budget (past it, the pool fails)."""
+        config = self.config
         to_fail: List[Tuple[List[PredictionRequest], BaseException]] = []
         with self._lock:
+            if self._stopping:
+                return  # a worker exiting on stop() is not a death
             dead = [worker for worker in self._workers.values()
-                    if not worker.alive()]
+                    if not worker.runner.is_alive()]
             if not dead:
                 return
             for worker in dead:
-                del self._workers[worker.id]
-                _discard_queue(worker.task_q)
-                if worker.id in self._idle:
-                    self._idle.remove(worker.id)
+                del self._workers[worker.id]  # dispatch drops its idle id
+                _discard_queue(worker.inbox)
+                stalled = self._stalled.pop(worker.id, None) is not None
+                exitcode = getattr(worker.runner, "exitcode", None)
                 if self.health is not None:
                     self.health.remove(
                         worker.name,
-                        note=("killed by watchdog" if worker.stalled
-                              else f"died (exitcode "
-                                   f"{worker.process.exitcode})"))
+                        note=("killed by watchdog" if stalled
+                              else f"died (exitcode {exitcode})"))
                 entry = self._outstanding.pop(worker.id, None)
                 if entry is not None:
                     batch = entry[1]
                     for request in batch:
                         request.attempts += 1
-                    if batch and batch[0].attempts > self.config.retries:
-                        if worker.stalled:
-                            death: ServeError = WorkerStalledError(
-                                f"worker {worker.name} hung past the "
-                                f"{self.config.watchdog_s:g}s watchdog, "
-                                f"was force-killed, and retries are "
-                                f"exhausted "
-                                f"(attempts={batch[0].attempts}, "
-                                f"retries={self.config.retries})")
-                        else:
-                            death = WorkerDiedError(
-                                f"worker {worker.name} died "
-                                f"(exitcode {worker.process.exitcode}) and "
-                                f"retries are exhausted "
-                                f"(attempts={batch[0].attempts}, "
-                                f"retries={self.config.retries})")
-                        to_fail.append((batch, death))
+                    attempts = batch[0].attempts
+                    if attempts > config.retries:
+                        death = (WorkerStalledError if stalled
+                                 else WorkerDiedError)
+                        how = (f"hung past the {config.watchdog_s:g}s "
+                               f"watchdog, was force-killed," if stalled
+                               else f"died (exitcode {exitcode})")
+                        to_fail.append((batch, death(
+                            f"worker {worker.name} {how} and retries are "
+                            f"exhausted (attempts={attempts}, "
+                            f"retries={config.retries})")))
                     else:
                         # retry first, but only after a jittered backoff
                         # keyed on the request id (deterministic per
                         # request, decorrelated across requests)
-                        delay = self._backoff.delay(
-                            batch[0].attempts,
-                            key=batch[0].id if batch else 0)
+                        delay = self._backoff.delay(attempts,
+                                                    key=batch[0].id)
                         self._pending.appendleft(
                             (time.perf_counter() + delay, batch))
-                if not self._stopping:
-                    if self._respawns >= self.config.max_respawns:
-                        self._failed = (
-                            f"{self._respawns} worker respawns exhausted "
-                            f"(crash-looping spec?)")
-                        record_degradation(
-                            "serve.pool", "respawn", "failed",
-                            self._failed)
-                    else:
-                        self._respawns += 1
-                        record_degradation(
-                            "serve.pool", worker.name, "respawn",
-                            f"{'watchdog-killed' if worker.stalled else 'exitcode ' + str(worker.process.exitcode)}; "
-                            f"respawn {self._respawns}/"
-                            f"{self.config.max_respawns}")
-                        self._spawn_locked()
-            if self._failed is not None:
+                if self._respawns >= config.max_respawns:
+                    self.failed = (f"{self._respawns} worker respawns "
+                                   f"exhausted (crash-looping spec?)")
+                    record_degradation("serve.pool", "respawn", "failed",
+                                       self.failed)
+                else:
+                    self._respawns += 1
+                    cause = ("watchdog-killed" if stalled
+                             else f"exitcode {exitcode}")
+                    record_degradation(
+                        "serve.pool", worker.name, "respawn",
+                        f"{cause}; respawn {self._respawns}/"
+                        f"{config.max_respawns}")
+                    self._spawn_locked()
+            if self.failed is not None:
                 while self._pending:
                     to_fail.append((self._pending.popleft()[1],
-                                    ServeError(self._failed)))
+                                    ServeError(self.failed)))
             self._dispatch_locked()
             self._lock.notify_all()
         for batch, error in to_fail:
@@ -872,50 +708,51 @@ class ProcessWorkerPool:
     # ------------------------------------------------------------------
     def swap(self, state: Dict[str, np.ndarray],
              timeout: Optional[float] = 60.0) -> None:
-        """Broadcast new weights; returns once every worker acked.
+        """Load new weights on every worker; raises
+        :class:`~repro.serve.queue.ServeError` when the swap cannot
+        finish within ``timeout`` seconds (None waits forever).
 
-        The swap message queues *behind* any outstanding batch on each
-        worker's task queue, so in-flight requests complete on the old
-        weights and everything dispatched afterwards runs on the new.
+        Dispatch pauses first, so batches already handed out finish on
+        the old weights and nothing new starts until the swap is over;
+        on a timeout dispatch resumes.  A timeout before the weights
+        were sent leaves the old ones loaded; a process worker that
+        only missed the ack deadline still applies the queued swap.
         """
+        deadline = None if timeout is None else time.perf_counter() + timeout
         with self._lock:
-            swap_id = self._next_batch_id
-            self._next_batch_id += 1
-            self._swap_state = dict(state)
-            targets = {worker_id: worker
-                       for worker_id, worker in self._workers.items()}
-            for worker in targets.values():
-                worker.task_q.put(("swap", swap_id, state))
-            deadline = (None if timeout is None
-                        else time.perf_counter() + timeout)
-            while True:
-                acked = self._swap_acks.get(swap_id, set())
-                # workers that died mid-swap are respawned from the spec
-                # (old weights!) — treat that as a failure, not success
-                missing = [worker_id for worker_id in targets
-                           if worker_id not in acked
-                           and worker_id in self._workers]
-                lost = [worker_id for worker_id in targets
-                        if worker_id not in acked
-                        and worker_id not in self._workers]
-                if lost:
+            if not self._lock.wait_for(lambda: not self._swapping,
+                                       _remaining(deadline)):
+                raise ServeError(f"hot-swap timed out after {timeout}s "
+                                 f"behind another hot-swap")
+            self._swapping = True
+        try:
+            with self._lock:
+                if not self._lock.wait_for(lambda: not self._outstanding,
+                                           _remaining(deadline)):
+                    held = sorted(self._name(worker_id)
+                                  for worker_id in self._outstanding)
                     raise ServeError(
-                        f"hot-swap failed: worker(s) "
-                        f"{sorted(lost)} died before acking")
-                if not missing:
-                    break
-                remaining = (None if deadline is None
-                             else deadline - time.perf_counter())
-                if remaining is not None and remaining <= 0:
-                    raise ServeError(
-                        f"hot-swap timed out after {timeout}s; workers "
-                        f"{sorted(missing)} did not ack")
-                self._lock.wait(0.05 if remaining is None
-                                else min(0.05, remaining))
-            self._swap_acks.pop(swap_id, None)
+                        f"hot-swap timed out after {timeout}s: {held} "
+                        f"still hold a batch; the old weights stay loaded")
+            self._transport.swap(state, deadline)
+        finally:
+            with self._lock:
+                self._swapping = False
+                self._dispatch_locked()
+                self._lock.notify_all()
 
     # ------------------------------------------------------------------
     def stop(self, timeout: float = 5.0) -> None:
+        """Stop the pool; every batch it still holds resolves.
+
+        Undispatched batches fail at once.  Workers then get until the
+        ``timeout`` deadline to finish what they hold; a batch still
+        held after it (a wedged thread cannot be killed; a wedged
+        process is terminated) fails with
+        :class:`~repro.serve.queue.ServiceClosedError`.  A wedged
+        forward that returns later resolves against already-done
+        tickets — a no-op.
+        """
         with self._lock:
             self._stopping = True
             workers = list(self._workers.values())
@@ -924,28 +761,39 @@ class ProcessWorkerPool:
             self._lock.notify_all()
         for batch in orphans:
             _fail_batch(batch, ServiceClosedError(
-                "service stopped before the request was dispatched"))
-        for worker in workers:
-            try:
-                worker.task_q.put(("stop",))
-            except (OSError, ValueError):  # queue already torn down
-                pass
+                "service stopped before the batch reached a worker"))
         deadline = time.perf_counter() + timeout
         for worker in workers:
-            worker.process.join(max(0.0, deadline - time.perf_counter()))
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(1.0)
-            _discard_queue(worker.task_q)
-        if self._monitor is not None:
-            self._monitor.join(timeout)
-            self._monitor = None
-        _discard_queue(self._result_q)
+            worker.inbox.put(("stop",))
+        for worker in workers:
+            worker.runner.join(max(0.0, deadline - time.perf_counter()))
+            if self._transport.out_of_process and worker.runner.is_alive():
+                worker.runner.kill()
+                worker.runner.join(1.0)
+            _discard_queue(worker.inbox)
+        with self._lock:  # let the last results be routed
+            self._lock.wait_for(lambda: not self._outstanding,
+                                _remaining(deadline))
+        self._halt.set()
+        if self._supervisor is not None:
+            self._supervisor.join(timeout)
+            self._supervisor = None
+        _discard_queue(self._transport.outbox)
+        for worker in workers:
+            if worker.runner.is_alive():  # a thread cannot be killed
+                record_degradation(
+                    "serve.pool", worker.runner.name, "wedged",
+                    f"{worker.name} still alive {timeout:g}s after stop; "
+                    f"failing its in-flight tickets")
         with self._lock:
-            leftovers = [entry[1] for entry in self._outstanding.values()]
+            held = [(self._name(worker_id), batch)
+                    for worker_id, (_, batch, _) in self._outstanding.items()]
             self._outstanding.clear()
+            self._stalled.clear()
             self._workers.clear()
             self._idle.clear()
-        for batch in leftovers:
+        for name, batch in held:
             _fail_batch(batch, ServiceClosedError(
-                "service stopped while the request was in flight"))
+                f"service stopped while {name} held the batch and the "
+                f"worker did not finish within the {timeout:g}s stop "
+                f"deadline"))

@@ -43,6 +43,11 @@ class TestEvalConfig:
         config = EvalConfig.from_env(epochs=3)
         assert config.epochs == 3
 
+    def test_from_env_rejects_unknown_override(self):
+        # a typo must not silently leave the intended field at its default
+        with pytest.raises(TypeError, match="pretrain_epoch"):
+            EvalConfig.from_env(pretrain_epoch=0)
+
     def test_from_env_round_trips_every_field(self, monkeypatch):
         """Every EvalConfig field is settable from the environment."""
         reference = EvalConfig(

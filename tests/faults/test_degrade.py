@@ -71,7 +71,3 @@ class TestDegradationPolicy:
     def test_empty_chain_is_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             DegradationPolicy(precond_chain=())
-
-    def test_negative_respawns_rejected(self):
-        with pytest.raises(ValueError, match="max_respawns"):
-            DegradationPolicy(max_respawns=-1)

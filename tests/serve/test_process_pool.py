@@ -38,7 +38,7 @@ def _kill_busy_worker(service, case, sleep_s=30.0):
     terminate the process; returns the orphaned ticket."""
     pool = service.pool
     worker = next(iter(pool._workers.values()))
-    worker.task_q.put(("sleep", sleep_s))
+    worker.inbox.put(("sleep", sleep_s))
     ticket = service.submit(case)
     deadline = time.perf_counter() + 30.0
     while True:  # wait until the batch is dispatched (outstanding)
@@ -48,7 +48,7 @@ def _kill_busy_worker(service, case, sleep_s=30.0):
         if time.perf_counter() > deadline:  # pragma: no cover
             raise AssertionError("batch never dispatched")
         time.sleep(0.01)
-    worker.process.terminate()
+    worker.runner.terminate()
     return ticket
 
 

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 from tests.serve.conftest import perturbed_state
 
+from repro.nn.functional import set_trace_hook
+from repro.nn.tensor import is_grad_enabled
 from repro.serve.config import ServeConfig
 from repro.serve.queue import (
     BackpressureError,
@@ -142,6 +144,63 @@ class TestHotSwap:
         versions = {result.model_version for _, result in results}
         assert versions <= {0, 1}
         assert 1 in versions  # the post-swap rounds ran on the new model
+        for case, result in results:
+            assert np.array_equal(
+                result.prediction,
+                references[result.model_version][case.name]), case.name
+
+    def test_supervisor_state_survives_thread_contention(
+            self, serve_spec, serve_cases):
+        """More worker threads than cores, each compiling its own engine
+        and resolving its batches inline on the shared supervisor state,
+        a tiny switch interval, and swaps racing the load: every result
+        matches the reference of the version that served it, and the
+        pool ends with nothing outstanding or pending and every worker
+        idle exactly once — a lost or doubled update would break that."""
+        import sys
+        import threading
+
+        model = serve_spec.model
+        states = [model.state_dict()]
+        for _ in range(2):
+            states.append({key: value * 1.01
+                           for key, value in states[-1].items()})
+        config = _config(workers=4, queue_capacity=64, max_batch=2,
+                         batch_window_s=0.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PredictionService(serve_spec, config) as service:
+                swapper = threading.Thread(target=lambda: [
+                    service.swap(state, timeout=30.0)
+                    for state in states[1:]])
+                submit = [serve_cases[i % len(serve_cases)]
+                          for i in range(32)]
+                tickets = [(case, service.submit(case))
+                           for case in submit[:16]]
+                swapper.start()
+                tickets += [(case, service.submit(case))
+                            for case in submit[16:]]
+                results = [(case, ticket.result(timeout=60))
+                           for case, ticket in tickets]
+                swapper.join(60)
+                assert not swapper.is_alive()
+                pool = service.pool
+                with pool._lock:
+                    assert not pool._outstanding and not pool._pending
+                    assert sorted(pool._idle) == sorted(pool._workers)
+        finally:
+            sys.setswitchinterval(interval)
+        # the workers traced and ran no_grad forwards concurrently; none
+        # of that may leak into this thread's autograd state
+        assert is_grad_enabled()
+        assert set_trace_hook(None) is None
+        references = []
+        for state in states:
+            model.load_state_dict(state)
+            direct = serve_spec.build()
+            references.append({case.name: direct.predict_case(case)[0]
+                               for case in serve_cases})
         for case, result in results:
             assert np.array_equal(
                 result.prediction,

@@ -29,7 +29,7 @@ from repro.serve.queue import (
     ServiceClosedError,
 )
 from repro.serve.service import PredictionService
-from repro.serve.worker import ThreadWorkerPool
+from repro.serve.worker import WorkerPool
 
 
 def test_stop_without_drain_races_dispatch_without_leaks(serve_spec,
@@ -147,15 +147,18 @@ def test_signal_handler_is_lock_free_under_held_service_locks(serve_spec,
         service.stop()
 
 
-def test_thread_pool_stop_fails_wedged_batches(serve_spec, serve_cases):
-    """With the watchdog disabled (the default), a hung forward must
-    still not leak its tickets at shutdown: ``ThreadWorkerPool.stop``
-    fails whatever a wedged thread holds — and whatever never reached a
-    worker — after the join deadline."""
-    config = ServeConfig(workers=1, queue_capacity=8, max_batch=4,
+@pytest.mark.parametrize("worker_kind", ["thread", "process"])
+def test_thread_pool_stop_fails_wedged_batches(serve_spec, serve_cases,
+                                               worker_kind):
+    """With the watchdog disabled (the default), a hung worker must
+    still not leak its tickets at shutdown: ``WorkerPool.stop`` fails
+    whatever a wedged worker holds — and whatever never reached a
+    worker — after the join deadline, on either transport."""
+    config = ServeConfig(workers=1, worker_kind=worker_kind,
+                         mp_context="spawn", queue_capacity=8, max_batch=4,
                          heartbeat_s=0.02, breaker_enabled=False)
     assert config.watchdog_s is None
-    pool = ThreadWorkerPool(serve_spec, config)
+    pool = WorkerPool(serve_spec, config)
     pool.start()
 
     def request(index, case):
@@ -164,21 +167,30 @@ def test_thread_pool_stop_fails_wedged_batches(serve_spec, serve_cases):
 
     wedged = [request(0, serve_cases[0])]
     queued = [request(1, serve_cases[1])]
+    # a thread forward is wedged by a delay rule; a process worker (out
+    # of the parent's fault plan's reach) by the sleep hook ahead of it
     plan = FaultPlan(seed=11, rules=[
-        FaultRule(point="serve.predict", action="delay", seconds=5.0,
+        FaultRule(point="serve.predict", action="delay", seconds=2.0,
                   at=(1,), note="wedge the only worker")])
+    runner = next(iter(pool._workers.values())).runner
     with inject(plan):
+        if worker_kind == "process":
+            next(iter(pool._workers.values())).inbox.put(("sleep", 2.0))
         pool.submit(wedged)
         deadline = time.perf_counter() + 30.0
         while not pool._outstanding and time.perf_counter() < deadline:
             time.sleep(0.005)
         assert pool._outstanding     # the worker owns the wedged batch
         pool.submit(queued)          # sits undispatched: worker is busy
-        pool.stop(timeout=0.2)       # far below the 5s wedge
+        pool.stop(timeout=0.2)       # far below the 2s wedge
     for item in wedged + queued:
         assert item.ticket.done()    # no leaks: everything resolved
         with pytest.raises(ServiceClosedError):
             item.ticket.result(0.0)
+    # a wedged thread outlives stop(); let it finish here, so its late
+    # forward cannot overlap forwards of the tests that follow
+    runner.join(30.0)
+    assert not runner.is_alive()
 
 
 def test_signal_handlers_are_restorable(serve_spec):

@@ -11,11 +11,15 @@ on the replacement worker.
 
 Stalls are forged deterministically: a ``serve.predict`` delay rule
 wedges a thread forward, and the ``("sleep", s)`` worker-protocol chaos
-hook occupies a process worker.  The forged *heartbeat* stall (a
+hook occupies a process worker.  The same two wedges pin down hot-swap
+semantics: a swap pauses dispatch, so nothing ages against the watchdog
+while it runs, and it raises :class:`ServeError` when its ``timeout``
+passes.  The forged *heartbeat* stall (a
 ``serve.heartbeat`` error rule eating beats) exercises the degraded
 health rollup without hanging anything.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -25,8 +29,9 @@ from repro.faults.degrade import default_log, reset_default_log
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.points import inject
 from repro.serve.config import ServeConfig
-from repro.serve.queue import WorkerStalledError
+from repro.serve.queue import ServeError, WorkerStalledError
 from repro.serve.service import PredictionService
+from tests.serve.conftest import perturbed_state
 
 
 @pytest.fixture(autouse=True)
@@ -80,36 +85,78 @@ def test_thread_stall_fails_typed_then_recovers(serve_spec, serve_cases):
     assert stalls[0].from_mode == "thread-0"
 
 
-def test_swap_wait_does_not_count_toward_watchdog(serve_spec, serve_cases):
-    """A batch queued behind a hot-swap writer must not age against the
-    watchdog budget: the stall clock starts when the swap read-lock is
-    acquired and the forward can actually run, so a slow swap can never
-    get innocent batches failed and healthy threads flagged."""
-    config = ServeConfig(workers=1, queue_capacity=16, max_batch=4,
-                         batch_window_s=0.0, watchdog_s=0.15,
-                         heartbeat_s=0.02, stale_after_s=30.0,
-                         breaker_enabled=False)
+def _kind_config(worker_kind, **overrides):
+    base = dict(workers=1, worker_kind=worker_kind, mp_context="spawn",
+                queue_capacity=16, max_batch=4, batch_window_s=0.0,
+                heartbeat_s=0.02, stale_after_s=30.0, breaker_enabled=False)
+    base.update(overrides)
+    return ServeConfig(**base)
+
+
+@pytest.mark.parametrize("worker_kind", ["thread", "process"])
+def test_swap_wait_does_not_count_toward_watchdog(serve_spec, serve_cases,
+                                                  worker_kind, monkeypatch):
+    """A batch submitted during a slow hot-swap must not age against the
+    watchdog budget: dispatch pauses for the swap, so the stall clock
+    only starts once the forward can run on the new weights, and a slow
+    swap never gets innocent batches failed or healthy workers flagged."""
+    # the budget leaves room for the first forward's plan compile
+    config = _kind_config(worker_kind, watchdog_s=0.5)
+    slow_s = 3 * config.watchdog_s
+    state = perturbed_state(serve_spec.model)
     with PredictionService(serve_spec, config) as service:
-        with service.pool._swap_lock.write():   # a hot-swap in progress
-            ticket = service.submit(serve_cases[0])
-            # the worker owns the batch (shutdown accounting) but is
-            # blocked on the swap lock, off the watchdog clock
-            assert _wait_for(lambda: bool(service.pool._outstanding))
-            time.sleep(3 * config.watchdog_s)   # far past the budget
-            stalls = [event
-                      for event in default_log().events("serve.watchdog")
-                      if event.to_mode == "stalled"]
-            assert stalls == []                 # nobody falsely failed
+        if worker_kind == "thread":
+            load = serve_spec.model.load_state_dict
+
+            def slow_load(new_state):
+                time.sleep(slow_s)
+                return load(new_state)
+
+            monkeypatch.setattr(serve_spec.model, "load_state_dict",
+                                slow_load)
+        else:
+            # the child loads its own model copy: the sleep hook queued
+            # ahead of the swap message makes that swap just as slow
+            _occupy_sole_worker(service, sleep_s=slow_s)
+        swapper = threading.Thread(target=service.swap, args=(state,))
+        swapper.start()
+        assert _wait_for(lambda: service.pool._swapping)
+        ticket = service.submit(serve_cases[0])
+        swapper.join(30.0)
+        assert not swapper.is_alive()
         result = ticket.result(30.0)            # served once the swap ends
-    direct, _ = serve_spec.build().predict_case(serve_cases[0])
-    assert np.array_equal(result.prediction, direct)
+    assert result.model_version == 1
     assert [event for event in default_log().events("serve.watchdog")
-            if event.to_mode == "stalled"] == []
+            if event.to_mode in ("stalled", "killed")] == []
+
+
+@pytest.mark.parametrize("worker_kind", ["thread", "process"])
+def test_swap_timeout_raises_behind_wedged_forward(serve_spec, serve_cases,
+                                                   worker_kind):
+    """A swap that cannot finish within its ``timeout`` raises
+    :class:`ServeError` on time — on both transports — instead of
+    blocking for as long as a wedged forward holds its batch."""
+    config = _kind_config(worker_kind)
+    plan = FaultPlan(seed=7, rules=[
+        FaultRule(point="serve.predict", action="delay", seconds=3.0,
+                  at=(1,), note="wedge the first forward")])
+    with inject(plan):
+        with PredictionService(serve_spec, config) as service:
+            if worker_kind == "process":
+                _occupy_sole_worker(service, sleep_s=3.0)
+            ticket = service.submit(serve_cases[0])
+            _wait_dispatched(service.pool)
+            started = time.perf_counter()
+            with pytest.raises(ServeError, match="timed out"):
+                service.swap(perturbed_state(serve_spec.model), timeout=0.3)
+            assert time.perf_counter() - started < 1.0
+            result = ticket.result(60.0)
+    assert result.model_version == 0            # the old weights served
 
 
 def _occupy_sole_worker(service, sleep_s=60.0):
     worker = next(iter(service.pool._workers.values()))
-    worker.task_q.put(("sleep", sleep_s))
+    worker.inbox.put(("sleep", sleep_s))
     return worker
 
 
