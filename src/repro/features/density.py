@@ -17,7 +17,6 @@ from scipy import ndimage
 
 from repro.features.maps import map_shape_for
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
 
 __all__ = ["pdn_density_map"]
 
@@ -42,16 +41,11 @@ def pdn_density_map(
     if window_px % 2 == 0:
         window_px += 1
     shape = shape or map_shape_for(netlist)
-    rows, cols = shape
-
-    counts = np.zeros(shape)
-    for name in netlist.node_index():
-        node = parse_node(name)
-        if node is None:
-            continue
-        row = min(int(round(node.y_um)), rows - 1)
-        col = min(int(round(node.x_um)), cols - 1)
-        counts[row, col] += 1.0
+    table = netlist.node_table()
+    table.require_grid()
+    rows, cols = table.columns.pixels(shape)
+    counts = np.bincount(rows * shape[1] + cols,
+                         minlength=shape[0] * shape[1]).reshape(shape).astype(float)
 
     density = ndimage.uniform_filter(counts, size=window_px, mode="nearest")
     if not as_spacing:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.features.maps import map_shape_for
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
+from repro.spice.nodes import DBU_PER_UM
 
 __all__ = ["effective_distance_map", "pad_positions_px"]
 
@@ -27,14 +27,14 @@ _MIN_DISTANCE_PX = 0.5
 
 def pad_positions_px(netlist: Netlist) -> np.ndarray:
     """(row, col) float positions of all voltage sources."""
-    positions = []
-    for source in netlist.voltage_sources:
-        node = parse_node(source.node)
-        if node is not None:
-            positions.append((node.y_um, node.x_um))
-    if not positions:
+    table = netlist.node_table()
+    pads = table.voltage_nodes
+    table.require_grid(pads)
+    pads = pads[pads >= 0]
+    if not pads.size:
         raise ValueError("netlist has no voltage sources for a distance map")
-    return np.array(positions)
+    columns = table.columns.take(pads)
+    return np.stack((columns.y / DBU_PER_UM, columns.x / DBU_PER_UM), axis=1)
 
 
 def effective_distance_map(

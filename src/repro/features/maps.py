@@ -2,7 +2,9 @@
 
 Implements the contest's given features plus the paper's three *extra*
 maps (§III-A): voltage-source map, current-source map and resistance map.
-All maps are 1 µm-per-pixel rasters in (row=y, col=x) orientation.
+All maps are 1 µm-per-pixel rasters in (row=y, col=x) orientation, built
+from the netlist's node table (:meth:`~repro.spice.netlist.Netlist.node_table`)
+with element contributions summed in element order.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
+from repro.spice.netlist import Netlist, NodeTable
 
 __all__ = [
     "map_shape_for",
@@ -28,13 +29,24 @@ def map_shape_for(netlist: Netlist) -> Tuple[int, int]:
     return netlist.statistics().shape_pixels
 
 
-def _pixel_of(name: str, shape: Tuple[int, int]) -> Optional[Tuple[int, int]]:
-    node = parse_node(name)
-    if node is None:
-        return None
-    rows, cols = shape
-    return (min(int(round(node.y_um)), rows - 1),
-            min(int(round(node.x_um)), cols - 1))
+_SPREAD_BATCH = 1 << 20
+"""Covered pixels expanded at once by :func:`resistance_map` (bounds its
+memory on decks of long wires)."""
+
+
+def _source_pixels(table: NodeTable, nodes: np.ndarray,
+                   shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat clamped raster index of each non-ground node in ``nodes``, and
+    the mask of ``nodes`` that are not ground."""
+    table.require_grid(nodes)
+    on_grid = nodes >= 0
+    rows, cols = table.columns.take(nodes[on_grid]).pixels(shape)
+    return rows * shape[1] + cols, on_grid
+
+
+def _values(elements, attribute: str) -> np.ndarray:
+    return np.fromiter((getattr(element, attribute) for element in elements),
+                       dtype=float, count=len(elements))
 
 
 def current_map(netlist: Netlist, shape: Optional[Tuple[int, int]] = None,
@@ -65,11 +77,11 @@ def current_source_map(netlist: Netlist,
                        shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """Paper extra feature: lumped tap currents at their exact positions."""
     shape = shape or map_shape_for(netlist)
+    table = netlist.node_table()
+    pixels, on_grid = _source_pixels(table, table.current_nodes, shape)
     raster = np.zeros(shape)
-    for source in netlist.current_sources:
-        pixel = _pixel_of(source.node, shape)
-        if pixel is not None:
-            raster[pixel] += source.value
+    np.add.at(raster.reshape(-1), pixels,
+              _values(netlist.current_sources, "value")[on_grid])
     return raster
 
 
@@ -77,11 +89,11 @@ def voltage_source_map(netlist: Netlist,
                        shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """Paper extra feature: supply voltage scattered at pad positions."""
     shape = shape or map_shape_for(netlist)
+    table = netlist.node_table()
+    pixels, on_grid = _source_pixels(table, table.voltage_nodes, shape)
     raster = np.zeros(shape)
-    for source in netlist.voltage_sources:
-        pixel = _pixel_of(source.node, shape)
-        if pixel is not None:
-            raster[pixel] = max(raster[pixel], source.value)
+    np.maximum.at(raster.reshape(-1), pixels,
+                  _values(netlist.voltage_sources, "value")[on_grid])
     return raster
 
 
@@ -90,30 +102,36 @@ def resistance_map(netlist: Netlist,
     """Paper extra feature: each resistor's value distributed over the
     grid cells its segment overlaps (vias land on a single pixel)."""
     shape = shape or map_shape_for(netlist)
+    table = netlist.node_table()
+    ends = table.resistor_nodes
+    table.require_grid(ends)
+    on_grid = (ends >= 0).all(axis=1)
+    resistance = _values(netlist.resistors, "resistance")[on_grid]
+    ends = ends[on_grid]
+    r0, c0 = table.columns.take(ends[:, 0]).pixels(shape)
+    r1, c1 = table.columns.take(ends[:, 1]).pixels(shape)
+    # PDN wire segments are axis-aligned: spread uniformly over the pixels
+    # they cover (vias and sub-pixel segments land on one pixel);
+    # non-axis-aligned segments (foreign netlists) go half to each end
+    axis = (r0 == r1) | (c0 == c1)
+    length = np.where(axis, np.abs(r1 - r0) + np.abs(c1 - c0) + 1, 2)
+    share = np.where(axis, resistance / length, resistance / 2)
+    # pixel k of a resistor is base + k * step (k < length)
+    row_base = np.where(axis, np.minimum(r0, r1), r0)
+    row_step = np.where(axis, r0 != r1, r1 - r0)
+    col_base = np.where(axis, np.minimum(c0, c1), c0)
+    col_step = np.where(axis, c0 != c1, c1 - c0)
+    first = np.cumsum(length) - length  # offset of each resistor's pixels
     raster = np.zeros(shape)
-    rows, cols = shape
-    for resistor in netlist.resistors:
-        a = parse_node(resistor.node_a)
-        b = parse_node(resistor.node_b)
-        if a is None or b is None:
-            continue
-        r0 = min(int(round(a.y_um)), rows - 1)
-        c0 = min(int(round(a.x_um)), cols - 1)
-        r1 = min(int(round(b.y_um)), rows - 1)
-        c1 = min(int(round(b.x_um)), cols - 1)
-        if r0 == r1 and c0 == c1:
-            raster[r0, c0] += resistor.resistance  # via (or sub-pixel segment)
-            continue
-        # PDN wire segments are axis-aligned; spread uniformly along them
-        length = abs(r1 - r0) + abs(c1 - c0) + 1
-        share = resistor.resistance / length
-        if r0 == r1:
-            lo, hi = sorted((c0, c1))
-            raster[r0, lo:hi + 1] += share
-        elif c0 == c1:
-            lo, hi = sorted((r0, r1))
-            raster[lo:hi + 1, c0] += share
-        else:  # non-axis-aligned (foreign netlist): endpoints only
-            raster[r0, c0] += resistor.resistance / 2
-            raster[r1, c1] += resistor.resistance / 2
+    flat = raster.reshape(-1)
+    start = 0
+    while start < len(length):  # bounded batches; np.add.at sums in order
+        stop = max(start + 1, int(np.searchsorted(
+            first, first[start] + _SPREAD_BATCH)))
+        segment = np.repeat(np.arange(start, stop), length[start:stop])
+        k = np.arange(len(segment)) - (first[segment] - first[start])
+        rows = row_base[segment] + k * row_step[segment]
+        cols = col_base[segment] + k * col_step[segment]
+        np.add.at(flat, rows * shape[1] + cols, share[segment])
+        start = stop
     return raster

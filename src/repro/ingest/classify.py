@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import try_parse_node
 from repro.spice.parser import Diagnostic, TRANSISTOR_PREFIXES
 
 __all__ = ["DeckClassification", "classify_deck", "DECK_CATEGORIES"]
@@ -85,12 +84,8 @@ def classify_deck(netlist: Netlist,
                  + len(netlist.voltage_sources))
     skipped, transistors, structural = _skip_counts(diagnostics)
 
-    grid = foreign = 0
-    for name in netlist.node_index():
-        if try_parse_node(name) is not None:
-            grid += 1
-        else:
-            foreign += 1
+    grid = int(netlist.node_table().columns.grid.sum())
+    foreign = netlist.num_nodes - grid
 
     def verdict(category: str, reason: str) -> DeckClassification:
         return DeckClassification(

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.pdn.grid import Blockage, GridConfig, build_grid, layer_nodes
@@ -283,22 +282,17 @@ def prune_unreachable(netlist: Netlist) -> int:
     Aggressive blockages can strand grid islands; stranded nodes make the
     conductance matrix singular, so they are removed before solving.
     """
-    graph = nx.Graph()
-    for r in netlist.resistors:
-        graph.add_edge(r.node_a, r.node_b)
-    reachable = set()
-    for source in netlist.voltage_sources:
-        if source.node in graph:
-            reachable |= nx.node_connected_component(graph, source.node)
-    all_nodes = set(graph.nodes)
-    floating = all_nodes - reachable
-    if not floating:
+    table = netlist.node_table()
+    floating = table.unreachable_mask()
+    count = int(floating.sum())
+    if not count:
         return 0
-    netlist.resistors = [r for r in netlist.resistors
-                         if r.node_a not in floating and r.node_b not in floating]
-    netlist.current_sources = [i for i in netlist.current_sources
-                               if i.node not in floating]
-    netlist.voltage_sources = [v for v in netlist.voltage_sources
-                               if v.node not in floating]
-    netlist._node_cache = None
-    return len(floating)
+    keep_r = ~floating[table.resistor_nodes].any(axis=1)
+    keep_i = ~floating[table.current_nodes]
+    keep_v = ~floating[table.voltage_nodes]
+    netlist.resistors = [r for r, keep in zip(netlist.resistors, keep_r) if keep]
+    netlist.current_sources = [i for i, keep in zip(netlist.current_sources, keep_i)
+                               if keep]
+    netlist.voltage_sources = [v for v, keep in zip(netlist.voltage_sources, keep_v)
+                               if keep]
+    return count

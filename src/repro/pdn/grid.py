@@ -159,5 +159,11 @@ def _format_key(net: int, key: Tuple[int, int, int]) -> str:
 
 def layer_nodes(netlist: Netlist, layer: int) -> List[NodeName]:
     """All parsed nodes of a netlist living on ``layer``, sorted by (y, x)."""
-    nodes = [n for n in netlist.parsed_nodes() if n is not None and n.layer == layer]
-    return sorted(nodes, key=lambda n: (n.y, n.x))
+    table = netlist.node_table()
+    table.require_grid()
+    columns = table.columns
+    rows = np.flatnonzero(columns.layer == layer)
+    rows = rows[np.lexsort((columns.x[rows], columns.y[rows]))]  # stable
+    return [NodeName(*fields) for fields in zip(
+        columns.net[rows].tolist(), columns.layer[rows].tolist(),
+        columns.x[rows].tolist(), columns.y[rows].tolist())]

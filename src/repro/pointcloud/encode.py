@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
+from repro.spice.nodes import DBU_PER_UM
 
 __all__ = ["POINT_FEATURES", "PointCloud", "encode_netlist"]
 
@@ -77,60 +77,55 @@ def encode_netlist(netlist: Netlist,
             raise ValueError(f"die size must be positive, got {die_size_um}")
     max_layer = max(netlist.layers()) if netlist.num_nodes else 1
 
-    total = (len(netlist.resistors) + len(netlist.current_sources)
-             + len(netlist.voltage_sources))
-    points = np.zeros((total, POINT_FEATURES))
-    row = 0
+    table = netlist.node_table()
+    columns = table.columns
+    x_um, y_um = columns.x / DBU_PER_UM, columns.y / DBU_PER_UM
+    layer = columns.layer / max_layer
 
-    resistances = np.array([r.resistance for r in netlist.resistors])
-    log_r = np.log1p(resistances) if resistances.size else resistances
+    resistances = np.fromiter((r.resistance for r in netlist.resistors),
+                              dtype=float, count=len(netlist.resistors))
+    log_r = np.log1p(resistances)
     r_scale = max(float(log_r.max()), 1e-12) if log_r.size else 1.0
 
-    currents = np.array([i.value for i in netlist.current_sources])
+    currents = np.fromiter((i.value for i in netlist.current_sources),
+                           dtype=float, count=len(netlist.current_sources))
     i_mean = float(currents.mean()) if currents.size else 0.0
     i_std = max(float(currents.std()), 1e-12) if currents.size else 1.0
 
-    vdd = netlist.voltage_sources[0].value if netlist.voltage_sources else 1.0
+    volts = np.fromiter((v.value for v in netlist.voltage_sources),
+                        dtype=float, count=len(netlist.voltage_sources))
+    vdd = volts[0] if volts.size else 1.0
 
-    for index, resistor in enumerate(netlist.resistors):
-        a, b = parse_node(resistor.node_a), parse_node(resistor.node_b)
-        if a is None or b is None:
-            continue
-        points[row, _COL_X1] = a.x_um / width
-        points[row, _COL_Y1] = a.y_um / height
-        points[row, _COL_X2] = b.x_um / width
-        points[row, _COL_Y2] = b.y_um / height
-        points[row, _COL_VALUE] = log_r[index] / r_scale
-        points[row, _COL_TYPE_R] = 1.0
-        points[row, _COL_LAYER1] = a.layer / max_layer
-        points[row, _COL_LAYER2] = b.layer / max_layer
-        points[row, _COL_IS_VIA] = 1.0 if a.layer != b.layer else 0.0
-        row += 1
+    def element_points(ends: np.ndarray, values: np.ndarray,
+                       type_column: int) -> np.ndarray:
+        """One row per element (``ends``: its node(s) per row) that has
+        no ground endpoint; grounded elements carry no position."""
+        kept = (ends >= 0).all(axis=1)
+        ends = ends[kept]
+        first = ends[:, 0]
+        points = np.zeros((len(ends), POINT_FEATURES))
+        points[:, _COL_X1] = x_um[first] / width
+        points[:, _COL_Y1] = y_um[first] / height
+        points[:, _COL_VALUE] = values[kept]
+        points[:, type_column] = 1.0
+        points[:, _COL_LAYER1] = layer[first]
+        if ends.shape[1] == 2:  # resistors
+            second = ends[:, 1]
+            points[:, _COL_X2] = x_um[second] / width
+            points[:, _COL_Y2] = y_um[second] / height
+            points[:, _COL_LAYER2] = layer[second]
+            points[:, _COL_IS_VIA] = columns.layer[first] != columns.layer[second]
+        return points
 
-    for source in netlist.current_sources:
-        node = parse_node(source.node)
-        if node is None:
-            continue
-        points[row, _COL_X1] = node.x_um / width
-        points[row, _COL_Y1] = node.y_um / height
-        points[row, _COL_VALUE] = (source.value - i_mean) / i_std
-        points[row, _COL_TYPE_I] = 1.0
-        points[row, _COL_LAYER1] = node.layer / max_layer
-        row += 1
-
-    for source in netlist.voltage_sources:
-        node = parse_node(source.node)
-        if node is None:
-            continue
-        points[row, _COL_X1] = node.x_um / width
-        points[row, _COL_Y1] = node.y_um / height
-        points[row, _COL_VALUE] = source.value / vdd
-        points[row, _COL_TYPE_V] = 1.0
-        points[row, _COL_LAYER1] = node.layer / max_layer
-        row += 1
+    points = np.concatenate((
+        element_points(table.resistor_nodes, log_r / r_scale, _COL_TYPE_R),
+        element_points(table.current_nodes[:, None],
+                       (currents - i_mean) / i_std, _COL_TYPE_I),
+        element_points(table.voltage_nodes[:, None], volts / vdd, _COL_TYPE_V),
+    ))
 
     return PointCloud(
-        points=points[:row],
+        points=points,
         die_width_um=width,
         die_height_um=height,
         max_layer=max_layer,

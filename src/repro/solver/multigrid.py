@@ -42,7 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spilu, splu
 
-from repro.spice.nodes import parse_node
+from repro.spice.nodes import parse_nodes
 
 __all__ = [
     "MultigridPreconditioner",
@@ -90,17 +90,10 @@ def node_coordinates(free_nodes) -> Optional[np.ndarray]:
     with foreign names get ``None`` — the caller falls back to an
     algebraic preconditioner.
     """
-    coords = np.empty((len(free_nodes), 2), dtype=np.int64)
-    for i, name in enumerate(free_nodes):
-        try:
-            node = parse_node(name)
-        except ValueError:
-            return None
-        if node is None:  # ground never appears among free nodes, but be safe
-            return None
-        coords[i, 0] = node.x
-        coords[i, 1] = node.y
-    return coords
+    columns = parse_nodes(list(free_nodes))
+    if not columns.grid.all():  # ground never appears among free nodes
+        return None
+    return np.stack((columns.x, columns.y), axis=1).astype(np.int64)
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

@@ -8,27 +8,44 @@ public benchmark maps look: smooth basins around each hotspot).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
 
 from repro.solver.static import IRSolveResult
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
+from repro.spice.nodes import GROUND, NodeColumns, parse_node, parse_nodes
 
 __all__ = ["rasterize_ir_map", "node_positions_px"]
 
 
 def node_positions_px(netlist: Netlist, layer: Optional[int] = None) -> np.ndarray:
     """Integer (row, col) pixel positions of nodes (optionally one layer)."""
-    positions = []
-    for name in netlist.node_index():
-        node = parse_node(name)
-        if node is None or (layer is not None and node.layer != layer):
-            continue
-        positions.append((int(round(node.y_um)), int(round(node.x_um))))
-    return np.array(positions, dtype=int) if positions else np.empty((0, 2), dtype=int)
+    table = netlist.node_table()
+    table.require_grid()
+    columns = table.columns
+    if layer is not None:
+        columns = columns.take(np.flatnonzero(columns.layer == layer))
+    return np.stack(columns.pixels(), axis=1).astype(int)
+
+
+def _columns_of(netlist: Netlist, names: List[str]) -> NodeColumns:
+    """Parsed columns of ``names``: taken from the netlist's node table
+    when all are its nodes, parsed otherwise.  Raises :func:`parse_node`'s
+    error for the first foreign name."""
+    index = netlist.node_index()
+    rows = np.fromiter((index.get(name, -1) for name in names),
+                       dtype=np.int64, count=len(names))
+    if (rows >= 0).all():
+        table = netlist.node_table()
+        table.require_grid(rows)
+        return table.columns.take(rows)
+    columns = parse_nodes(names)
+    foreign = ~columns.grid & (np.array(names, dtype=object) != GROUND)
+    if foreign.any():
+        parse_node(names[int(np.argmax(foreign))])
+    return columns
 
 
 def rasterize_ir_map(
@@ -54,19 +71,17 @@ def rasterize_ir_map(
     if shape is None:
         stats = netlist.statistics()
         shape = stats.shape_pixels
-    rows, cols = shape
 
     drops = result.ir_drop()
+    columns = _columns_of(netlist, list(drops))
+    on_layer = columns.grid & (columns.layer == layer)
+    rows, cols = columns.take(on_layer).pixels(shape)
+    pixels = rows * shape[1] + cols
+    values = np.fromiter(drops.values(), dtype=float, count=len(drops))
     accumulator = np.zeros(shape)
-    counts = np.zeros(shape)
-    for name, drop in drops.items():
-        node = parse_node(name)
-        if node is None or node.layer != layer:
-            continue
-        row = min(int(round(node.y_um)), rows - 1)
-        col = min(int(round(node.x_um)), cols - 1)
-        accumulator[row, col] += drop
-        counts[row, col] += 1.0
+    np.add.at(accumulator.reshape(-1), pixels, values[on_layer])  # in order
+    counts = np.bincount(pixels, minlength=shape[0] * shape[1])
+    counts = counts.reshape(shape).astype(float)
 
     filled = counts > 0
     if not filled.any():

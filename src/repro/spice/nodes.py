@@ -3,17 +3,25 @@
 Nodes are named ``n{net}_m{layer}_{x}_{y}`` where ``x``/``y`` are database
 units (nanometres) and ``layer`` indexes the metal layer (m1 is the standard
 cell rail layer, higher numbers are upper metals).  The special name ``0``
-denotes ground.
+denotes ground.  Every field must fit a signed 32-bit integer (a
+coordinate past 2**31 - 1 nm would be a die over two metres wide); a name
+with a larger field does not follow the convention.
+
+:func:`parse_node` reads one name; :func:`parse_nodes` reads a whole
+netlist's names into int32 columns (see :class:`NodeColumns`) and is the
+one place the pattern runs over many names.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["NodeName", "GROUND", "parse_node", "try_parse_node",
-           "format_node", "DBU_PER_UM"]
+import numpy as np
+
+__all__ = ["NodeName", "NodeColumns", "GROUND", "parse_node", "parse_nodes",
+           "try_parse_node", "format_node", "DBU_PER_UM"]
 
 GROUND = "0"
 
@@ -21,6 +29,8 @@ DBU_PER_UM = 1000
 """Database units per micrometre (contest netlists use nanometre coords)."""
 
 _NODE_RE = re.compile(r"^n(?P<net>\d+)_m(?P<layer>\d+)_(?P<x>\d+)_(?P<y>\d+)$")
+
+_FIELD_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True, order=True)
@@ -74,12 +84,61 @@ def try_parse_node(name: str) -> Optional[NodeName]:
     match = _NODE_RE.match(name)
     if match is None:
         return None
-    return NodeName(
-        net=int(match.group("net")),
-        layer=int(match.group("layer")),
-        x=int(match.group("x")),
-        y=int(match.group("y")),
-    )
+    fields = [int(field) for field in match.groups()]
+    if max(fields) > _FIELD_MAX:
+        return None
+    return NodeName(*fields)
+
+
+class NodeColumns(NamedTuple):
+    """Many parsed node names as parallel arrays (one row per name).
+
+    ``grid`` marks the rows whose name follows the convention; ``net``,
+    ``layer``, ``x`` and ``y`` are int32 and hold 0 on the other rows
+    (ground and foreign names).
+    """
+
+    grid: np.ndarray
+    net: np.ndarray
+    layer: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "NodeColumns":
+        """The columns of ``rows`` (any integer index array), in that order."""
+        return NodeColumns(*(column[rows] for column in self))
+
+    def pixels(self, shape: Optional[Tuple[int, int]] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """(row, col) of every node on a 1 µm-per-pixel raster.
+
+        ``round`` halves to even like Python's :func:`round`; with a
+        ``shape``, indices past the last row/column clamp onto it.
+        """
+        rows = np.round(self.y / DBU_PER_UM).astype(np.int64)
+        cols = np.round(self.x / DBU_PER_UM).astype(np.int64)
+        if shape is not None:
+            np.minimum(rows, shape[0] - 1, out=rows)
+            np.minimum(cols, shape[1] - 1, out=cols)
+        return rows, cols
+
+
+def parse_nodes(names: Sequence[str]) -> NodeColumns:
+    """Parse many node names at once; row ``i`` describes ``names[i]``.
+
+    Row ``i`` is a grid row exactly when :func:`try_parse_node` would
+    return a :class:`NodeName` for ``names[i]``.
+    """
+    matches = [_NODE_RE.match(name) for name in names]
+    grid = np.fromiter((match is not None for match in matches),
+                       dtype=bool, count=len(matches))
+    fields = np.array([int(field) for match in matches if match is not None
+                       for field in match.groups()]).reshape(-1, 4)
+    in_range = (fields <= _FIELD_MAX).all(axis=1)
+    grid[grid] = in_range
+    columns = np.zeros((4, len(matches)), dtype=np.int32)
+    columns[:, grid] = fields[in_range].T
+    return NodeColumns(grid, *columns)
 
 
 def format_node(node: NodeName) -> str:

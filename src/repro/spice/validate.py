@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-import networkx as nx
+import numpy as np
 
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import GROUND, parse_node
 
 __all__ = ["ValidationReport", "validate_netlist"]
 
@@ -74,40 +73,32 @@ def _check_unique_names(netlist: Netlist, report: ValidationReport) -> None:
 
 
 def _check_node_names(netlist: Netlist, report: ValidationReport) -> None:
-    for name in netlist.node_index():
-        try:
-            parse_node(name)
-        except ValueError:
-            report.errors.append(f"malformed node name {name!r}")
+    table = netlist.node_table()
+    for i in np.flatnonzero(~table.columns.grid):
+        report.errors.append(f"malformed node name {table.names[i]!r}")
 
 
 def _check_sources_on_resistive_nodes(netlist: Netlist, report: ValidationReport) -> None:
-    resistive_nodes = set()
-    for r in netlist.resistors:
-        resistive_nodes.add(r.node_a)
-        resistive_nodes.add(r.node_b)
-    for source in netlist.current_sources:
-        if source.node not in resistive_nodes:
-            report.errors.append(
-                f"current source {source.name} on floating node {source.node}"
-            )
-    for source in netlist.voltage_sources:
-        if source.node not in resistive_nodes:
-            report.warnings.append(
-                f"voltage source {source.name} on isolated node {source.node}"
-            )
+    table = netlist.node_table()
+    # one slot per node plus a last one for ground (code -1)
+    resistive = np.zeros(len(table.names) + 1, dtype=bool)
+    resistive[table.resistor_nodes.ravel()] = True
+    for i in np.flatnonzero(~resistive[table.current_nodes]):
+        source = netlist.current_sources[i]
+        report.errors.append(
+            f"current source {source.name} on floating node {source.node}"
+        )
+    for i in np.flatnonzero(~resistive[table.voltage_nodes]):
+        source = netlist.voltage_sources[i]
+        report.warnings.append(
+            f"voltage source {source.name} on isolated node {source.node}"
+        )
 
 
 def _check_connectivity(netlist: Netlist, report: ValidationReport) -> None:
-    graph = nx.Graph()
-    for r in netlist.resistors:
-        graph.add_edge(r.node_a, r.node_b)
-    supplied = {v.node for v in netlist.voltage_sources}
-    reachable = set()
-    for node in supplied:
-        if node in graph:
-            reachable |= nx.node_connected_component(graph, node)
-    floating = [n for n in graph.nodes if n not in reachable and n != GROUND]
+    table = netlist.node_table()
+    unreachable = table.unreachable_mask()[:-1]  # ground never floats
+    floating = [table.names[i] for i in np.flatnonzero(unreachable)]
     if floating:
         sample = ", ".join(sorted(floating)[:5])
         report.errors.append(

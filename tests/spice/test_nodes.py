@@ -1,8 +1,11 @@
 """Tests for node-name parsing/formatting."""
 
+import numpy as np
 import pytest
 
-from repro.spice.nodes import GROUND, NodeName, format_node, parse_node
+from repro.spice.nodes import (
+    GROUND, NodeName, format_node, parse_node, parse_nodes, try_parse_node,
+)
 
 
 def test_parse_standard_name():
@@ -44,3 +47,23 @@ def test_ordering_is_stable():
     b = NodeName(net=1, layer=1, x=0, y=5)
     c = NodeName(net=1, layer=2, x=0, y=0)
     assert a < b < c
+
+
+def test_fields_past_int32_are_not_grid_names():
+    assert try_parse_node("n1_m1_2147483647_0") == NodeName(1, 1, 2147483647, 0)
+    assert try_parse_node("n1_m1_2147483648_0") is None
+    with pytest.raises(ValueError, match="unrecognised node name"):
+        parse_node("n1_m1_0_" + "9" * 25)
+
+
+def test_parse_nodes_matches_single_parses():
+    names = ["n1_m4_4200_1400", GROUND, "vdd", "n2_m1_0_2147483647",
+             "n1_m1_2147483648_0", "n1_m1_0_" + "9" * 25, "n1_m1_10"]
+    columns = parse_nodes(names)
+    assert all(column.dtype == np.int32 for column in columns[1:])
+    for i, name in enumerate(names):
+        node = try_parse_node(name)
+        assert bool(columns.grid[i]) == (node is not None)
+        fields = (columns.net[i], columns.layer[i], columns.x[i], columns.y[i])
+        assert fields == ((node.net, node.layer, node.x, node.y) if node else (0,) * 4)
+    assert parse_nodes([]).grid.shape == (0,)
