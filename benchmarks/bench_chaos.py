@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 from conftest import emit, recorder
 
+from repro import knobs
 from repro.core.registry import MODEL_REGISTRY
 from repro.faults import (
     FaultPlan,
@@ -58,9 +59,9 @@ from repro.solver.store import FactorizationStore
 from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
 
-CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", 1337))
-EDGE = int(os.environ.get("REPRO_EVAL_EDGE", 48))
-POINTS = int(os.environ.get("REPRO_EVAL_POINTS", 192))
+CHAOS_SEED = knobs.read("REPRO_CHAOS_SEED")
+EDGE = knobs.read("REPRO_EVAL_EDGE")
+POINTS = knobs.read("REPRO_EVAL_POINTS")
 MODEL = "LMM-IR (Ours)"
 RESULT_TIMEOUT = 120.0
 
@@ -357,7 +358,7 @@ def test_chaos_solver_stall_is_typed_and_recoverable(monkeypatch,
                                                      artifact_dir):
     from repro.pdn.generator import PDNConfig, generate_pdn
     from repro.pdn.templates import small_stack
-    from repro.solver.factorized import MAX_ITERS_ENV, FactorizedPDN
+    from repro.solver.factorized import FactorizedPDN
     from repro.solver.multigrid import SolverStalledError
 
     netlist = generate_pdn(PDNConfig(
@@ -373,7 +374,7 @@ def test_chaos_solver_stall_is_typed_and_recoverable(monkeypatch,
     ])
     # the stall: injected latency on the solve itself plus an iteration
     # ceiling the weak jacobi rung cannot meet
-    monkeypatch.setenv(MAX_ITERS_ENV, "1")
+    monkeypatch.setenv("REPRO_SOLVER_MAX_ITERS", "1")
     stalled = FactorizedPDN(netlist, method="cg", precond="jacobi")
     start = time.perf_counter()
     arm(plan)
@@ -391,7 +392,7 @@ def test_chaos_solver_stall_is_typed_and_recoverable(monkeypatch,
     assert plan.log_events(), "solver.solve stall never fired"
 
     # recovery: drop the ceiling and the same netlist solves to parity
-    monkeypatch.delenv(MAX_ITERS_ENV)
+    monkeypatch.delenv("REPRO_SOLVER_MAX_ITERS")
     recovered = FactorizedPDN(netlist, method="cg",
                               precond="jacobi").solve()
     for name, voltage in reference.node_voltages.items():

@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 from conftest import REFERENCE, emit, recorder
 
-from repro import nn
+from repro import knobs, nn
 from repro.bench.measure import geomean, median
 from repro.core.pipeline import IRPredictor
 from repro.core.registry import MODEL_REGISTRY
@@ -49,9 +49,9 @@ from repro.train.seed import seed_everything
 
 perf = pytest.mark.perf
 
-EDGE = int(os.environ.get("REPRO_EVAL_EDGE", 48))
-POINTS = int(os.environ.get("REPRO_EVAL_POINTS", 192))
-ROUNDS = int(os.environ.get("REPRO_BENCH_INFER_ROUNDS", 7))
+EDGE = knobs.read("REPRO_EVAL_EDGE")
+POINTS = knobs.read("REPRO_EVAL_POINTS")
+ROUNDS = knobs.read("REPRO_BENCH_INFER_ROUNDS")
 
 REC = recorder("inference", "perf")
 

@@ -21,13 +21,13 @@ tier.  Three properties gate, all deterministic:
 Pinned via ``REPRO_CHAOS_SEED`` (default 1337, the CI seed).
 """
 
-import os
 import time
 
 import numpy as np
 import pytest
 from conftest import emit, recorder
 
+from repro import knobs
 from repro.core.registry import MODEL_REGISTRY
 from repro.faults import FaultPlan, FaultRule, arm, disarm
 from repro.faults.degrade import default_log, reset_default_log
@@ -40,9 +40,9 @@ from repro.serve import (
 from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
 
-CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", 1337))
-EDGE = int(os.environ.get("REPRO_EVAL_EDGE", 48))
-POINTS = int(os.environ.get("REPRO_EVAL_POINTS", 192))
+CHAOS_SEED = knobs.read("REPRO_CHAOS_SEED")
+EDGE = knobs.read("REPRO_EVAL_EDGE")
+POINTS = knobs.read("REPRO_EVAL_POINTS")
 MODEL = "LMM-IR (Ours)"
 RESULT_TIMEOUT = 180.0
 
@@ -90,8 +90,8 @@ def test_selfheal_watchdog_detects_hung_worker_within_budget(
                   for case in cases}
 
     config = ServeConfig(workers=1, worker_kind="process",
-                         mp_context="spawn", queue_capacity=16,
-                         max_batch=2, batch_window_s=0.25, retries=1,
+                         queue_capacity=16, max_batch=2,
+                         batch_window_s=0.25, retries=1,
                          watchdog_s=WATCHDOG_S, heartbeat_s=0.05,
                          stale_after_s=30.0, breaker_enabled=False,
                          backoff_base_s=0.02, backoff_cap_s=0.1)

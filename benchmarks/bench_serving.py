@@ -22,13 +22,13 @@ CI tiers, following ``bench_inference.py``:
   free.
 """
 
-import os
 import time
 
 import numpy as np
 import pytest
 from conftest import REFERENCE, emit, recorder
 
+from repro import knobs
 from repro.bench.measure import median
 from repro.core.registry import MODEL_REGISTRY
 from repro.serve import (
@@ -43,8 +43,8 @@ from repro.train.seed import seed_everything
 
 perf = pytest.mark.perf
 
-EDGE = int(os.environ.get("REPRO_EVAL_EDGE", 48))
-POINTS = int(os.environ.get("REPRO_EVAL_POINTS", 192))
+EDGE = knobs.read("REPRO_EVAL_EDGE")
+POINTS = knobs.read("REPRO_EVAL_POINTS")
 MODEL = "LMM-IR (Ours)"
 
 REC = recorder("serving", "perf")

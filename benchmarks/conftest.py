@@ -1,23 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
 The benchmark suite regenerates every table and figure of the paper at a
-CPU-scale budget.  Budgets are controlled by environment variables:
-
-=====================  =========================================  =======
-variable               meaning                                    default
-=====================  =========================================  =======
-REPRO_BENCH_FAKE       number of unique fake training cases       12
-REPRO_BENCH_REAL       number of unique real training cases       6
-REPRO_BENCH_HIDDEN     number of hidden testcases                 10
-REPRO_BENCH_SEED       suite RNG seed                             3
-REPRO_EVAL_EPOCHS      fine-tune epochs per model                 10
-REPRO_EVAL_EDGE        training/inference edge (px)               48
-REPRO_EVAL_POINTS      LNT token budget                           192
-=====================  =========================================  =======
-
-The recorded full-scale run in EXPERIMENTS.md used
-``REPRO_EVAL_EPOCHS=40``; defaults keep ``pytest benchmarks/`` under
-~10 minutes on one CPU core.
+CPU-scale budget.  Budgets are the ``REPRO_BENCH_*`` (suite size: 12
+fake, 6 real, 10 hidden cases, seed 3 here) and ``REPRO_EVAL_*``
+(training) environment knobs; EXPERIMENTS.md "Knobs" lists them all.
+The recorded full-scale run in EXPERIMENTS.md used the default
+``REPRO_EVAL_EPOCHS=40``.
 
 Tables/figures are printed to stdout (visible with ``pytest -s``) and
 always written to ``benchmarks/artifacts/``.
@@ -27,6 +15,7 @@ import os
 
 import pytest
 
+from repro import knobs
 from repro.bench import BenchRecorder, load_reference
 from repro.data.synthesis import make_suite
 
@@ -48,18 +37,14 @@ def recorder(name: str, kind: str) -> BenchRecorder:
     return BenchRecorder(name, kind=kind, artifact_dir=ARTIFACT_DIR)
 
 
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
-
-
 @pytest.fixture(scope="session")
 def bench_suite():
     """One shared benchmark suite for every table/figure."""
     return make_suite(
-        num_fake=_env_int("REPRO_BENCH_FAKE", 12),
-        num_real=_env_int("REPRO_BENCH_REAL", 6),
-        num_hidden=_env_int("REPRO_BENCH_HIDDEN", 10),
-        seed=_env_int("REPRO_BENCH_SEED", 3),
+        num_fake=knobs.read("REPRO_BENCH_FAKE", 12),
+        num_real=knobs.read("REPRO_BENCH_REAL", 6),
+        num_hidden=knobs.read("REPRO_BENCH_HIDDEN", 10),
+        seed=knobs.read("REPRO_BENCH_SEED", 3),
     )
 
 

@@ -17,6 +17,8 @@ Public API tour:
   two-stage trainer;
 * :mod:`repro.metrics` / :mod:`repro.eval` / :mod:`repro.viz` — contest
   metrics and the table/figure regeneration harness.
+* :mod:`repro.knobs` — every ``REPRO_*`` environment knob, declared
+  once.
 """
 
 __version__ = "0.1.0"

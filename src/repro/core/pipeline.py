@@ -34,7 +34,6 @@ with the sequential ones to floating-point noise (≤ 1e-10).
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import nn
+from repro import knobs, nn
 from repro.data.case import CaseBundle
 from repro.faults import degrade
 from repro.features.resize import restore_map
@@ -55,13 +54,8 @@ from repro.train.loader import (
     _resolve_cache,
 )
 
-__all__ = ["IRPredictor", "ForwardGroupStats", "INFER_ENGINE_ENV",
+__all__ = ["IRPredictor", "ForwardGroupStats",
            "resolve_engine_mode", "split_forward_time"]
-
-INFER_ENGINE_ENV = "REPRO_INFER_ENGINE"
-
-_FALSY = ("0", "false", "no", "off")
-_TRUTHY = ("1", "true", "yes", "on")
 
 
 def resolve_engine_mode(engine: Union[bool, str, None] = "auto") -> Union[bool, str]:
@@ -70,26 +64,12 @@ def resolve_engine_mode(engine: Union[bool, str, None] = "auto") -> Union[bool, 
     be compiled).  Unrecognised values raise — both as an argument and
     from the environment — so a typo can never silently enable the mode
     it meant to disable."""
-    def parse(value, source):
-        if value in (True, False):
-            return value
-        text = str(value).strip().lower()
-        if text == "auto":
-            return "auto"
-        if text in _FALSY:
-            return False
-        if text in _TRUTHY:
-            return True
-        raise ValueError(
-            f"unrecognised {source}={value!r}; expected one of "
-            f"{_TRUTHY + _FALSY + ('auto',)}")
-
-    if engine is not None and engine != "auto":
-        return parse(engine, "engine")
-    value = os.environ.get(INFER_ENGINE_ENV, "").strip()
-    if not value:
-        return "auto"
-    return parse(value, INFER_ENGINE_ENV)
+    if engine is None or engine == "auto":
+        return knobs.read("REPRO_INFER_ENGINE")
+    if engine in (True, False):
+        return engine
+    return knobs.KNOBS["REPRO_INFER_ENGINE"].parse(str(engine).strip(),
+                                                   source="engine")
 
 
 def split_forward_time(total_seconds: float,

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import knobs
 from repro.data.case import CaseBundle
 from repro.data.io import (
     CaseRef,
@@ -74,7 +75,7 @@ from repro.pdn.templates import HIDDEN_CASE_SPECS, contest_stack
 from repro.solver.conductance import NodalSystem
 from repro.solver.factorized import FactorizedCache, FactorizedPDN
 from repro.solver.rasterize import rasterize_ir_map
-from repro.solver.store import STORE_ENV, FactorizationStore
+from repro.solver.store import FactorizationStore
 from repro.spice.elements import CurrentSource, Resistor, VoltageSource
 from repro.spice.netlist import Netlist
 
@@ -688,7 +689,7 @@ def _resolve_store(store_dir: Optional[str]) -> Optional[FactorizationStore]:
     """A store handle for ``store_dir`` (or the ``REPRO_FACTOR_STORE``
     environment default); ``None`` disables disk persistence."""
     if store_dir is None:
-        store_dir = os.environ.get(STORE_ENV) or None
+        store_dir = knobs.read("REPRO_FACTOR_STORE")
     return None if store_dir is None else FactorizationStore(store_dir)
 
 

@@ -22,12 +22,13 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.pipeline import IRPredictor, resolve_engine_mode
+from repro import knobs
+from repro.core.pipeline import IRPredictor
 from repro.core.registry import MODEL_REGISTRY, ModelSpec
 from repro.data.dataset import IRDropDataset, ShardedSuiteDataset
 from repro.data.io import SuiteManifest, discover_manifests
@@ -53,33 +54,35 @@ taken to contain ``manifest.json``)."""
 
 @dataclass
 class EvalConfig:
-    """Harness-level knobs (CPU-scale defaults)."""
+    """Harness-level knobs; their CPU-scale defaults are declared with
+    their ``REPRO_EVAL_*`` / ``REPRO_INFER_*`` variables in
+    :mod:`repro.knobs`."""
 
-    target_edge: int = 48
-    num_points: int = 192
-    epochs: int = 40
-    pretrain_epochs: int = 3
-    batch_size: int = 4
-    lr: float = 1e-3
-    fake_oversample: int = 1
-    real_oversample: int = 3
-    hotspot_weight: float = 6.0
-    seed: int = 0
-    checkpoint_dir: Optional[str] = None
+    target_edge: int = knobs.field("REPRO_EVAL_EDGE")
+    num_points: int = knobs.field("REPRO_EVAL_POINTS")
+    epochs: int = knobs.field("REPRO_EVAL_EPOCHS")
+    pretrain_epochs: int = knobs.field("REPRO_EVAL_PRETRAIN")
+    batch_size: int = knobs.field("REPRO_EVAL_BATCH")
+    lr: float = knobs.field("REPRO_EVAL_LR")
+    fake_oversample: int = knobs.field("REPRO_EVAL_FAKE_OVERSAMPLE")
+    real_oversample: int = knobs.field("REPRO_EVAL_REAL_OVERSAMPLE")
+    hotspot_weight: float = knobs.field("REPRO_EVAL_HOTSPOT_WEIGHT")
+    seed: int = knobs.field("REPRO_EVAL_SEED")
+    checkpoint_dir: Optional[str] = knobs.field("REPRO_EVAL_CHECKPOINT_DIR")
     """Directory of persisted trained weights.  When set, every
     :func:`train_predictor` call first looks for a checkpoint keyed by
     model name + training config + suite identity and skips training on
     a hit; after a fresh training run the weights are saved there."""
-    retrain: bool = False
+    retrain: bool = knobs.field("REPRO_EVAL_RETRAIN")
     """Force training even when a matching checkpoint exists (the
     checkpoint is then overwritten with the fresh weights)."""
-    infer_engine: Union[bool, str] = "auto"
+    infer_engine: Union[bool, str] = knobs.field("REPRO_INFER_ENGINE")
     """Forward executor for evaluation predictors: ``"auto"`` compiles
     the grad-free inference engine (falling back to autograd when a model
     cannot be compiled), ``True`` requires it, ``False`` forces the
     autograd forward.  Checkpoint-loaded weights compile directly — the
     engine traces the model as restored, no retraining involved."""
-    infer_dtype: Optional[str] = None
+    infer_dtype: Optional[str] = knobs.field("REPRO_INFER_DTYPE")
     """Inference-engine precision: ``None`` honours ``REPRO_INFER_DTYPE``
     and defaults to float64, which is bit-exact against the autograd
     forward (scores cannot change); ``"float32"`` opts into the
@@ -87,39 +90,9 @@ class EvalConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "EvalConfig":
-        """Build a config honouring ``REPRO_EVAL_*`` environment variables."""
-        def env_int(name: str, default: int) -> int:
-            return int(os.environ.get(name, default))
-
-        def env_float(name: str, default: float) -> float:
-            return float(os.environ.get(name, default))
-
-        config = cls(
-            target_edge=env_int("REPRO_EVAL_EDGE", cls.target_edge),
-            num_points=env_int("REPRO_EVAL_POINTS", cls.num_points),
-            epochs=env_int("REPRO_EVAL_EPOCHS", cls.epochs),
-            pretrain_epochs=env_int("REPRO_EVAL_PRETRAIN", cls.pretrain_epochs),
-            batch_size=env_int("REPRO_EVAL_BATCH", cls.batch_size),
-            lr=env_float("REPRO_EVAL_LR", cls.lr),
-            fake_oversample=env_int("REPRO_EVAL_FAKE_OVERSAMPLE",
-                                    cls.fake_oversample),
-            real_oversample=env_int("REPRO_EVAL_REAL_OVERSAMPLE",
-                                    cls.real_oversample),
-            hotspot_weight=env_float("REPRO_EVAL_HOTSPOT_WEIGHT",
-                                     cls.hotspot_weight),
-            seed=env_int("REPRO_EVAL_SEED", cls.seed),
-            checkpoint_dir=os.environ.get("REPRO_EVAL_CHECKPOINT_DIR") or None,
-            retrain=os.environ.get("REPRO_EVAL_RETRAIN", "").lower()
-            in ("1", "true", "yes"),
-            infer_engine=resolve_engine_mode("auto"),
-            infer_dtype=os.environ.get("REPRO_INFER_DTYPE") or None,
-        )
-        unknown = sorted(set(overrides) - {f.name for f in fields(cls)})
-        if unknown:
-            raise TypeError(f"unknown EvalConfig field(s) {unknown}")
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        return config
+        """Build a config honouring ``REPRO_EVAL_*`` and ``REPRO_INFER_*``
+        environment variables; keyword overrides win."""
+        return knobs.build(cls, overrides)
 
 
 @dataclass

@@ -24,12 +24,7 @@ deadline-bounded, nothing leaks, and the same seed replays the same
 faults.
 """
 
-from repro.faults.backoff import (
-    BACKOFF_BASE_ENV,
-    BACKOFF_MAX_ENV,
-    BackoffPolicy,
-    retry_with_backoff,
-)
+from repro.faults.backoff import BackoffPolicy, retry_with_backoff
 from repro.faults.deadline import Deadline, DeadlineExceededError
 from repro.faults.degrade import (
     DegradationEvent,
@@ -64,7 +59,6 @@ __all__ = [
     "arm", "disarm", "inject", "active_plan",
     "Deadline", "DeadlineExceededError",
     "BackoffPolicy", "retry_with_backoff",
-    "BACKOFF_BASE_ENV", "BACKOFF_MAX_ENV",
     "DegradationEvent", "DegradationLog", "DegradationPolicy",
     "default_log", "reset_default_log",
 ]

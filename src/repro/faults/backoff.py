@@ -17,26 +17,23 @@ Two faces of one policy:
   armed :class:`~repro.faults.plan.FaultPlan` are always considered
   retryable — chaos must never be *less* recoverable than reality).
 
-``REPRO_BACKOFF_BASE_MS`` / ``REPRO_BACKOFF_MAX_MS`` tune the default
-policy without code changes.
+``REPRO_BACKOFF_BASE_MS`` / ``REPRO_BACKOFF_MAX_MS`` (declared with the
+defaults in :mod:`repro.knobs`) tune the default policy without code
+changes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Type, TypeVar
 
+from repro import knobs
 from repro.faults.deadline import Deadline, DeadlineExceededError
 from repro.faults.plan import InjectedFaultError
 
-__all__ = ["BackoffPolicy", "retry_with_backoff",
-           "BACKOFF_BASE_ENV", "BACKOFF_MAX_ENV"]
-
-BACKOFF_BASE_ENV = "REPRO_BACKOFF_BASE_MS"
-BACKOFF_MAX_ENV = "REPRO_BACKOFF_MAX_MS"
+__all__ = ["BackoffPolicy", "retry_with_backoff"]
 
 T = TypeVar("T")
 
@@ -51,14 +48,13 @@ class BackoffPolicy:
     ``(seed, key, attempt)`` — same inputs, same delay, forever.
     """
 
-    base_s: float = 0.05
-    cap_s: float = 2.0
+    base_s: float = knobs.field("REPRO_BACKOFF_BASE_MS")
+    cap_s: float = knobs.field("REPRO_BACKOFF_MAX_MS")
     jitter: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.base_s < 0:
-            raise ValueError(f"base_s must be >= 0, got {self.base_s}")
+        knobs.check(self)
         if self.cap_s < self.base_s:
             raise ValueError(
                 f"cap_s ({self.cap_s}) must be >= base_s ({self.base_s})")
@@ -68,14 +64,7 @@ class BackoffPolicy:
     @classmethod
     def from_env(cls, **overrides) -> "BackoffPolicy":
         """Policy honouring ``REPRO_BACKOFF_*``; overrides win."""
-        fields = {
-            "base_s": float(os.environ.get(
-                BACKOFF_BASE_ENV, cls.base_s * 1000.0)) / 1000.0,
-            "cap_s": float(os.environ.get(
-                BACKOFF_MAX_ENV, cls.cap_s * 1000.0)) / 1000.0,
-        }
-        fields.update(overrides)
-        return cls(**fields)
+        return knobs.build(cls, overrides)
 
     def delay(self, attempt: int, key: object = 0) -> float:
         """Seconds to wait before retry number ``attempt`` (1-based)."""

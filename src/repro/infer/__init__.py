@@ -13,11 +13,7 @@ time, with BatchNorm weights folded into the convolutions.
 """
 
 from repro.infer.arena import ArenaFrozenError, BufferArena
-from repro.infer.engine import (
-    INFER_DTYPE_ENV,
-    InferenceEngine,
-    resolve_infer_dtype,
-)
+from repro.infer.engine import InferenceEngine, resolve_infer_dtype
 from repro.infer.plan import Plan, compile_plan
 from repro.infer.trace import InferenceUnsupportedError, Trace, trace_module
 
@@ -25,5 +21,5 @@ __all__ = [
     "InferenceEngine", "BufferArena", "Plan",
     "ArenaFrozenError", "InferenceUnsupportedError",
     "trace_module", "Trace", "compile_plan",
-    "resolve_infer_dtype", "INFER_DTYPE_ENV",
+    "resolve_infer_dtype",
 ]

@@ -26,18 +26,17 @@ mutating parameters (e.g. ``load_state_dict``) to drop stale plans.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import knobs
 from repro.infer.arena import BufferArena
 from repro.infer.plan import Plan, compile_plan
 from repro.infer.trace import InferenceUnsupportedError, trace_module
 
-__all__ = ["InferenceEngine", "resolve_infer_dtype", "INFER_DTYPE_ENV"]
+__all__ = ["InferenceEngine", "resolve_infer_dtype"]
 
-INFER_DTYPE_ENV = "REPRO_INFER_DTYPE"
 _SUPPORTED_DTYPES = ("float64", "float32")
 
 
@@ -45,7 +44,7 @@ def resolve_infer_dtype(dtype=None) -> np.dtype:
     """Resolve the engine dtype: explicit value > ``REPRO_INFER_DTYPE`` >
     float64 (the bit-exact default)."""
     if dtype is None:
-        dtype = os.environ.get(INFER_DTYPE_ENV) or "float64"
+        dtype = knobs.read("REPRO_INFER_DTYPE") or "float64"
     resolved = np.dtype(dtype)
     if resolved.name not in _SUPPORTED_DTYPES:
         raise ValueError(

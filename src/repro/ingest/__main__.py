@@ -30,13 +30,10 @@ import sys
 import traceback
 from typing import Optional
 
+from repro import knobs
 from repro.ingest.diagnostics import IngestError
 from repro.ingest.pipeline import DEFAULT_RASTER_LIMIT_PX, ingest_deck
 from repro.ingest.report import IngestReport
-
-
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
 
 
 def build_predictor():
@@ -50,15 +47,15 @@ def build_predictor():
     from repro.eval.harness import EvalConfig, train_predictor
 
     suite = make_suite(
-        num_fake=_env_int("REPRO_BENCH_FAKE", 3),
-        num_real=_env_int("REPRO_BENCH_REAL", 2),
-        num_hidden=_env_int("REPRO_BENCH_HIDDEN", 1),
-        seed=_env_int("REPRO_BENCH_SEED", 0))
+        num_fake=knobs.read("REPRO_BENCH_FAKE", 3),
+        num_real=knobs.read("REPRO_BENCH_REAL", 2),
+        num_hidden=knobs.read("REPRO_BENCH_HIDDEN", 1),
+        seed=knobs.read("REPRO_BENCH_SEED", 0))
     config = EvalConfig.from_env(
-        epochs=_env_int("REPRO_EVAL_EPOCHS", 2),
-        pretrain_epochs=_env_int("REPRO_EVAL_PRETRAIN", 0),
-        target_edge=_env_int("REPRO_EVAL_EDGE", 32),
-        num_points=_env_int("REPRO_EVAL_POINTS", 64))
+        epochs=knobs.read("REPRO_EVAL_EPOCHS", 2),
+        pretrain_epochs=knobs.read("REPRO_EVAL_PRETRAIN", 0),
+        target_edge=knobs.read("REPRO_EVAL_EDGE", 32),
+        num_points=knobs.read("REPRO_EVAL_POINTS", 64))
     predictor, _ = train_predictor("LMM-IR (Ours)", suite, config)
     return predictor
 

@@ -16,25 +16,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 
 import numpy as np
 
+from repro import knobs
 from repro.core.registry import MODEL_REGISTRY
 from repro.data.synthesis import make_suite
-from repro.serve.config import ServeConfig
+from repro.serve.config import WORKER_KINDS, ServeConfig
 from repro.serve.loadgen import open_loop_load
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import PredictionService
 from repro.serve.worker import PredictorSpec
 from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
-
-
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
 
 
 class GracefulShutdown(SystemExit):
@@ -113,7 +109,7 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=60,
                         help="total requests to offer")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--worker-kind", choices=("thread", "process"),
+    parser.add_argument("--worker-kind", choices=WORKER_KINDS,
                         default=None)
     parser.add_argument("--queue", type=int, default=None,
                         help="admission queue capacity")
@@ -139,9 +135,9 @@ def main(argv=None) -> int:
                         help="golden-solver online audit sampling "
                              "(1/N fulfilled results; 0 disables)")
     parser.add_argument("--edge", type=int,
-                        default=_env_int("REPRO_EVAL_EDGE", 48))
+                        default=knobs.read("REPRO_EVAL_EDGE"))
     parser.add_argument("--points", type=int,
-                        default=_env_int("REPRO_EVAL_POINTS", 192))
+                        default=knobs.read("REPRO_EVAL_POINTS"))
     args = parser.parse_args(argv)
 
     overrides = {}
@@ -164,10 +160,10 @@ def main(argv=None) -> int:
     print(f"synthesising suite (edge base, hidden cases for load) ...",
           flush=True)
     suite = make_suite(
-        num_fake=_env_int("REPRO_BENCH_FAKE", 4),
-        num_real=_env_int("REPRO_BENCH_REAL", 2),
-        num_hidden=_env_int("REPRO_BENCH_HIDDEN", 6),
-        seed=_env_int("REPRO_BENCH_SEED", 3))
+        num_fake=knobs.read("REPRO_BENCH_FAKE", 4),
+        num_real=knobs.read("REPRO_BENCH_REAL", 2),
+        num_hidden=knobs.read("REPRO_BENCH_HIDDEN", 6),
+        seed=knobs.read("REPRO_BENCH_SEED", 3))
     cases = list(suite.hidden_cases)
     spec = build_spec(args.model, args.edge, args.points, suite)
 

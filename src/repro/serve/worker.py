@@ -17,8 +17,8 @@ transport keeps only mechanism:
   :class:`~repro.serve.queue.WorkerStalledError` and the thread flagged
   until its forward returns.  On the single-core reference box process
   fan-out buys nothing; micro-batching is the throughput lever.
-* **process** — OS processes (``spawn`` by default, so the threaded
-  parent is never forked), each with a private model copy.  A stalled
+* **process** — OS processes started with ``spawn`` (the start method
+  that never forks the threaded parent), each with a private model copy.  A stalled
   worker is SIGKILLed; a dead worker's batch is re-dispatched up to
   ``retries`` times, then failed with
   :class:`~repro.serve.queue.WorkerDiedError`.
@@ -297,7 +297,7 @@ class _ProcessTransport:
         import multiprocessing
 
         self.pool = pool
-        context = multiprocessing.get_context(pool.config.mp_context)
+        context = multiprocessing.get_context("spawn")
         self.queue_type = context.Queue
         self.runner_type = context.Process
         self.outbox = context.Queue()

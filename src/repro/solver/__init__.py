@@ -32,7 +32,7 @@ from repro.solver.multigrid import (
 )
 from repro.solver.rasterize import node_positions_px, rasterize_ir_map
 from repro.solver.static import IRSolveResult, solve_static_ir
-from repro.solver.store import STORE_ENV, STORE_FORMAT, FactorizationStore
+from repro.solver.store import STORE_FORMAT, FactorizationStore
 
 __all__ = [
     "assemble_system", "assemble_system_reference", "NodalSystem",
@@ -43,7 +43,7 @@ __all__ = [
     "JacobiPreconditioner", "block_cg", "BlockCGResult",
     "SolverStalledError", "node_coordinates",
     "solver_iteration_cap", "solver_wall_budget",
-    "FactorizationStore", "STORE_FORMAT", "STORE_ENV",
+    "FactorizationStore", "STORE_FORMAT",
     "rasterize_ir_map", "node_positions_px",
     "audit_solution", "SolutionAudit",
 ]

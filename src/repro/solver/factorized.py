@@ -38,6 +38,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
+from repro import knobs
 from repro.faults.degrade import DegradationPolicy
 from repro.faults.degrade import record as record_degradation
 from repro.faults.points import fault_point
@@ -63,12 +64,6 @@ DIRECT_SIZE_LIMIT = 400_000
 """Built-in default for the ``method="auto"`` direct↔CG switch; the
 effective value is resolved per solve by :func:`direct_size_limit`."""
 
-DIRECT_LIMIT_ENV = "REPRO_SOLVER_DIRECT_LIMIT"
-CROSSOVER_FILE_ENV = "REPRO_SOLVER_CROSSOVER_FILE"
-
-MAX_ITERS_ENV = "REPRO_SOLVER_MAX_ITERS"
-WALL_BUDGET_ENV = "REPRO_SOLVER_BUDGET_S"
-
 
 def solver_iteration_cap() -> Optional[int]:
     """Deployment-wide CG iteration ceiling (``REPRO_SOLVER_MAX_ITERS``).
@@ -77,25 +72,14 @@ def solver_iteration_cap() -> Optional[int]:
     size-derived default.  An explicit ``cg_maxiter`` always wins over
     the environment — per-solve intent beats deployment policy.
     """
-    raw = os.environ.get(MAX_ITERS_ENV, "").strip()
-    if not raw:
-        return None
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"{MAX_ITERS_ENV} must be >= 1, got {cap}")
-    return cap
+    return knobs.read("REPRO_SOLVER_MAX_ITERS")
 
 
 def solver_wall_budget() -> Optional[float]:
     """Deployment-wide per-solve wall-clock budget in seconds
     (``REPRO_SOLVER_BUDGET_S``); ``None`` when unset."""
-    raw = os.environ.get(WALL_BUDGET_ENV, "").strip()
-    if not raw:
-        return None
-    budget = float(raw)
-    if budget <= 0:
-        raise ValueError(f"{WALL_BUDGET_ENV} must be > 0, got {budget}")
-    return budget
+    return knobs.read("REPRO_SOLVER_BUDGET_S")
+
 
 _METHODS = ("auto", "direct", "cg")
 _PRECONDS = ("auto", "mg", "ic", "jacobi")
@@ -132,11 +116,11 @@ def direct_size_limit() -> int:
     the calibration file named by ``REPRO_SOLVER_CROSSOVER_FILE``, then
     the built-in :data:`DIRECT_SIZE_LIMIT`.
     """
-    override = os.environ.get(DIRECT_LIMIT_ENV)
-    if override:
-        return int(override)
-    calibration = os.environ.get(CROSSOVER_FILE_ENV)
-    if calibration:
+    limit = knobs.read("REPRO_SOLVER_DIRECT_LIMIT")
+    if limit is not None:
+        return limit
+    calibration = knobs.read("REPRO_SOLVER_CROSSOVER_FILE")
+    if calibration is not None:
         return load_crossover_calibration(calibration)
     return DIRECT_SIZE_LIMIT
 

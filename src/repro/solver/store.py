@@ -43,14 +43,9 @@ import numpy as np
 
 from repro.faults.points import fault_point, maybe_corrupt_bytes
 
-__all__ = ["FactorizationStore", "STORE_FORMAT", "STORE_ENV",
-           "STALE_STAGING_AGE_S"]
+__all__ = ["FactorizationStore", "STORE_FORMAT", "STALE_STAGING_AGE_S"]
 
 STORE_FORMAT = "lmm-ir-factorization-store-v1"
-
-STORE_ENV = "REPRO_FACTOR_STORE"
-"""Setting this environment variable to a directory enables the store for
-suite synthesis without threading a path through every call site."""
 
 _META_FILE = "meta.json"
 _PAYLOAD_FILE = "payload.npz"

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.faults.backoff import (
-    BACKOFF_BASE_ENV,
-    BACKOFF_MAX_ENV,
-    BackoffPolicy,
-    retry_with_backoff,
-)
+from repro.faults.backoff import BackoffPolicy, retry_with_backoff
 from repro.faults.deadline import Deadline, DeadlineExceededError
 from repro.faults.plan import InjectedFaultError
 
@@ -42,14 +37,14 @@ class TestBackoffPolicy:
             BackoffPolicy(base_s=1.0, cap_s=0.5)
 
     def test_from_env_reads_milliseconds(self, monkeypatch):
-        monkeypatch.setenv(BACKOFF_BASE_ENV, "10")
-        monkeypatch.setenv(BACKOFF_MAX_ENV, "250")
+        monkeypatch.setenv("REPRO_BACKOFF_BASE_MS", "10")
+        monkeypatch.setenv("REPRO_BACKOFF_MAX_MS", "250")
         policy = BackoffPolicy.from_env()
         assert policy.base_s == pytest.approx(0.010)
         assert policy.cap_s == pytest.approx(0.250)
 
     def test_from_env_overrides_win(self, monkeypatch):
-        monkeypatch.setenv(BACKOFF_BASE_ENV, "10")
+        monkeypatch.setenv("REPRO_BACKOFF_BASE_MS", "10")
         policy = BackoffPolicy.from_env(base_s=1.0, cap_s=2.0)
         assert policy.base_s == 1.0
 

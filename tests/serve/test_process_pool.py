@@ -27,8 +27,7 @@ from tests.serve.conftest import perturbed_state
 
 def _config(**overrides):
     base = dict(workers=1, worker_kind="process", queue_capacity=16,
-                max_batch=4, batch_window_s=0.005, retries=1,
-                mp_context="spawn")
+                max_batch=4, batch_window_s=0.005, retries=1)
     base.update(overrides)
     return ServeConfig(**base)
 

@@ -104,7 +104,6 @@ class TestServeConfig:
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "5")
         monkeypatch.setenv("REPRO_SERVE_WINDOW_MS", "7.5")
         monkeypatch.setenv("REPRO_SERVE_RETRIES", "2")
-        monkeypatch.setenv("REPRO_SERVE_MP_CONTEXT", "spawn")
         config = ServeConfig.from_env()
         assert config.workers == 3
         assert config.worker_kind == "process"
@@ -112,7 +111,6 @@ class TestServeConfig:
         assert config.max_batch == 5
         assert config.batch_window_s == pytest.approx(0.0075)
         assert config.retries == 2
-        assert config.mp_context == "spawn"
 
     def test_overrides_beat_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")

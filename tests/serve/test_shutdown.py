@@ -155,7 +155,7 @@ def test_thread_pool_stop_fails_wedged_batches(serve_spec, serve_cases,
     whatever a wedged worker holds — and whatever never reached a
     worker — after the join deadline, on either transport."""
     config = ServeConfig(workers=1, worker_kind=worker_kind,
-                         mp_context="spawn", queue_capacity=8, max_batch=4,
+                         queue_capacity=8, max_batch=4,
                          heartbeat_s=0.02, breaker_enabled=False)
     assert config.watchdog_s is None
     pool = WorkerPool(serve_spec, config)

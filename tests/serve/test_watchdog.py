@@ -86,8 +86,8 @@ def test_thread_stall_fails_typed_then_recovers(serve_spec, serve_cases):
 
 
 def _kind_config(worker_kind, **overrides):
-    base = dict(workers=1, worker_kind=worker_kind, mp_context="spawn",
-                queue_capacity=16, max_batch=4, batch_window_s=0.0,
+    base = dict(workers=1, worker_kind=worker_kind, queue_capacity=16,
+                max_batch=4, batch_window_s=0.0,
                 heartbeat_s=0.02, stale_after_s=30.0, breaker_enabled=False)
     base.update(overrides)
     return ServeConfig(**base)
@@ -174,7 +174,7 @@ def test_process_watchdog_kills_and_redispatches(serve_spec, serve_cases):
     """The sole worker hangs (sleep hook) with a batch dispatched behind
     the hang: the watchdog SIGKILLs it within budget and the batch
     recovers bit-identically on the respawned worker (attempts == 2)."""
-    config = ServeConfig(workers=1, worker_kind="process", mp_context="spawn",
+    config = ServeConfig(workers=1, worker_kind="process",
                          queue_capacity=16, max_batch=4, batch_window_s=0.0,
                          retries=1, watchdog_s=0.8, heartbeat_s=0.05,
                          stale_after_s=30.0, breaker_enabled=False,
@@ -200,7 +200,7 @@ def test_process_watchdog_kills_and_redispatches(serve_spec, serve_cases):
 
 def test_process_watchdog_without_retries_fails_typed(serve_spec,
                                                       serve_cases):
-    config = ServeConfig(workers=1, worker_kind="process", mp_context="spawn",
+    config = ServeConfig(workers=1, worker_kind="process",
                          queue_capacity=16, max_batch=4, batch_window_s=0.0,
                          retries=0, watchdog_s=0.8, heartbeat_s=0.05,
                          stale_after_s=30.0, breaker_enabled=False)

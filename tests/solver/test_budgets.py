@@ -11,8 +11,6 @@ from repro.faults.degrade import DegradationPolicy, default_log, \
 from repro.pdn.generator import PDNConfig, generate_pdn
 from repro.pdn.templates import small_stack
 from repro.solver.factorized import (
-    MAX_ITERS_ENV,
-    WALL_BUDGET_ENV,
     FactorizedPDN,
     solver_iteration_cap,
     solver_wall_budget,
@@ -34,8 +32,8 @@ def small_netlist():
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv(MAX_ITERS_ENV, raising=False)
-    monkeypatch.delenv(WALL_BUDGET_ENV, raising=False)
+    monkeypatch.delenv("REPRO_SOLVER_MAX_ITERS", raising=False)
+    monkeypatch.delenv("REPRO_SOLVER_BUDGET_S", raising=False)
     reset_default_log()
     yield
     reset_default_log()
@@ -110,21 +108,21 @@ class TestSolverEnvBudgets:
         assert solver_wall_budget() is None
 
     def test_env_values_parse(self, monkeypatch):
-        monkeypatch.setenv(MAX_ITERS_ENV, "50")
-        monkeypatch.setenv(WALL_BUDGET_ENV, "2.5")
+        monkeypatch.setenv("REPRO_SOLVER_MAX_ITERS", "50")
+        monkeypatch.setenv("REPRO_SOLVER_BUDGET_S", "2.5")
         assert solver_iteration_cap() == 50
         assert solver_wall_budget() == 2.5
 
     def test_invalid_env_values_raise(self, monkeypatch):
-        monkeypatch.setenv(MAX_ITERS_ENV, "0")
-        with pytest.raises(ValueError, match=MAX_ITERS_ENV):
+        monkeypatch.setenv("REPRO_SOLVER_MAX_ITERS", "0")
+        with pytest.raises(ValueError, match="REPRO_SOLVER_MAX_ITERS"):
             solver_iteration_cap()
-        monkeypatch.setenv(WALL_BUDGET_ENV, "-3")
-        with pytest.raises(ValueError, match=WALL_BUDGET_ENV):
+        monkeypatch.setenv("REPRO_SOLVER_BUDGET_S", "-3")
+        with pytest.raises(ValueError, match="REPRO_SOLVER_BUDGET_S"):
             solver_wall_budget()
 
     def test_env_cap_trips_solver_stalled(self, small_netlist, monkeypatch):
-        monkeypatch.setenv(MAX_ITERS_ENV, "1")
+        monkeypatch.setenv("REPRO_SOLVER_MAX_ITERS", "1")
         # jacobi: weak enough that one iteration cannot converge
         engine = FactorizedPDN(small_netlist, method="cg",
                                precond="jacobi")
@@ -133,7 +131,7 @@ class TestSolverEnvBudgets:
         assert exc_info.value.budget == "maxiter"
 
     def test_explicit_cg_maxiter_beats_env(self, small_netlist, monkeypatch):
-        monkeypatch.setenv(MAX_ITERS_ENV, "1")
+        monkeypatch.setenv("REPRO_SOLVER_MAX_ITERS", "1")
         engine = FactorizedPDN(small_netlist, method="cg", cg_maxiter=5000)
         result = engine.solve()
         assert np.isfinite(list(result.node_voltages.values())).all()
