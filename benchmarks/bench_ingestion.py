@@ -1,5 +1,4 @@
-"""Ingestion front door — parity gates and throughput (PR 9 tentpole
-acceptance).
+"""Ingestion front door — parity gates.
 
 Gating (``-m 'not perf'``, the ``ingest.parity`` registry entry):
 
@@ -15,30 +14,24 @@ Gating (``-m 'not perf'``, the ``ingest.parity`` registry entry):
   servable deck, quarantines the rest with their codes, and leaves the
   generated cases bit-identical to a deck-free build.
 
-Perf (``-m perf``, non-gating): tolerant-ingest throughput in decks/s
-on the fixture grid deck, and end-to-end seconds on a contest-scale
-suite case.
+Ingest speed is measured end to end on real-size decks by the perfbench
+``ingest_large`` workload (the ``perfbench`` registry entry).
 """
 
 import os
 import pathlib
-import time
 
 import numpy as np
-import pytest
-from conftest import REFERENCE, emit, recorder
+from conftest import emit, recorder
 
 from repro.core.pipeline import IRPredictor
 from repro.core.registry import MODEL_REGISTRY
 from repro.data.io import write_case
 from repro.data.synthesis import SynthesisSettings, make_suite
-from repro.ingest import IngestError, ingest_deck, ingest_text
+from repro.ingest import IngestError, ingest_deck
 from repro.solver.factorized import FactorizedPDN
-from repro.spice.writer import write_spice
 from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
-
-perf = pytest.mark.perf
 
 REC = recorder("ingestion", "parity")
 
@@ -48,8 +41,6 @@ CORPUS = FIXTURES / "malformed"
 GOLDEN_SIGMA = SynthesisSettings().golden_smooth_sigma
 PARITY_TOL_V = 1e-9
 MODEL = "LMM-IR (Ours)"
-
-DECKS_PER_S_FLOOR = REFERENCE.floor("ingestion", "ingest_decks_per_s", 5.0)
 
 
 def _reingest(case, directory):
@@ -169,39 +160,3 @@ def test_quarantine_accounting(tmp_path):
 
     REC.check("quarantine_exact_accounting", True)
     REC.check("quarantine_generated_cases_bit_identical", identical)
-
-
-# ----------------------------------------------------------------------
-# Perf: front-door throughput (non-gating)
-# ----------------------------------------------------------------------
-@perf
-def test_ingestion_throughput(bench_suite, artifact_dir):
-    small_text = (FIXTURES / "pdn_small.sp").read_text()
-    repeats = 20
-    start = time.perf_counter()
-    for index in range(repeats):
-        ingest_text(small_text, name=f"pdn_small_{index}")
-    small_rate = repeats / (time.perf_counter() - start)
-
-    case = list(bench_suite.fake_cases)[0]
-    deck_text = write_spice(case.netlist)
-    start = time.perf_counter()
-    result = ingest_text(deck_text, name=case.name,
-                         raster_shape=case.ir_map.shape,
-                         smooth_sigma=GOLDEN_SIGMA)
-    contest_seconds = time.perf_counter() - start
-    assert result.case is not None
-
-    rate = REC.metric("ingest_decks_per_s", small_rate, unit="decks/s",
-                      headline=True)
-    REC.metric("contest_scale_ingest_seconds", contest_seconds, unit="s")
-    REC.annotate(contest_nodes=case.netlist.num_nodes)
-    assert rate > DECKS_PER_S_FLOOR, \
-        f"{rate:.1f} decks/s under the {DECKS_PER_S_FLOOR} floor"
-    emit(artifact_dir, "ingestion_perf.txt", "\n".join([
-        "Ingestion throughput:",
-        f"  fixture grid deck        : {small_rate:.1f} decks/s "
-        f"(floor {DECKS_PER_S_FLOOR})",
-        f"  contest-scale case       : {contest_seconds:.2f} s end-to-end "
-        f"({case.netlist.num_nodes} nodes)",
-    ]))

@@ -332,16 +332,29 @@ def rebaseline(report: BenchSuiteReport,
     Measured values refresh the ``value`` field of every spec; floors,
     ceilings and bands carry over untouched (re-baselining records new
     numbers, it never loosens a gate by itself).  New metrics get a
-    presence-only ``{}`` spec; checks are expected ``True``.  Returns the
+    presence-only ``{}`` spec; checks are expected ``True``.  A
+    tier-filtered or ``--only`` report (the runs whose absent metrics
+    the comparator *skips*) keeps the previous specs and checks it lacks:
+    a gating run carries one script's parity half only.  Returns the
     new reference plus human-readable warnings (e.g. a check measured
     ``False`` that is still baselined as expected-``True``).
     """
     warnings: List[str] = []
     reference = Reference(fingerprint=dict(report.fingerprint),
                           generated_at=report.generated_at)
+    keep_absent = report.tier is not None or report.partial
     for bench, result in sorted(report.results.items()):
         reference.metrics[bench] = {}
         reference.checks[bench] = {}
+        if keep_absent:
+            reference.metrics[bench].update(previous.metrics.get(bench, {}))
+            reference.checks[bench].update(previous.checks.get(bench, {}))
+            kept = sorted(
+                (set(reference.metrics[bench]) - set(result.metrics))
+                | (set(reference.checks[bench]) - set(result.checks)))
+            if kept:
+                warnings.append(f"{bench}: kept previous specs not in this "
+                                f"run: {', '.join(kept)}")
         for name, metric in sorted(result.metrics.items()):
             old = previous.spec(bench, name)
             payload = old.to_dict() if old is not None else {}

@@ -41,9 +41,11 @@ class BenchEntry:
 
 #: The fleet.  Gating entries are the blocking CI tier (fast, numeric
 #: parity only); everything wall-clock or training-budget-sized runs in
-#: the perf tier (continue-on-error on shared runners).  Dependencies
-#: encode "parity gates before the perf tiers they protect" plus the
-#: registry sanity check (table1) ahead of the expensive table/figure
+#: the perf tier (continue-on-error on shared runners).  Serving and
+#: ingest speed come from one place, the ``perfbench`` entry, which runs
+#: the end-to-end workloads of ``BENCHMARK.json``.  Dependencies encode
+#: "parity gates before the perf tiers they protect" plus the registry
+#: sanity check (table1) ahead of the expensive table/figure
 #: reproductions.
 DEFAULT_ENTRIES: Tuple[BenchEntry, ...] = (
     BenchEntry(name="table1.parity", bench="table1_capabilities",
@@ -79,23 +81,16 @@ DEFAULT_ENTRIES: Tuple[BenchEntry, ...] = (
                script="bench_inference.py",
                tier="perf", kind="perf", marker="perf",
                depends=("inference.parity",)),
-    BenchEntry(name="serving.perf", bench="serving",
-               script="bench_serving.py",
-               tier="perf", kind="perf", marker="perf",
-               depends=("serving.parity",)),
-    BenchEntry(name="ingest.perf", bench="ingestion",
-               script="bench_ingestion.py",
-               tier="perf", kind="perf", marker="perf",
-               depends=("ingest.parity",)),
     BenchEntry(name="suite_synthesis.perf", bench="suite_synthesis",
                script="bench_suite_synthesis.py",
                tier="perf", kind="perf", depends=("solver.parity",)),
     BenchEntry(name="train_throughput.perf", bench="train_throughput",
                script="bench_train_throughput.py",
                tier="perf", kind="perf"),
-    BenchEntry(name="nn_primitives.perf", bench="nn_primitives",
-               script="bench_nn_primitives.py",
-               tier="perf", kind="perf"),
+    BenchEntry(name="perfbench", bench="perfbench",
+               script="bench_perfbench.py",
+               tier="perf", kind="perf",
+               depends=("serving.parity", "ingest.parity")),
     BenchEntry(name="table2.parity", bench="table2_testcases",
                script="bench_table2_testcases.py",
                tier="perf", kind="parity", depends=("table1.parity",)),

@@ -312,3 +312,28 @@ class TestRebaseline:
                                0.0) == 1.7
         assert reference.checks["inference"] == {"float32_within_1e-4": True}
         assert any("inference" in w for w in warnings)
+
+    def test_tiered_run_keeps_specs_it_did_not_measure(self):
+        # a gating run of solver_scaling reports its parity checks only;
+        # the perf half's floors must survive the re-baseline
+        previous = _reference(block_mg_speedup={"value": 3.2, "floor": 3.0},
+                              factor_once_speedup={"value": 5.0,
+                                                   "floor": 3.0})
+        previous.checks["solver_scaling"]["block_cg_parity_with_direct"] = \
+            True
+        for tier, partial in (("gating", False), (None, True)):
+            report = _report()
+            report.tier, report.partial = tier, partial
+            reference, warnings = rebaseline(report, previous)
+            for name in ("block_mg_speedup", "factor_once_speedup"):
+                assert reference.floor("solver_scaling", name, 0.0) == 3.0
+            assert reference.checks["solver_scaling"] == {
+                "solve_exact_at_every_size": True,
+                "block_cg_parity_with_direct": True}
+            assert any("block_mg_speedup" in w for w in warnings)
+            assert ResultComparator(reference).compare(report).ok
+
+    def test_full_run_rebaseline_records_the_report_only(self):
+        previous = _reference(block_mg_speedup={"floor": 3.0})
+        reference, _ = rebaseline(_report(), previous)
+        assert reference.spec("solver_scaling", "block_mg_speedup") is None

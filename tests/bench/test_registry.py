@@ -1,5 +1,6 @@
 """Tests for the fleet registry and entry selection."""
 
+import ast
 import os
 
 import pytest
@@ -16,6 +17,39 @@ BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks")
 
 def _names(entries):
     return [e.name for e in entries]
+
+
+def _test_marks(script):
+    """``{test name: marker names}`` of a bench script, read statically
+    (no pytest collection) from the decorators of its top-level
+    ``test_*`` functions; ``perf = pytest.mark.perf`` aliases resolve."""
+    with open(os.path.join(BENCH_DIR, script)) as handle:
+        tree = ast.parse(handle.read())
+    aliases = {node.targets[0].id: node.value.attr for node in tree.body
+               if isinstance(node, ast.Assign)
+               and ast.unparse(node.value).startswith("pytest.mark.")}
+    marks = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) \
+                and node.name.startswith("test_"):
+            found = set()
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                name = (decorator.attr if isinstance(decorator, ast.Attribute)
+                        else decorator.id)
+                found.add(aliases.get(name, name))
+            marks[node.name] = found
+    return marks
+
+
+def _selected(entry, marks):
+    """The tests of ``{test name: marker names}`` that the entry's
+    ``-m`` expression keeps."""
+    keep = {None: lambda found: True,
+            "perf": lambda found: "perf" in found,
+            "not perf": lambda found: "perf" not in found}[entry.marker]
+    return [name for name, found in marks.items() if keep(found)]
 
 
 class TestDefaultEntries:
@@ -44,6 +78,21 @@ class TestDefaultEntries:
         with pytest.raises(ValueError, match="tier"):
             BenchEntry(name="x", bench="x", script="x.py",
                        tier="blocking", kind="perf")
+
+
+class TestRegistryDrift:
+    """Every entry still selects tests in its script.  The runner maps
+    pytest exit 5 (nothing collected) to ``no-tests``, so a stale entry
+    would otherwise pass silently."""
+
+    def test_every_entry_selects_a_test(self):
+        # `perf` entries need an @perf test, `not perf` entries an
+        # unmarked one, whole-file entries any test at all
+        for entry in DEFAULT_ENTRIES:
+            marks = _test_marks(entry.script)
+            assert _selected(entry, marks), \
+                f"{entry.name}: -m {entry.marker!r} selects no test " \
+                f"in {entry.script} ({sorted(marks)})"
 
 
 class TestSelectEntries:
@@ -76,15 +125,17 @@ class TestSelectEntries:
         assert ordered == ["solver.parity", "solver.perf"]
 
     def test_only_accepts_script_names(self):
-        expected = ["inference.parity", "serving.parity", "serving.perf"]
+        expected = ["inference.parity", "serving.parity"]
         for alias in ("bench_serving", "bench_serving.py"):
             ordered = _names(select_entries(DEFAULT_ENTRIES, only=[alias]))
             assert ordered == expected, alias
 
     def test_tier_applied_after_dependency_closure(self):
-        ordered = _names(select_entries(DEFAULT_ENTRIES, tier="perf",
-                                        only=["inference"]))
-        assert ordered == ["inference.perf"]
+        for only, expected in (("inference", "inference.perf"),
+                               ("perfbench", "perfbench")):
+            ordered = _names(select_entries(DEFAULT_ENTRIES, tier="perf",
+                                            only=[only]))
+            assert ordered == [expected], only
 
     def test_unknown_only_rejected(self):
         with pytest.raises(ValueError, match="matched no entry"):

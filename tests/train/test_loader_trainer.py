@@ -164,8 +164,15 @@ class TestPredictorPipeline:
         # land inside the compared TATs
         plain.predict_case(cases[0])
         heavy.predict_case(cases[0])
-        map_plain, tat_plain = plain.predict_case(cases[0])
-        map_heavy, tat_heavy = heavy.predict_case(cases[0])
+        # best of 3 interleaved runs per side: one stall on a loaded
+        # machine must not decide the comparison
+        tats_plain, tats_heavy = [], []
+        for _ in range(3):
+            map_plain, tat = plain.predict_case(cases[0])
+            tats_plain.append(tat)
+            map_heavy, tat = heavy.predict_case(cases[0])
+            tats_heavy.append(tat)
+        tat_plain, tat_heavy = min(tats_plain), min(tats_heavy)
         assert tat_heavy > tat_plain
         assert np.abs(map_plain - map_heavy).mean() < 0.01
 
