@@ -26,7 +26,8 @@ def main() -> None:
           f"({test_case.shape[0]}x{test_case.shape[1]} px, "
           f"{test_case.num_nodes} PDN nodes)")
 
-    # 2. a small LMM-IR (paper-scale widths are larger; see DESIGN.md)
+    # 2. a small LMM-IR (paper-scale widths are larger; see the
+    #    "Substitutions" section of EXPERIMENTS.md)
     model = LMMIR(LMMIRConfig(in_channels=6, base_channels=8, depth=2,
                               encoder_kernel=5))
     print(f"  model parameters: {model.num_parameters():,}")

@@ -3,7 +3,7 @@
 IRPnet is a physics-constrained predictor with *shape-adaptive*
 convolution kernels, designed for the limited-data regime (trained on the
 ten real circuits only).  Two substitutions relative to the original
-(documented in DESIGN.md):
+(EXPERIMENTS.md, "Substitutions"):
 
 * shape-adaptive kernels → a parallel bank of directional kernels
   (1×k horizontal, k×1 vertical, k×k square) whose outputs are summed —

@@ -30,7 +30,8 @@ from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
 from repro.train.trainer import TrainConfig, Trainer
 
-__all__ = ["ABLATION_CONFIGS", "AblationRun", "run_ablation"]
+__all__ = ["ABLATION_CONFIGS", "AblationRun", "build_ablation_model",
+           "run_ablation"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,18 @@ ABLATION_CONFIGS: Dict[str, AblationSpec] = {
     "W-Aug": AblationSpec(use_lnt=True, use_attention_gates=True, augment=False),
     "United": AblationSpec(use_lnt=True, use_attention_gates=True, augment=True),
 }
+
+
+def build_ablation_model(ablation: AblationSpec) -> LMMIR:
+    """The LMM-IR architecture of one Fig. 4 configuration."""
+    return LMMIR(LMMIRConfig(
+        in_channels=len(ALL_CHANNELS),
+        base_channels=10,
+        depth=2,
+        encoder_kernel=5,
+        use_lnt=ablation.use_lnt,
+        use_attention_gates=ablation.use_attention_gates,
+    ))
 
 
 @dataclass
@@ -71,14 +84,7 @@ def run_ablation(suite: BenchmarkSuite,
     runs: List[AblationRun] = []
     for name, ablation in configs.items():
         seed_everything(config.seed)
-        model = LMMIR(LMMIRConfig(
-            in_channels=len(ALL_CHANNELS),
-            base_channels=10,
-            depth=2,
-            encoder_kernel=5,
-            use_lnt=ablation.use_lnt,
-            use_attention_gates=ablation.use_attention_gates,
-        ))
+        model = build_ablation_model(ablation)
         preprocessor = CasePreprocessor(
             channels=ALL_CHANNELS,
             target_edge=config.target_edge,

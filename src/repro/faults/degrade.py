@@ -9,10 +9,11 @@ fallbacks looked identical to a healthy one, just slower.  This module
 gives every fallback one narrow waist:
 
 * :class:`DegradationEvent` — who degraded, from what, to what, why;
-* :class:`DegradationLog` — a thread-safe recorder with counters, so
-  ``stats()`` surfaces (``PredictionService.stats()["degradations"]``,
+* :class:`DegradationLog` — a thread-safe recorder with exact counters,
+  so ``stats()`` surfaces (``PredictionService.stats()["degradations"]``,
   solver setup reports) can show exactly which rungs have been
-  descended;
+  descended, and a bounded ring of the most recent events, so a
+  long-lived daemon's ledger does not grow with every breaker trip;
 * :class:`DegradationPolicy` — the knob: which preconditioner rungs
   the solver may descend.  A chain without a rung turns that silent
   fallback into a loud error, which is what strict reproduction runs
@@ -27,11 +28,16 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = ["DegradationEvent", "DegradationLog", "DegradationPolicy",
-           "default_log", "record", "reset_default_log"]
+           "EVENT_WINDOW", "default_log", "record", "reset_default_log"]
+
+#: events a ledger keeps for :meth:`DegradationLog.events`; older ones
+#: drop off, while :meth:`DegradationLog.counts` stays exact
+EVENT_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -50,22 +56,31 @@ class DegradationEvent:
 
 
 class DegradationLog:
-    """Thread-safe ledger of degradation events."""
+    """Thread-safe ledger of degradation events.
+
+    Counts are exact over the ledger's lifetime; only the last
+    :data:`EVENT_WINDOW` events are kept.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._events: List[DegradationEvent] = []
+        self._events: Deque[DegradationEvent] = deque(maxlen=EVENT_WINDOW)
+        self._counts: Dict[str, int] = {}
 
     def record(self, component: str, from_mode: str, to_mode: str,
                reason: str) -> DegradationEvent:
         event = DegradationEvent(component=component, from_mode=from_mode,
                                  to_mode=to_mode, reason=str(reason))
+        key = f"{component}: {from_mode}->{to_mode}"
         with self._lock:
             self._events.append(event)
+            self._counts[key] = self._counts.get(key, 0) + 1
         return event
 
     def events(self, component: Optional[str] = None
                ) -> List[DegradationEvent]:
+        """The most recent events (at most :data:`EVENT_WINDOW`), oldest
+        first."""
         with self._lock:
             events = list(self._events)
         if component is not None:
@@ -73,20 +88,20 @@ class DegradationLog:
         return events
 
     def counts(self) -> Dict[str, int]:
-        """``{"component: from->to": n}`` — the stats() payload."""
-        out: Dict[str, int] = {}
-        for event in self.events():
-            key = f"{event.component}: {event.from_mode}->{event.to_mode}"
-            out[key] = out.get(key, 0) + 1
-        return out
+        """``{"component: from->to": n}`` over every event ever recorded
+        — the stats() payload."""
+        with self._lock:
+            return dict(self._counts)
 
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
+            self._counts.clear()
 
     def __len__(self) -> int:
+        """Events recorded since construction or :meth:`clear`."""
         with self._lock:
-            return len(self._events)
+            return sum(self._counts.values())
 
 
 _DEFAULT = DegradationLog()

@@ -4,10 +4,9 @@
 :class:`Plan` of kernel steps through a short pass pipeline:
 
 1. **constant folding** — ops fed only by constants (parameter reshapes,
-   BatchNorm statistic views, positional tables) are replaced by their
-   traced value;
+   BatchNorm statistic views) are replaced by their traced value;
 2. **BatchNorm folding** (opt-in, ``fold_bn``) — a per-channel affine
-   chain of ``sub/mul/add/div``-by-constant ops following a Conv2d /
+   chain of ``sub/mul/add``-by-constant ops following a Conv2d /
    ConvTranspose2d / Linear-matmul is folded into the producer's weights
    and bias.  This changes summation order (≈1 ulp at float64), so it is
    off in the bit-exact default and on in reduced-precision mode;
@@ -29,30 +28,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.infer.arena import BufferArena
-from repro.infer.steps import (
-    INPLACE_SAFE,
-    Step,
-    _structural_index,
-    build_step,
-)
+from repro.infer.steps import BUILDERS, INPLACE_SAFE, Step, build_step
 from repro.infer.trace import InferenceUnsupportedError, Trace, TraceNode
 
 __all__ = ["Plan", "compile_plan"]
 
 _FOLDABLE_PRODUCERS = ("conv2d", "conv_transpose2d", "matmul")
-_AFFINE_OPS = ("add", "sub", "mul", "div")
-
-#: ops whose meta carries runtime array data the trace cannot prove
-#: constant — never fold them into plan constants (and their builders
-#: refuse compilation), otherwise the first batch's data would be baked
-#: into every later forward
-_META_SENSITIVE = ("embedding", "where", "dropout")
-
-
-def _bakes_runtime_meta(node: TraceNode) -> bool:
-    if node.op in _META_SENSITIVE:
-        return True
-    return node.op == "getitem" and not _structural_index(node.meta["index"])
+_AFFINE_OPS = ("add", "sub", "mul")
 
 
 # ----------------------------------------------------------------------
@@ -244,12 +226,9 @@ def _fold_batchnorm(nodes, const_of, dead, ctx, out_ref):
                 shift = shift + vector
             elif nxt_node.op == "sub":
                 shift = shift - vector
-            elif nxt_node.op == "mul":
+            else:  # mul
                 scale = scale * vector
                 shift = shift * vector
-            else:  # div
-                scale = scale / vector
-                shift = shift / vector
             absorbed.append(nxt)
             cursor = nxt
         if not absorbed:
@@ -409,9 +388,13 @@ def compile_plan(trace: Trace, dtype, fold_bn: bool, fuse: bool,
     dead: set = set()
     ctx = _BuildContext(nodes, const_of, {}, dtype, const_fn, arg_contiguous)
 
-    # 1. constant folding (the traced values ARE the folded results)
+    # 1. constant folding (the traced values ARE the folded results).  Only
+    # ops with a builder fold: an op without one (embedding, where, ...)
+    # may carry runtime arrays in its meta, and folding it would bake the
+    # first batch's data into every later forward; unfolded, it refuses
+    # compilation in step 5 instead
     for i, node in enumerate(nodes):
-        if node.op == "arg" or not node.inputs or _bakes_runtime_meta(node):
+        if node.op == "arg" or not node.inputs or node.op not in BUILDERS:
             continue
         if all(ctx.resolve_ref(ref)[0] == "const" for ref in node.inputs):
             const_of[i] = node.value

@@ -8,6 +8,10 @@ operands), which is what keeps float64 plans bit-exact against
 ``model.forward``; the only opt-in deviation is BatchNorm weight folding
 (see :mod:`repro.infer.plan`).
 
+There are builders only for the ops the registered models run.  A traced
+op without one raises :class:`InferenceUnsupportedError` at compile
+time, and an ``"auto"`` predictor then falls back to autograd.
+
 Output kinds:
 
 * ``buffer`` — the step owns an arena buffer (``out_spec``);
@@ -56,9 +60,8 @@ BUILDERS: Dict[str, Callable] = {}
 
 #: ops whose step may safely write into the buffer of a dying first input
 INPLACE_SAFE = {
-    "add", "sub", "mul", "div", "neg", "abs", "pow", "clip", "exp", "log",
-    "sqrt", "tanh", "sigmoid", "relu", "leaky_relu", "gelu",
-    "softmax", "log_softmax",
+    "add", "sub", "mul", "pow", "exp", "log", "sigmoid", "relu", "gelu",
+    "softmax",
 }
 
 
@@ -99,10 +102,8 @@ def _relu_epilogue(ctx, shape):
 # ----------------------------------------------------------------------
 # Elementwise
 # ----------------------------------------------------------------------
-_BINARY_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
-                  "div": np.true_divide}
-_UNARY_UFUNCS = {"neg": np.negative, "abs": np.abs, "exp": np.exp,
-                 "log": np.log, "sqrt": np.sqrt, "tanh": np.tanh}
+_BINARY_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+_UNARY_UFUNCS = {"exp": np.exp, "log": np.log}
 
 
 def _build_binary(op_name):
@@ -167,32 +168,6 @@ def _build_pow(index, node, ctx):
     return Step(index, ctx.spec(node), [], run)
 
 
-@register("clip")
-def _build_clip(index, node, ctx):
-    a = ctx.resolve(node.inputs[0])
-    low, high = node.meta["low"], node.meta["high"]
-    target = ctx.try_inplace(node, 0)
-
-    def run(env, out, scratch):
-        buf = env[target] if target is not None else out
-        np.clip(_val(a, env) if target is None else buf, low, high, out=buf)
-        return buf
-    if target is not None:
-        return Step(index, None, [], run, kind="alias", source=target)
-    return Step(index, ctx.spec(node), [], run)
-
-
-@register("where")
-def _build_where(index, node, ctx):
-    # the condition array is an op *argument*, not a traced input — the
-    # trace cannot tell a constant mask from an input-derived one, and
-    # baking a runtime mask into the plan would silently freeze the first
-    # batch's answer.  Refuse; "auto" predictors fall back to autograd.
-    raise InferenceUnsupportedError(
-        "where bakes its runtime condition array into the plan; "
-        "not compilable")
-
-
 @register("sigmoid")
 def _build_sigmoid(index, node, ctx):
     a = ctx.resolve(node.inputs[0])
@@ -231,22 +206,6 @@ def _build_relu(index, node, ctx):
     return Step(index, ctx.spec(node), [mask_spec], run)
 
 
-@register("leaky_relu")
-def _build_leaky_relu(index, node, ctx):
-    a = ctx.resolve(node.inputs[0])
-    slope = node.meta["negative_slope"]
-    specs = [(node.shape, ctx.dtype), (node.shape, np.dtype(bool))]
-    target = ctx.try_inplace(node, 0)
-
-    def run(env, out, scratch):
-        buf = env[target] if target is not None else out
-        return F.leaky_relu_kernel(_val(a, env), slope, out=buf,
-                                   scratch=scratch[0], mask=scratch[1])
-    if target is not None:
-        return Step(index, None, specs, run, kind="alias", source=target)
-    return Step(index, ctx.spec(node), specs, run)
-
-
 @register("gelu")
 def _build_gelu(index, node, ctx):
     a = ctx.resolve(node.inputs[0])
@@ -263,19 +222,15 @@ def _build_gelu(index, node, ctx):
 
 
 # ----------------------------------------------------------------------
-# Softmax family
+# Softmax and reductions
 # ----------------------------------------------------------------------
-def _reduced_shape(shape, axis):
-    reduced = list(shape)
-    reduced[axis % len(shape)] = 1
-    return tuple(reduced)
-
-
 @register("softmax")
 def _build_softmax(index, node, ctx):
     a = ctx.resolve(node.inputs[0])
     axis = node.meta["axis"]
-    reduce_spec = (_reduced_shape(node.shape, axis), ctx.dtype)
+    reduced = list(node.shape)
+    reduced[axis % len(reduced)] = 1
+    reduce_spec = (tuple(reduced), ctx.dtype)
     target = ctx.try_inplace(node, 0)
 
     def run(env, out, scratch):
@@ -288,46 +243,16 @@ def _build_softmax(index, node, ctx):
     return Step(index, ctx.spec(node), [reduce_spec], run)
 
 
-@register("log_softmax")
-def _build_log_softmax(index, node, ctx):
+@register("mean")
+def _build_mean(index, node, ctx):
     a = ctx.resolve(node.inputs[0])
     axis = node.meta["axis"]
-    specs = [(node.shape, ctx.dtype),
-             (_reduced_shape(node.shape, axis), ctx.dtype)]
-    target = ctx.try_inplace(node, 0)
+    keepdims = node.meta["keepdims"]
 
     def run(env, out, scratch):
-        buf = env[target] if target is not None else out
-        return F.log_softmax_kernel(_val(a, env), axis, out=buf,
-                                    scratch=scratch[0], reduce_buf=scratch[1])
-    if target is not None:
-        return Step(index, None, specs, run, kind="alias", source=target)
-    return Step(index, ctx.spec(node), specs, run)
-
-
-# ----------------------------------------------------------------------
-# Reductions
-# ----------------------------------------------------------------------
-_REDUCERS = {"sum": np.sum, "mean": np.mean, "max": np.amax, "min": np.amin}
-
-
-def _build_reduce(op_name):
-    reducer = _REDUCERS[op_name]
-
-    def build(index, node, ctx):
-        a = ctx.resolve(node.inputs[0])
-        axis = node.meta["axis"]
-        keepdims = node.meta["keepdims"]
-
-        def run(env, out, scratch):
-            reducer(_val(a, env), axis=axis, keepdims=keepdims, out=out)
-            return out
-        return Step(index, ctx.spec(node), [], run)
-    return build
-
-
-for _name in _REDUCERS:
-    BUILDERS[_name] = _build_reduce(_name)
+        np.mean(_val(a, env), axis=axis, keepdims=keepdims, out=out)
+        return out
+    return Step(index, ctx.spec(node), [], run)
 
 
 # ----------------------------------------------------------------------
@@ -381,29 +306,6 @@ def _build_transpose(index, node, ctx):
                 source=a if type(a) is int else None)
 
 
-def _structural_index(item) -> bool:
-    """True when a getitem index is code-structural (slices/ints), not a
-    runtime data array that would be frozen into the plan."""
-    parts = item if isinstance(item, tuple) else (item,)
-    return all(isinstance(part, (int, slice, type(Ellipsis), type(None)))
-               for part in parts)
-
-
-@register("getitem")
-def _build_getitem(index, node, ctx):
-    a = ctx.resolve(node.inputs[0])
-    item = node.meta["index"]
-    if not _structural_index(item):
-        raise InferenceUnsupportedError(
-            "getitem with an array index bakes runtime data into the "
-            "plan; not compilable")
-
-    def run(env, out, scratch):
-        np.copyto(out, _val(a, env)[item])
-        return out
-    return Step(index, ctx.spec(node), [], run)
-
-
 @register("concat")
 def _build_concat(index, node, ctx):
     axis = node.meta["axis"] % len(node.shape)
@@ -422,42 +324,6 @@ def _build_concat(index, node, ctx):
             np.copyto(out[slicer], _val(src, env))
         return out
     return Step(index, ctx.spec(node), [], run)
-
-
-@register("stack")
-def _build_stack(index, node, ctx):
-    axis = node.meta["axis"] % len(node.shape)
-    sources = [ctx.resolve(ref) for ref in node.inputs]
-    slicers = [tuple([slice(None)] * axis + [position])
-               for position in range(len(sources))]
-
-    def run(env, out, scratch):
-        for src, slicer in zip(sources, slicers):
-            np.copyto(out[slicer], _val(src, env))
-        return out
-    return Step(index, ctx.spec(node), [], run)
-
-
-@register("pad2d")
-def _build_pad2d(index, node, ctx):
-    a = ctx.resolve(node.inputs[0])
-    top, _, left, _ = node.meta["pad"]
-    value = node.meta["value"]
-    h, w = ctx.shape_of(node.inputs[0])[-2:]
-
-    def run(env, out, scratch):
-        out.fill(value)
-        out[..., top:top + h, left:left + w] = _val(a, env)
-        return out
-    return Step(index, ctx.spec(node), [], run)
-
-
-@register("embedding")
-def _build_embedding(index, node, ctx):
-    # indices are an op argument the trace cannot prove constant; baking
-    # them would replay the first batch's lookups forever
-    raise InferenceUnsupportedError(
-        "embedding bakes its runtime indices into the plan; not compilable")
 
 
 # ----------------------------------------------------------------------
@@ -596,25 +462,4 @@ def _build_max_pool2d(index, node, ctx):
 
     def run(env, out, scratch):
         return F.max_pool2d_kernel(_val(a, env), kernel_size, stride, out=out)
-    return Step(index, ctx.spec(node), [], run)
-
-
-@register("avg_pool2d")
-def _build_avg_pool2d(index, node, ctx):
-    a = ctx.resolve(node.inputs[0])
-    kernel_size = node.meta["kernel_size"]
-    stride = node.meta["stride"]
-
-    def run(env, out, scratch):
-        return F.avg_pool2d_kernel(_val(a, env), kernel_size, stride, out=out)
-    return Step(index, ctx.spec(node), [], run)
-
-
-@register("upsample_nearest2d")
-def _build_upsample(index, node, ctx):
-    a = ctx.resolve(node.inputs[0])
-    scale = node.meta["scale"]
-
-    def run(env, out, scratch):
-        return F.upsample_nearest2d_kernel(_val(a, env), scale, out=out)
     return Step(index, ctx.spec(node), [], run)

@@ -1,14 +1,17 @@
 """``repro.nn`` — a from-scratch numpy deep-learning framework.
 
 This package substitutes for PyTorch in the LMM-IR reproduction (see
-DESIGN.md).  It provides reverse-mode autodiff (:mod:`repro.nn.tensor`,
-:mod:`repro.nn.functional`), module containers, the layers and attention
-blocks the paper's architecture needs, losses, optimisers, LR schedules
-and checkpointing.
+EXPERIMENTS.md, "Substitutions").  It provides reverse-mode autodiff
+(:mod:`repro.nn.tensor`, :mod:`repro.nn.functional`), module containers,
+the layers and attention blocks the paper's architecture and the contest
+baselines need, losses, optimisers and LR schedules.  The models train
+with :func:`masked_mse` and :class:`Adam`.  Checkpoints are
+:meth:`Module.state_dict` mappings, which :mod:`repro.serve.registry`
+stores.
 """
 
 from repro.nn import functional
-from repro.nn.activations import GELU, LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.activations import GELU, ReLU, Sigmoid
 from repro.nn.attention import (
     AttentionGate,
     CrossAttentionBlock,
@@ -42,7 +45,6 @@ from repro.nn.schedulers import (
     StepLR,
     WarmupCosine,
 )
-from repro.nn.serialization import load_module, load_state, save_module, save_state
 from repro.nn.tensor import Parameter, Tensor, as_tensor, is_grad_enabled, no_grad
 from repro.nn import init
 
@@ -53,12 +55,11 @@ __all__ = [
     "Linear", "Conv2d", "ConvTranspose2d", "MaxPool2d", "AvgPool2d",
     "BatchNorm1d", "BatchNorm2d", "LayerNorm", "Dropout", "Embedding",
     "UpsampleNearest2d", "Flatten", "Identity",
-    "ReLU", "LeakyReLU", "Sigmoid", "Tanh", "GELU", "Softmax",
+    "ReLU", "Sigmoid", "GELU",
     "MultiHeadAttention", "TransformerEncoderBlock", "CrossAttentionBlock",
     "AttentionGate", "sinusoidal_positions",
     "MSELoss", "L1Loss", "HuberLoss", "BCEWithLogitsLoss", "masked_mse",
     "Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm",
     "LRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR", "WarmupCosine",
-    "save_module", "load_module", "save_state", "load_state",
     "check_gradients", "numerical_gradient",
 ]

@@ -6,7 +6,7 @@ from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "GELU", "Softmax"]
+__all__ = ["ReLU", "Sigmoid", "GELU"]
 
 
 class ReLU(Module):
@@ -15,39 +15,13 @@ class ReLU(Module):
         return F.relu(x)
 
 
-class LeakyReLU(Module):
-    """ReLU with a small negative-side slope."""
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.negative_slope)
-
-
 class Sigmoid(Module):
     """Logistic sigmoid, 1 / (1 + exp(-x))."""
     def forward(self, x: Tensor) -> Tensor:
         return F.sigmoid(x)
 
 
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
 class GELU(Module):
     """Gaussian error linear unit (tanh approximation)."""
     def forward(self, x: Tensor) -> Tensor:
         return F.gelu(x)
-
-
-class Softmax(Module):
-    """Softmax over a configurable axis."""
-    def __init__(self, axis: int = -1):
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.softmax(x, axis=self.axis)

@@ -9,11 +9,12 @@ lowering so the heavy lifting is a single BLAS ``matmul``.
 Two extra surfaces exist for the grad-free inference engine
 (:mod:`repro.infer`):
 
-* **pure kernels** — each heavy op's numeric forward is a plain
-  ndarray-in/ndarray-out function (``conv2d_kernel``,
-  ``max_pool2d_kernel``, ``sigmoid_kernel``, ...) reusable without any
+* **pure kernels** — the numeric forward of each op the engine runs
+  outside a conv/matmul step is a plain ndarray-in/ndarray-out function
+  (``max_pool2d_kernel``, ``sigmoid_kernel``, ...) reusable without any
   Tensor wrapping; the autograd ops and the inference engine share this
-  arithmetic, which is what keeps the engine bit-exact at float64;
+  arithmetic (the engine's conv steps reuse ``_im2col_into`` and
+  ``_col2im``), which is what keeps the engine bit-exact at float64;
 * **trace hook** — :func:`set_trace_hook` installs a callback that
   observes every op (name, output, parents, params) as a model runs, so
   the engine can compile a module's forward into a flat kernel plan.
@@ -36,10 +37,8 @@ __all__ = [
     "conv2d", "conv_transpose2d", "max_pool2d", "avg_pool2d",
     "upsample_nearest2d", "embedding", "dropout", "where",
     "set_trace_hook",
-    "conv2d_kernel", "conv_transpose2d_kernel",
     "max_pool2d_kernel", "avg_pool2d_kernel", "upsample_nearest2d_kernel",
-    "relu_kernel", "leaky_relu_kernel", "sigmoid_kernel", "gelu_kernel",
-    "softmax_kernel", "log_softmax_kernel", "batch_norm_eval_kernel",
+    "relu_kernel", "sigmoid_kernel", "gelu_kernel", "softmax_kernel",
 ]
 
 Axis = Union[None, int, Tuple[int, ...]]
@@ -631,13 +630,6 @@ def _conv2d_forward(x: np.ndarray, weight: np.ndarray,
     return out, cols, padded.shape
 
 
-def conv2d_kernel(x: np.ndarray, weight: np.ndarray,
-                  bias: Optional[np.ndarray] = None,
-                  stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Pure-ndarray 2-D convolution forward (no Tensor, no autograd)."""
-    return _conv2d_forward(x, weight, bias, stride, padding)[0]
-
-
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution.  ``x``: (N,C,H,W); ``weight``: (F,C,KH,KW)."""
     x, weight = as_tensor(x), as_tensor(weight)
@@ -705,15 +697,6 @@ def _conv_transpose2d_forward(x: np.ndarray, weight: np.ndarray,
     if bias is not None:
         out = out + bias.reshape(1, c_out, 1, 1)
     return np.ascontiguousarray(out), x_mat, w_mat
-
-
-def conv_transpose2d_kernel(x: np.ndarray, weight: np.ndarray,
-                            bias: Optional[np.ndarray] = None,
-                            stride: int = 1, padding: int = 0,
-                            output_padding: int = 0) -> np.ndarray:
-    """Pure-ndarray transposed-convolution forward."""
-    return _conv_transpose2d_forward(x, weight, bias, stride, padding,
-                                     output_padding)[0]
 
 
 def conv_transpose2d(
@@ -904,25 +887,6 @@ def relu_kernel(x: np.ndarray, out: Optional[np.ndarray] = None,
     return out
 
 
-def leaky_relu_kernel(x: np.ndarray, negative_slope: float = 0.01,
-                      out: Optional[np.ndarray] = None,
-                      scratch: Optional[np.ndarray] = None,
-                      mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """``x * where(x > 0, 1, slope)`` with optional preallocated buffers."""
-    if out is None:
-        mask_l = x > 0
-        return x * np.where(mask_l, 1.0, negative_slope)
-    if scratch is None:
-        scratch = np.empty_like(out)
-    if mask is None:
-        mask = np.empty(x.shape, dtype=bool)
-    np.greater(x, 0, out=mask)
-    np.copyto(scratch, negative_slope)
-    np.copyto(scratch, 1.0, where=mask)
-    np.multiply(x, scratch, out=out)
-    return out
-
-
 def sigmoid_kernel(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``1 / (1 + exp(-x))`` as the same ufunc sequence as the autograd op."""
     if out is None:
@@ -972,41 +936,6 @@ def softmax_kernel(x: np.ndarray, axis: int = -1,
     np.sum(out, axis=axis, keepdims=True, out=reduce_buf)
     np.divide(out, reduce_buf, out=out)
     return out
-
-
-def log_softmax_kernel(x: np.ndarray, axis: int = -1,
-                       out: Optional[np.ndarray] = None,
-                       scratch: Optional[np.ndarray] = None,
-                       reduce_buf: Optional[np.ndarray] = None) -> np.ndarray:
-    """Numerically stable log-softmax matching the autograd arithmetic."""
-    if out is None:
-        shifted = x - x.max(axis=axis, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    if scratch is None:
-        scratch = np.empty_like(out)
-    if reduce_buf is None:
-        reduced = list(x.shape)
-        reduced[axis % x.ndim] = 1
-        reduce_buf = np.empty(reduced, dtype=out.dtype)
-    np.amax(x, axis=axis, keepdims=True, out=reduce_buf)
-    np.subtract(x, reduce_buf, out=out)
-    np.exp(out, out=scratch)
-    np.sum(scratch, axis=axis, keepdims=True, out=reduce_buf)
-    np.log(reduce_buf, out=reduce_buf)
-    np.subtract(out, reduce_buf, out=out)
-    return out
-
-
-def batch_norm_eval_kernel(x: np.ndarray, running_mean: np.ndarray,
-                           running_var: np.ndarray, gamma: np.ndarray,
-                           beta: np.ndarray, eps: float,
-                           param_shape: Tuple[int, ...]) -> np.ndarray:
-    """Eval-mode batch norm, arithmetic-identical to the layer's F-op path."""
-    mean = running_mean.reshape(param_shape)
-    var = running_var.reshape(param_shape)
-    scale = 1.0 / np.sqrt(var + eps)
-    normalized = (x - mean) * scale
-    return normalized * gamma.reshape(param_shape) + beta.reshape(param_shape)
 
 
 # ----------------------------------------------------------------------

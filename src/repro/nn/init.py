@@ -11,10 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "seed", "default_rng", "kaiming_uniform", "kaiming_normal",
-    "xavier_uniform", "xavier_normal", "uniform", "normal", "zeros", "ones",
-]
+__all__ = ["seed", "default_rng", "kaiming_uniform", "normal", "zeros", "ones"]
 
 _GLOBAL_RNG = np.random.default_rng(0)
 
@@ -34,53 +31,20 @@ def _rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
     return rng if rng is not None else _GLOBAL_RNG
 
 
-def _fan(shape: Sequence[int]) -> tuple[int, int]:
-    """(fan_in, fan_out) for dense and convolutional weight shapes."""
+def _fan_in(shape: Sequence[int]) -> int:
+    """Inputs per output unit of a dense (in, out) or conv (out, in, kh, kw)
+    weight."""
     if len(shape) == 2:
-        fan_in, fan_out = shape[0], shape[1]
-    elif len(shape) == 4:
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        fan_in = fan_out = int(np.prod(shape)) if shape else 1
-    return fan_in, fan_out
+        return shape[0]
+    return int(np.prod(shape[1:]))
 
 
 def kaiming_uniform(shape, fan_in: Optional[int] = None,
                     rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """He-uniform init, bound sqrt(6 / fan_in)."""
-    fan_in = fan_in if fan_in is not None else _fan(shape)[0]
+    fan_in = fan_in if fan_in is not None else _fan_in(shape)
     bound = np.sqrt(6.0 / fan_in)
     return _rng(rng).uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape, fan_in: Optional[int] = None,
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """He-normal init, std sqrt(2 / fan_in)."""
-    fan_in = fan_in if fan_in is not None else _fan(shape)[0]
-    std = np.sqrt(2.0 / fan_in)
-    return _rng(rng).normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Glorot-uniform init over fan_in + fan_out."""
-    fan_in, fan_out = _fan(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return _rng(rng).uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Glorot-normal init over fan_in + fan_out."""
-    fan_in, fan_out = _fan(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return _rng(rng).normal(0.0, std, size=shape)
-
-
-def uniform(shape, low: float = -0.1, high: float = 0.1,
-            rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Uniform init in [low, high)."""
-    return _rng(rng).uniform(low, high, size=shape)
 
 
 def normal(shape, mean: float = 0.0, std: float = 0.02,

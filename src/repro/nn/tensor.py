@@ -1,8 +1,8 @@
 """Autograd tensor: the foundation of the from-scratch NN framework.
 
 The paper trains LMM-IR with PyTorch; this reproduction substitutes a
-minimal-but-complete reverse-mode autodiff engine on top of numpy (see
-DESIGN.md, substitution table).  Every differentiable operation builds a
+minimal reverse-mode autodiff engine on top of numpy (see EXPERIMENTS.md,
+"Substitutions").  Every differentiable operation builds a
 node in a dynamic DAG; :meth:`Tensor.backward` walks the DAG in reverse
 topological order and accumulates gradients.
 
@@ -278,16 +278,6 @@ class Tensor:
 
         return F.mean(self, axis=axis, keepdims=keepdims)
 
-    def max(self, axis=None, keepdims=False):
-        from repro.nn import functional as F
-
-        return F.max(self, axis=axis, keepdims=keepdims)
-
-    def min(self, axis=None, keepdims=False):
-        from repro.nn import functional as F
-
-        return F.min(self, axis=axis, keepdims=keepdims)
-
     def exp(self):
         from repro.nn import functional as F
 
@@ -298,11 +288,6 @@ class Tensor:
 
         return F.log(self)
 
-    def sqrt(self):
-        from repro.nn import functional as F
-
-        return F.sqrt(self)
-
     def relu(self):
         from repro.nn import functional as F
 
@@ -312,11 +297,6 @@ class Tensor:
         from repro.nn import functional as F
 
         return F.sigmoid(self)
-
-    def tanh(self):
-        from repro.nn import functional as F
-
-        return F.tanh(self)
 
 
 class Parameter(Tensor):

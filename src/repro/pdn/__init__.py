@@ -1,8 +1,8 @@
 """``repro.pdn`` — synthetic power-delivery-network generation.
 
-Substitutes for the contest/BeGAN benchmark data (see DESIGN.md): layer
-stacks, grid topology with vias and macro blockages, synthetic power maps,
-and full case generation.
+Substitutes for the contest/BeGAN benchmark data (see EXPERIMENTS.md,
+"Substitutions"): layer stacks, grid topology with vias and macro
+blockages, synthetic power maps, and full case generation.
 """
 
 from repro.pdn.generator import (

@@ -1,6 +1,5 @@
-"""``repro.train`` — batching, two-stage training, callbacks, seeding."""
+"""``repro.train`` — batching, two-stage training, seeding."""
 
-from repro.train.callbacks import Callback, CheckpointSaver, EarlyStopping, EpochLogger
 from repro.train.loader import Batch, BatchLoader, CasePreprocessor, PreparedCase
 from repro.train.seed import seed_everything
 from repro.train.trainer import TrainConfig, Trainer, TrainHistory
@@ -8,6 +7,5 @@ from repro.train.trainer import TrainConfig, Trainer, TrainHistory
 __all__ = [
     "CasePreprocessor", "BatchLoader", "Batch", "PreparedCase",
     "Trainer", "TrainConfig", "TrainHistory",
-    "Callback", "EpochLogger", "EarlyStopping", "CheckpointSaver",
     "seed_everything",
 ]

@@ -20,7 +20,6 @@ from repro.data.case import CaseBundle
 from repro.nn.losses import masked_mse
 from repro.nn.module import Module
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.train.callbacks import Callback
 from repro.train.loader import (
     Batch,
     BatchLoader,
@@ -82,12 +81,10 @@ class Trainer:
     """Drives the two-stage optimisation of one model."""
 
     def __init__(self, model: Module, preprocessor: CasePreprocessor,
-                 config: Optional[TrainConfig] = None,
-                 callbacks: Sequence[Callback] = ()):
+                 config: Optional[TrainConfig] = None):
         self.model = model
         self.preprocessor = preprocessor
         self.config = config or TrainConfig()
-        self.callbacks = list(callbacks)
 
     # ------------------------------------------------------------------
     def fit(self, cases: Sequence[CaseBundle]) -> TrainHistory:
@@ -125,20 +122,14 @@ class Trainer:
 
     def _run_stage(self, stage: str, loader: BatchLoader, epochs: int) -> List[float]:
         optimizer = Adam(self.model.parameters(), lr=self.config.lr)
-        for callback in self.callbacks:
-            callback.on_stage_start(stage)
         losses: List[float] = []
         self.model.train()
-        for epoch in range(epochs):
+        for _ in range(epochs):
             epoch_losses = []
             for batch in loader:
                 loss_value = self._step(stage, batch, optimizer)
                 epoch_losses.append(loss_value)
-            mean_loss = float(np.mean(epoch_losses))
-            losses.append(mean_loss)
-            if any(cb.on_epoch_end(epoch, mean_loss, self.model)
-                   for cb in self.callbacks):
-                break
+            losses.append(float(np.mean(epoch_losses)))
         return losses
 
     def _step(self, stage: str, batch: Batch, optimizer: Adam) -> float:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults.degrade import (
+    EVENT_WINDOW,
     DegradationLog,
     DegradationPolicy,
     default_log,
@@ -44,6 +45,19 @@ class TestDegradationLog:
         log.record("a", "b", "c", "d")
         log.clear()
         assert len(log) == 0 and log.counts() == {}
+
+    def test_events_are_a_bounded_ring_and_counts_stay_exact(self):
+        log = DegradationLog()
+        for index in range(EVENT_WINDOW + 10):
+            log.record("serve.breaker", "closed", "open", f"trip {index}")
+        log.record("serve.watchdog", "busy", "killed", "stall")
+        events = log.events()
+        assert len(events) == EVENT_WINDOW
+        assert events[0].reason == "trip 11"     # the oldest 11 dropped off
+        assert events[-1].component == "serve.watchdog"
+        assert log.counts() == {"serve.breaker: closed->open": EVENT_WINDOW + 10,
+                                "serve.watchdog: busy->killed": 1}
+        assert len(log) == EVENT_WINDOW + 11
 
     def test_default_ledger_is_shared(self):
         record("infer.engine", "engine", "autograd", "why")

@@ -154,7 +154,7 @@ class TestSchedulers:
 class TestEndToEndTraining:
     def test_mlp_learns_xor(self):
         nn.init.seed(0)
-        model = nn.Sequential(nn.Linear(2, 8), nn.Tanh(), nn.Linear(8, 1))
+        model = nn.Sequential(nn.Linear(2, 8), nn.GELU(), nn.Linear(8, 1))
         x = nn.Tensor([[0, 0], [0, 1], [1, 0], [1, 1]])
         y = nn.Tensor([[0.0], [1.0], [1.0], [0.0]])
         opt = nn.Adam(model.parameters(), lr=0.05)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.model import LMMIR, LMMIRConfig
 from repro.core.pipeline import IRPredictor
 from repro.data.synthesis import synthesize_case
-from repro.train.callbacks import EarlyStopping, EpochLogger
 from repro.train.loader import BatchLoader, CasePreprocessor
 from repro.train.seed import seed_everything
 from repro.train.trainer import TrainConfig, Trainer
@@ -119,14 +118,6 @@ class TestTrainer:
                           TrainConfig(epochs=1, pretrain_epochs=3, batch_size=2))
         history = trainer.fit(cases)
         assert history.pretrain_losses == []
-
-    def test_early_stopping_halts(self, preprocessor, cases):
-        model = tiny_model()
-        trainer = Trainer(model, preprocessor,
-                          TrainConfig(epochs=50, batch_size=2, lr=1e-12),
-                          callbacks=[EarlyStopping(patience=2, min_delta=1.0)])
-        history = trainer.fit(cases)
-        assert len(history.finetune_losses) <= 4
 
     def test_hotspot_weight_changes_training(self, preprocessor, cases):
         losses = {}
