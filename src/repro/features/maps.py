@@ -44,11 +44,6 @@ def _source_pixels(table: NodeTable, nodes: np.ndarray,
     return rows * shape[1] + cols, on_grid
 
 
-def _values(elements, attribute: str) -> np.ndarray:
-    return np.fromiter((getattr(element, attribute) for element in elements),
-                       dtype=float, count=len(elements))
-
-
 def current_map(netlist: Netlist, shape: Optional[Tuple[int, int]] = None,
                 power_density: Optional[np.ndarray] = None) -> np.ndarray:
     """The contest's current map.
@@ -60,7 +55,7 @@ def current_map(netlist: Netlist, shape: Optional[Tuple[int, int]] = None,
     scattering the current-source values.
     """
     shape = shape or map_shape_for(netlist)
-    total = sum(source.value for source in netlist.current_sources)
+    total = sum(netlist.node_table().currents.tolist())  # one by one, not pairwise
     if power_density is not None:
         if power_density.shape != shape:
             raise ValueError(
@@ -81,7 +76,7 @@ def current_source_map(netlist: Netlist,
     pixels, on_grid = _source_pixels(table, table.current_nodes, shape)
     raster = np.zeros(shape)
     np.add.at(raster.reshape(-1), pixels,
-              _values(netlist.current_sources, "value")[on_grid])
+              table.currents[on_grid])
     return raster
 
 
@@ -93,7 +88,7 @@ def voltage_source_map(netlist: Netlist,
     pixels, on_grid = _source_pixels(table, table.voltage_nodes, shape)
     raster = np.zeros(shape)
     np.maximum.at(raster.reshape(-1), pixels,
-                  _values(netlist.voltage_sources, "value")[on_grid])
+                  table.voltages[on_grid])
     return raster
 
 
@@ -106,7 +101,7 @@ def resistance_map(netlist: Netlist,
     ends = table.resistor_nodes
     table.require_grid(ends)
     on_grid = (ends >= 0).all(axis=1)
-    resistance = _values(netlist.resistors, "resistance")[on_grid]
+    resistance = table.resistances[on_grid]
     ends = ends[on_grid]
     r0, c0 = table.columns.take(ends[:, 0]).pixels(shape)
     r1, c1 = table.columns.take(ends[:, 1]).pixels(shape)

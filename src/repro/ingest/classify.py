@@ -80,12 +80,12 @@ def _skip_counts(diagnostics: Sequence[Diagnostic]) -> Tuple[int, int, int]:
 def classify_deck(netlist: Netlist,
                   diagnostics: Sequence[Diagnostic] = ()) -> DeckClassification:
     """Classify a tolerantly parsed deck (see module docstring)."""
-    supported = (len(netlist.resistors) + len(netlist.current_sources)
-                 + len(netlist.voltage_sources))
+    table = netlist.node_table()
+    supported = sum(table.element_counts())
     skipped, transistors, structural = _skip_counts(diagnostics)
 
-    grid = int(netlist.node_table().columns.grid.sum())
-    foreign = netlist.num_nodes - grid
+    grid = int(table.columns.grid.sum())
+    foreign = len(table.names) - grid
 
     def verdict(category: str, reason: str) -> DeckClassification:
         return DeckClassification(

@@ -116,11 +116,13 @@ def _degrade(report: IngestReport, log: DegradationLog, component: str,
 
 
 def _netlist_summary(netlist: Netlist) -> dict:
+    table = netlist.node_table()
+    resistors, currents, voltages = table.element_counts()
     return {
-        "nodes": netlist.num_nodes,
-        "resistors": len(netlist.resistors),
-        "current_sources": len(netlist.current_sources),
-        "voltage_sources": len(netlist.voltage_sources),
+        "nodes": len(table.names),
+        "resistors": resistors,
+        "current_sources": currents,
+        "voltage_sources": voltages,
     }
 
 

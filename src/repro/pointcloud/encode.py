@@ -82,18 +82,14 @@ def encode_netlist(netlist: Netlist,
     x_um, y_um = columns.x / DBU_PER_UM, columns.y / DBU_PER_UM
     layer = columns.layer / max_layer
 
-    resistances = np.fromiter((r.resistance for r in netlist.resistors),
-                              dtype=float, count=len(netlist.resistors))
-    log_r = np.log1p(resistances)
+    log_r = np.log1p(table.resistances)
     r_scale = max(float(log_r.max()), 1e-12) if log_r.size else 1.0
 
-    currents = np.fromiter((i.value for i in netlist.current_sources),
-                           dtype=float, count=len(netlist.current_sources))
+    currents = table.currents
     i_mean = float(currents.mean()) if currents.size else 0.0
     i_std = max(float(currents.std()), 1e-12) if currents.size else 1.0
 
-    volts = np.fromiter((v.value for v in netlist.voltage_sources),
-                        dtype=float, count=len(netlist.voltage_sources))
+    volts = table.voltages
     vdd = volts[0] if volts.size else 1.0
 
     def element_points(ends: np.ndarray, values: np.ndarray,

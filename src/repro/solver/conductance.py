@@ -5,9 +5,10 @@ resistor, ``J`` the current sources, and voltage-source nodes are Dirichlet
 boundary conditions eliminated from the system (standard reduction — the
 supplies are ideal, so their node voltages are known a priori).
 
-Assembly is fully vectorized: node names are gathered into integer code
-arrays once, and every stamp (diagonals, symmetric off-diagonals, supply
-RHS contributions) is built with NumPy array ops before a single
+Assembly is fully vectorized: it reads the netlist's columns
+(:meth:`~repro.spice.netlist.Netlist.node_table`), maps node indices to
+integer codes once, and every stamp (diagonals, symmetric off-diagonals,
+supply RHS contributions) is built with NumPy array ops before a single
 COO→CSR conversion sums duplicate triplets.  ``assemble_system_reference``
 keeps the original per-resistor Python loop as the scalar oracle for
 parity tests and the assembly benchmark.
@@ -154,14 +155,16 @@ class NodalSystem:
 
 
 def _fixed_voltages(netlist: Netlist) -> Dict[str, float]:
+    table = netlist.node_table()
     fixed: Dict[str, float] = {}
-    for source in netlist.voltage_sources:
-        if source.node in fixed and fixed[source.node] != source.value:
+    for node, value in zip(table.node_names(table.voltage_nodes),
+                           table.voltages.tolist()):
+        if node in fixed and fixed[node] != value:
             raise ValueError(
-                f"node {source.node} pinned to conflicting voltages "
-                f"{fixed[source.node]} and {source.value}"
+                f"node {node} pinned to conflicting voltages "
+                f"{fixed[node]} and {value}"
             )
-        fixed[source.node] = source.value
+        fixed[node] = value
     return fixed
 
 
@@ -175,35 +178,37 @@ def assemble_system(netlist: Netlist) -> NodalSystem:
         supplies pin one node to conflicting voltages.
     """
     fixed = _fixed_voltages(netlist)
-    all_nodes = netlist.node_index()
-    free_nodes = [name for name in all_nodes if name not in fixed]
-    fixed_nodes = [name for name in all_nodes if name in fixed]
-    n = len(free_nodes)
+    table = netlist.node_table()
+    supplies = table.voltage_nodes[table.voltage_nodes >= 0]
+    is_fixed = np.zeros(len(table.names), dtype=bool)
+    is_fixed[supplies] = True
+    free_rows = np.flatnonzero(~is_fixed)
+    fixed_rows = np.flatnonzero(is_fixed)
+    n = len(free_rows)
+    free_nodes = table.node_names(free_rows)
+    fixed_values = np.array([fixed[name]
+                             for name in table.node_names(fixed_rows)],
+                            dtype=float)
 
-    # Integer codes: free nodes [0, n), supply nodes [n, n+f), ground -1.
-    code: Dict[str, int] = {name: i for i, name in enumerate(free_nodes)}
-    for offset, name in enumerate(fixed_nodes):
-        code[name] = n + offset
-    code[GROUND] = -1
-    fixed_values = np.array([fixed[name] for name in fixed_nodes], dtype=float)
+    # Integer codes: free nodes [0, n), supply nodes [n, n+f), ground -1
+    # (the last slot, which node index -1 reads).
+    code = np.full(len(table.names) + 1, -1, dtype=np.int64)
+    code[free_rows] = np.arange(n)
+    code[fixed_rows] = n + np.arange(len(fixed_rows))
 
     supply_rhs = np.zeros(n)
-    resistors = netlist.resistors
-    if resistors:
-        count = len(resistors)
-        code_a = np.fromiter((code[r.node_a] for r in resistors),
-                             dtype=np.int64, count=count)
-        code_b = np.fromiter((code[r.node_b] for r in resistors),
-                             dtype=np.int64, count=count)
-        resistance = np.fromiter((r.resistance for r in resistors),
-                                 dtype=float, count=count)
+    if len(table.resistances):
+        code_a, code_b = code[table.resistor_nodes.T]
+        resistance = table.resistances
         bad = np.flatnonzero(resistance <= 0.0)
         if bad.size:
-            offender = resistors[int(bad[0])]
+            offender = int(bad[0])
+            node_a, node_b = table.node_names(table.resistor_nodes[offender])
             raise ValueError(
-                f"resistor {offender.name!r} ({offender.node_a} — "
-                f"{offender.node_b}) has non-positive resistance "
-                f"{offender.resistance!r}; conductance stamping needs R > 0"
+                f"resistor {table.resistor_names[offender]!r} ({node_a} — "
+                f"{node_b}) has non-positive resistance "
+                f"{float(resistance[offender])!r}; conductance stamping "
+                f"needs R > 0"
             )
         conductance = 1.0 / resistance
 
@@ -242,14 +247,10 @@ def assemble_system(netlist: Netlist) -> NodalSystem:
         matrix = sparse.csr_matrix((n, n))
 
     currents = np.zeros(n)
-    sources = netlist.current_sources
-    if sources:
-        source_codes = np.fromiter((code.get(s.node, -1) for s in sources),
-                                   dtype=np.int64, count=len(sources))
-        source_values = np.fromiter((s.value for s in sources),
-                                    dtype=float, count=len(sources))
+    if len(table.currents):
+        source_codes = code[table.current_nodes]
         on_free = (source_codes >= 0) & (source_codes < n)
-        np.add.at(currents, source_codes[on_free], source_values[on_free])
+        np.add.at(currents, source_codes[on_free], table.currents[on_free])
         # current sources on supply nodes are absorbed by the ideal source
 
     return NodalSystem(matrix=matrix, rhs=supply_rhs - currents,

@@ -8,8 +8,7 @@ coordinate past 2**31 - 1 nm would be a die over two metres wide); a name
 with a larger field does not follow the convention.
 
 :func:`parse_node` reads one name; :func:`parse_nodes` reads a whole
-netlist's names into int32 columns (see :class:`NodeColumns`) and is the
-one place the pattern runs over many names.
+netlist's names into int32 columns (see :class:`NodeColumns`).
 """
 
 from __future__ import annotations
@@ -31,6 +30,11 @@ DBU_PER_UM = 1000
 _NODE_RE = re.compile(r"^n(?P<net>\d+)_m(?P<layer>\d+)_(?P<x>\d+)_(?P<y>\d+)$")
 
 _FIELD_MAX = int(np.iinfo(np.int32).max)
+
+_GRID_NAMES_RE = re.compile(
+    r"(?:n[0-9]{1,18}_m[0-9]{1,18}_[0-9]{1,18}_[0-9]{1,18}\n)*")
+"""Newline-terminated contest names whose fields are ASCII digits short
+enough for int64 (each such name is one :data:`_NODE_RE` accepts)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -129,16 +133,35 @@ def parse_nodes(names: Sequence[str]) -> NodeColumns:
     Row ``i`` is a grid row exactly when :func:`try_parse_node` would
     return a :class:`NodeName` for ``names[i]``.
     """
+    fields, grid = _grid_fields(names)
+    in_range = (fields <= _FIELD_MAX).all(axis=1)
+    grid[grid] = in_range
+    columns = np.zeros((4, len(names)), dtype=np.int32)
+    columns[:, grid] = fields[in_range].T
+    return NodeColumns(grid, *columns)
+
+
+def _grid_fields(names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(fields, grid)``: ``grid`` marks the names :data:`_NODE_RE`
+    matches and ``fields`` holds their four integers, one row each.
+
+    A whole netlist of contest names, the common case, takes one pattern
+    match over the joined names and one numeric split; any other list is
+    matched name by name.
+    """
+    text = "\n".join(names) + "\n"
+    if _GRID_NAMES_RE.fullmatch(text):
+        fields = np.fromstring(
+            text.replace("n", " ").replace("_m", " ").replace("_", " "),
+            dtype=np.int64, sep=" ")
+        if fields.size == 4 * len(names):  # no name spans two lines
+            return fields.reshape(-1, 4), np.ones(len(names), dtype=bool)
     matches = [_NODE_RE.match(name) for name in names]
     grid = np.fromiter((match is not None for match in matches),
                        dtype=bool, count=len(matches))
     fields = np.array([int(field) for match in matches if match is not None
                        for field in match.groups()]).reshape(-1, 4)
-    in_range = (fields <= _FIELD_MAX).all(axis=1)
-    grid[grid] = in_range
-    columns = np.zeros((4, len(matches)), dtype=np.int32)
-    columns[:, grid] = fields[in_range].T
-    return NodeColumns(grid, *columns)
+    return fields, grid
 
 
 def format_node(node: NodeName) -> str:

@@ -22,15 +22,29 @@ lines and inline ``$``/``;`` comments, and both apply *typed* value
 rejection: a non-finite or non-positive resistor value is never accepted
 silently (``nan`` used to pass the sign checks and detonate inside the
 solver).
+
+The scanner writes accepted elements straight into columns
+(:class:`~repro.spice.netlist.ColumnBuilder`), no element objects.  A
+*clean* contest line (four tokens, an ``R``/``I``/``V`` card, a plain
+numeric value, no comment marker, not continued on a later line,
+sources written ``X n 0``) whose element passes the element checks is
+appended on a fast path.  Every other line goes, in line order, to the
+per-card code both modes share, so the diagnostics and errors are the
+ones that code gives when it parses every line.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.spice.netlist import Netlist
+from repro.spice.elements import CurrentSource, Resistor, VoltageSource
+from repro.spice.netlist import (
+    CURRENT, RESISTOR, VOLTAGE, ColumnBuilder, Netlist,
+)
+from repro.spice.nodes import GROUND
 
 __all__ = [
     "parse_spice", "parse_spice_file", "parse_value", "SpiceParseError",
@@ -141,16 +155,88 @@ def _strip_inline_comment(line: str) -> str:
     return line
 
 
-def _logical_lines(text: str) -> Iterator[Tuple[int, str]]:
-    """Yield ``(first_line_number, joined_card)`` logical lines.
+#: Card letters the fast path takes, and the element kind of each.
+_FAST_KINDS = {"R": RESISTOR, "r": RESISTOR, "I": CURRENT, "i": CURRENT,
+               "V": VOLTAGE, "v": VOLTAGE}
+
+#: Last characters of a value token :func:`parse_value` reads with a plain
+#: ``float`` (no engineering suffix, no ``nan``/``inf`` spelling).
+_PLAIN_VALUE_ENDS = frozenset("0123456789.")
+
+
+def _unclean_lines(lines: List[str]) -> Set[int]:
+    """Line numbers the fast path must leave to the card parser: lines
+    with an inline comment, and cards a later ``+`` line continues."""
+    unclean: Set[int] = set()
+    card = None
+    for line_number, raw in enumerate(lines, start=1):
+        if "$" in raw or ";" in raw:
+            unclean.add(line_number)
+        line = _strip_inline_comment(raw).strip()
+        if not line or line.startswith("*"):
+            continue
+        if line.startswith("+"):
+            if card is not None:
+                unclean.add(card)
+            continue
+        card = line_number
+    return unclean
+
+
+def _scan(text: str, columns: ColumnBuilder) -> Iterator[Tuple[int, str]]:
+    """Append the clean lines of ``text`` to ``columns``; yield every
+    other card as ``(first_line_number, joined_card)``, in line order.
 
     A leading ``+`` continues the previous card (standard SPICE); inline
     ``$``/``;`` comments are stripped per physical line before joining.
     A ``+`` with no previous card is yielded as-is so the card parser
-    can report it with the right provenance.
+    can report it with the right provenance.  A clean line is appended
+    only when its element passes the same checks as the element classes
+    (finite, sign, no self-short, sources on ground); any other line is
+    yielded, so the card parser reports it.
     """
+    lines = text.splitlines()
+    unclean = (_unclean_lines(lines) if "$" in text or ";" in text
+               or "+" in text else ())
+    ids = columns.ids
+    intern = ids.get
+    names, nodes, values = columns.names, columns.nodes, columns.values
     pending: Optional[Tuple[int, str]] = None
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if (len(tokens) == 4 and tokens[3][-1] in _PLAIN_VALUE_ENDS
+                and line_number not in unclean):
+            card, node_a, node_b, token = tokens
+            kind = _FAST_KINDS.get(card[0])
+            try:
+                value = float(token)
+            except ValueError:
+                kind = None
+            if kind == RESISTOR:
+                clean = 0.0 < value < math.inf and node_a != node_b
+            elif kind is not None:
+                clean = (node_b == GROUND and node_a != GROUND
+                         and (0.0 <= value if kind == CURRENT else 0.0 < value)
+                         and value < math.inf)
+            else:
+                clean = False
+            if clean:
+                if pending is not None:
+                    yield pending
+                    pending = None
+                names[kind].append(card)
+                values[kind].append(value)
+                ends = nodes[kind]
+                node = intern(node_a)
+                if node is None:
+                    node = ids[node_a] = len(ids)
+                ends.append(node)
+                if kind == RESISTOR:
+                    node = intern(node_b)
+                    if node is None:
+                        node = ids[node_b] = len(ids)
+                    ends.append(node)
+                continue
         line = _strip_inline_comment(raw).strip()
         if not line or line.startswith("*"):
             continue
@@ -195,40 +281,47 @@ def parse_spice(text: str, name: str = "pdn", mode: str = "strict",
     skip/rejection as a :class:`Diagnostic` in ``diagnostics`` (a list
     the caller may supply to keep them); ``mode="strict"`` raises
     :class:`SpiceParseError` at the first problem.  The returned netlist
-    contains exactly the accepted ``R``/``I``/``V`` cards in file order.
+    contains exactly the accepted ``R``/``I``/``V`` cards in file order,
+    as columns (:meth:`~repro.spice.netlist.Netlist.from_table`).
     """
     context = _ParseContext(mode, diagnostics)
-    netlist = Netlist(name=name)
-    for line_number, line in _logical_lines(text):
-        if line.startswith("+"):
-            context.reject("dangling-continuation",
-                           "continuation line with no card to continue",
-                           line_number, line, severity="warning")
-            continue
-        if line.startswith("."):
-            _parse_directive(context, line_number, line)
-            continue
-        tokens = line.split()
-        kind = tokens[0][0].lower()
-        if kind == "r":
-            _parse_resistor(context, netlist, tokens, line_number, line)
-        elif kind == "i":
-            _parse_source(context, netlist, tokens, line_number, line,
-                          current=True)
-        elif kind == "v":
-            _parse_source(context, netlist, tokens, line_number, line,
-                          current=False)
-        elif kind in TRANSISTOR_PREFIXES or kind in PASSIVE_PREFIXES:
-            context.reject(
-                "element-skipped",
-                f"unsupported element card {tokens[0]!r} "
-                f"(type {kind.upper()!r}) skipped",
-                line_number, line, severity="warning", element=kind)
-        else:
-            context.reject("unknown-element",
-                           f"unknown element type {tokens[0]!r}",
-                           line_number, line)
-    return netlist
+    columns = ColumnBuilder()
+    for line_number, line in _scan(text, columns):
+        _parse_card(context, columns, line_number, line)
+    return Netlist.from_table(columns.build(), name=name)
+
+
+def _parse_card(context: _ParseContext, columns: ColumnBuilder,
+                line_number: int, line: str) -> None:
+    """Parse one card the fast path left (see :func:`_scan`)."""
+    if line.startswith("+"):
+        context.reject("dangling-continuation",
+                       "continuation line with no card to continue",
+                       line_number, line, severity="warning")
+        return
+    if line.startswith("."):
+        _parse_directive(context, line_number, line)
+        return
+    tokens = line.split()
+    kind = tokens[0][0].lower()
+    if kind == "r":
+        _parse_resistor(context, columns, tokens, line_number, line)
+    elif kind == "i":
+        _parse_source(context, columns, tokens, line_number, line,
+                      current=True)
+    elif kind == "v":
+        _parse_source(context, columns, tokens, line_number, line,
+                      current=False)
+    elif kind in TRANSISTOR_PREFIXES or kind in PASSIVE_PREFIXES:
+        context.reject(
+            "element-skipped",
+            f"unsupported element card {tokens[0]!r} "
+            f"(type {kind.upper()!r}) skipped",
+            line_number, line, severity="warning", element=kind)
+    else:
+        context.reject("unknown-element",
+                       f"unknown element type {tokens[0]!r}",
+                       line_number, line)
 
 
 def _parse_directive(context: _ParseContext, line_number: int,
@@ -284,7 +377,7 @@ def _card_value(context: _ParseContext, tokens, expected: int,
         return None
 
 
-def _parse_resistor(context: _ParseContext, netlist: Netlist, tokens,
+def _parse_resistor(context: _ParseContext, columns: ColumnBuilder, tokens,
                     line_number: int, line: str) -> None:
     if len(tokens) < 4:
         context.reject("wrong-token-count", "resistor needs 4 tokens",
@@ -294,12 +387,14 @@ def _parse_resistor(context: _ParseContext, netlist: Netlist, tokens,
     if value is None:
         return
     try:
-        netlist.add_resistor(tokens[1], tokens[2], value, name=tokens[0])
+        element = Resistor(tokens[0], tokens[1], tokens[2], value)
     except ValueError as exc:
         context.reject("bad-value", str(exc), line_number, line)
+        return
+    columns.extend(RESISTOR, (element,))
 
 
-def _parse_source(context: _ParseContext, netlist: Netlist, tokens,
+def _parse_source(context: _ParseContext, columns: ColumnBuilder, tokens,
                   line_number: int, line: str, current: bool) -> None:
     what = "current source" if current else "voltage source"
     if len(tokens) < 4:
@@ -307,8 +402,14 @@ def _parse_source(context: _ParseContext, netlist: Netlist, tokens,
                        line_number, line)
         return
     node_a, node_b = tokens[1], tokens[2]
-    if node_b != "0":
-        if node_a == "0":
+    if node_a == GROUND and node_b == GROUND:
+        context.reject("grounded-source",
+                       f"{what} has both terminals on ground",
+                       line_number, line,
+                       severity="warning", element=tokens[0][0].lower())
+        return
+    if node_b != GROUND:
+        if node_a == GROUND:
             node_a = node_b  # normalise "X 0 n ..." ordering
         else:
             context.reject("non-ground-source",
@@ -319,13 +420,14 @@ def _parse_source(context: _ParseContext, netlist: Netlist, tokens,
     value = _card_value(context, tokens, 4, line_number, line, what)
     if value is None:
         return
+    kind, element_type = ((CURRENT, CurrentSource) if current
+                          else (VOLTAGE, VoltageSource))
     try:
-        if current:
-            netlist.add_current_source(node_a, value, name=tokens[0])
-        else:
-            netlist.add_voltage_source(node_a, value, name=tokens[0])
+        element = element_type(tokens[0], node_a, value)
     except ValueError as exc:
         context.reject("bad-value", str(exc), line_number, line)
+        return
+    columns.extend(kind, (element,))
 
 
 def parse_spice_file(path: str, mode: str = "strict",

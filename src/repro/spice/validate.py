@@ -8,6 +8,7 @@ element names are unique, and all values are physical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List
 
 import numpy as np
@@ -55,21 +56,23 @@ def validate_netlist(netlist: Netlist,
 
 
 def _check_nonempty(netlist: Netlist, report: ValidationReport) -> None:
-    if not netlist.resistors:
+    resistors, currents, voltages = netlist.node_table().element_counts()
+    if not resistors:
         report.errors.append("netlist has no resistors")
-    if not netlist.voltage_sources:
+    if not voltages:
         report.errors.append("netlist has no voltage sources (unsolvable)")
-    if not netlist.current_sources:
+    if not currents:
         report.warnings.append("netlist has no current sources (IR drop will be zero)")
 
 
 def _check_unique_names(netlist: Netlist, report: ValidationReport) -> None:
+    table = netlist.node_table()
     seen = set()
-    for element in (*netlist.resistors, *netlist.current_sources,
-                    *netlist.voltage_sources):
-        if element.name in seen:
-            report.errors.append(f"duplicate element name {element.name!r}")
-        seen.add(element.name)
+    for name in chain(table.resistor_names, table.current_names,
+                      table.voltage_names):
+        if name in seen:
+            report.errors.append(f"duplicate element name {name!r}")
+        seen.add(name)
 
 
 def _check_node_names(netlist: Netlist, report: ValidationReport) -> None:
@@ -83,15 +86,15 @@ def _check_sources_on_resistive_nodes(netlist: Netlist, report: ValidationReport
     # one slot per node plus a last one for ground (code -1)
     resistive = np.zeros(len(table.names) + 1, dtype=bool)
     resistive[table.resistor_nodes.ravel()] = True
-    for i in np.flatnonzero(~resistive[table.current_nodes]):
-        source = netlist.current_sources[i]
+    floating = np.flatnonzero(~resistive[table.current_nodes])
+    for i, node in zip(floating, table.node_names(table.current_nodes[floating])):
         report.errors.append(
-            f"current source {source.name} on floating node {source.node}"
+            f"current source {table.current_names[i]} on floating node {node}"
         )
-    for i in np.flatnonzero(~resistive[table.voltage_nodes]):
-        source = netlist.voltage_sources[i]
+    isolated = np.flatnonzero(~resistive[table.voltage_nodes])
+    for i, node in zip(isolated, table.node_names(table.voltage_nodes[isolated])):
         report.warnings.append(
-            f"voltage source {source.name} on isolated node {source.node}"
+            f"voltage source {table.voltage_names[i]} on isolated node {node}"
         )
 
 

@@ -96,10 +96,8 @@ def _content_digest(case: CaseBundle) -> str:
     for channel in sorted(case.feature_maps):
         digest.update(channel.encode())
         digest.update(np.ascontiguousarray(case.feature_maps[channel]).tobytes())
-    netlist = case.netlist
-    digest.update(repr((netlist.num_nodes, len(netlist.resistors),
-                        len(netlist.current_sources),
-                        len(netlist.voltage_sources))).encode())
+    table = case.netlist.node_table()
+    digest.update(repr((len(table.names), *table.element_counts())).encode())
     return digest.hexdigest()
 
 

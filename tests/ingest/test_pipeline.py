@@ -133,6 +133,16 @@ class TestRasterGuard:
         reason = log.events("ingest.pipeline")[0].reason
         assert "pixel guard" in reason
 
+    def test_grounded_supply_does_not_set_vdd(self):
+        result = ingest_text("R1 n1_m1_0_0 n1_m1_1000_0 1.0\n"
+                             "I1 n1_m1_1000_0 0 0.1\n"
+                             "V0 0 0 2.0\n"
+                             "V1 n1_m1_0_0 0 1.0\n")
+        assert result.report.solve["vdd"] == 1.0
+        assert result.report.solve["worst_drop"] == pytest.approx(0.1)
+        assert [d.code for d in result.report.diagnostics] == \
+            ["grounded-source"]
+
     def test_bad_on_raster_error_rejected(self):
         with pytest.raises(ValueError):
             ingest_text("V1 a 0 1\nR1 a b 1\n", on_raster_error="explode")

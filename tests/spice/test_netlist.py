@@ -77,3 +77,22 @@ def test_cache_invalidated_on_mutation():
     before = net.num_nodes
     net.add_resistor("n1_m4_1000_0", "n1_m4_9000_0", 2.0)
     assert net.num_nodes == before + 1
+
+
+def test_parsed_elements_are_a_view_of_the_columns():
+    from repro.spice.parser import parse_spice
+    from repro.spice.writer import write_spice
+
+    built = small_netlist()
+    parsed = parse_spice(write_spice(built), name="test")
+    assert parsed.resistors == built.resistors
+    assert parsed.current_sources == built.current_sources
+    assert parsed.voltage_sources == built.voltage_sources
+    # mutation makes the lists the truth and drops the parsed table
+    parsed.add_resistor("n1_m4_1000_0", "n1_m4_9000_0", 2.0)
+    built.add_resistor("n1_m4_1000_0", "n1_m4_9000_0", 2.0)
+    assert parsed.num_nodes == 5
+    assert list(parsed.node_index()) == list(built.node_index())
+    parsed.current_sources = []
+    assert parsed.node_table().current_nodes.size == 0
+    assert len(parsed.resistors) == 4

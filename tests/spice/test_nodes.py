@@ -56,9 +56,7 @@ def test_fields_past_int32_are_not_grid_names():
         parse_node("n1_m1_0_" + "9" * 25)
 
 
-def test_parse_nodes_matches_single_parses():
-    names = ["n1_m4_4200_1400", GROUND, "vdd", "n2_m1_0_2147483647",
-             "n1_m1_2147483648_0", "n1_m1_0_" + "9" * 25, "n1_m1_10"]
+def assert_matches_single_parses(names):
     columns = parse_nodes(names)
     assert all(column.dtype == np.int32 for column in columns[1:])
     for i, name in enumerate(names):
@@ -66,4 +64,23 @@ def test_parse_nodes_matches_single_parses():
         assert bool(columns.grid[i]) == (node is not None)
         fields = (columns.net[i], columns.layer[i], columns.x[i], columns.y[i])
         assert fields == ((node.net, node.layer, node.x, node.y) if node else (0,) * 4)
+
+
+def test_parse_nodes_matches_single_parses():
+    assert_matches_single_parses(
+        ["n1_m4_4200_1400", GROUND, "vdd", "n2_m1_0_2147483647",
+         "n1_m1_2147483648_0", "n1_m1_0_" + "9" * 25, "n1_m1_10"])
     assert parse_nodes([]).grid.shape == (0,)
+
+
+@pytest.mark.parametrize("names", [
+    # leading zeros, fields past int32, the longest field read at once
+    ["n1_m4_4200_1400", "n01_m001_0_7", "n2_m1_0_2147483647",
+     "n1_m1_2147483648_0", "n1_m1_0_" + "9" * 18],
+    ["n1_m1_0_" + "9" * 19, "n1_m1_0_0"],
+    # a name spanning lines, a name with a trailing newline
+    ["n1_m1_0_0\nn1_m1_1_0", "n1_m1_2_0"],
+    ["n1_m1_0_0\n", "n1_m1_2_0"],
+])
+def test_parse_nodes_of_contest_shaped_names_matches_single_parses(names):
+    assert_matches_single_parses(names)
