@@ -4,9 +4,7 @@ The paper's premise is that exact IR analysis is expensive at scale
 (hours for full chips) while the learned model is fast.  This bench
 measures our sparse solver's wall-time across node counts, pits the
 multigrid-preconditioned block-CG engine against the per-column Jacobi
-CG it replaced on a >=250k-node grid, and calibrates the direct<->CG
-crossover into ``benchmarks/artifacts/solver_crossover.json`` (loadable
-via the ``REPRO_SOLVER_CROSSOVER_FILE`` environment variable).
+CG it replaced on a >=250k-node grid.
 
 Tests split into two CI tiers:
 
@@ -16,13 +14,11 @@ Tests split into two CI tiers:
   on shared runners, run with ``continue-on-error``.
 """
 
-import json
-import os
 import time
 
 import numpy as np
 import pytest
-from conftest import ARTIFACT_DIR, REFERENCE, emit, recorder
+from conftest import REFERENCE, emit, recorder
 from scipy import sparse
 from scipy.sparse.linalg import cg, spsolve
 
@@ -54,11 +50,6 @@ EDGES_UM = [32.0, 64.0, 96.0, 128.0]
 # the multigrid/per-column comparison grid: >= 250k unknowns
 LARGE_EDGE_UM = 1000.0
 LARGE_NUM_RHS = 16
-
-# sizes swept by the crossover calibration (single-RHS workload)
-CROSSOVER_EDGES_UM = [96.0, 192.0, 320.0, 448.0]
-
-CROSSOVER_FILE = os.path.join(ARTIFACT_DIR, "solver_crossover.json")
 
 
 def _case(edge_um: float, seed: int = 0, current_fraction: float = 0.7,
@@ -323,85 +314,3 @@ def test_block_mg_cg_beats_percolumn_jacobi_on_large_grid(artifact_dir):
             f"{np.max(np.abs(block_matrix[:, 0] - exact)):.2e}")
     emit(artifact_dir, "solver_block_mg.txt", text)
     assert speedup >= BLOCK_MG_FLOOR
-
-
-@perf
-def test_crossover_calibration(artifact_dir):
-    """Measure direct vs CG(mg) across sizes and write the crossover.
-
-    The artifact (``solver_crossover.json``) is the calibration input of
-    :func:`repro.solver.direct_size_limit` — point
-    ``REPRO_SOLVER_CROSSOVER_FILE`` at it to have ``method="auto"``
-    switch where *this* machine actually crosses, not at the built-in
-    default.  Single-RHS workload: that is what ``method="auto"`` decides
-    for; factor-once batches amortise the direct path further.
-    """
-    samples = []
-    for edge in CROSSOVER_EDGES_UM:
-        case = _case(edge, seed=11, current_fraction=0.3)
-        netlist = case.netlist
-
-        direct_engine = FactorizedPDN(netlist, method="direct")
-        start = time.perf_counter()
-        direct_engine.solve()
-        direct_s = time.perf_counter() - start
-
-        cg_engine = FactorizedPDN(netlist, method="cg", precond="mg")
-        start = time.perf_counter()
-        cg_engine.solve()
-        cg_s = time.perf_counter() - start
-
-        samples.append({"edge_um": edge, "nodes": int(cg_engine.size),
-                        "direct_seconds": direct_s, "cg_mg_seconds": cg_s})
-
-    crossover, source = _estimate_crossover(samples)
-    payload = {"crossover_nodes": int(crossover), "source": source,
-               "rhs": 1, "samples": samples}
-    with open(CROSSOVER_FILE, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    REC.metric("crossover_nodes", int(crossover), unit="nodes")
-    REC.annotate(crossover_source=source)
-
-    lines = ["Direct vs CG(mg) crossover calibration (1 RHS, cold solves):",
-             f"{'edge (um)':>10} {'nodes':>9} {'direct (s)':>11} {'cg mg (s)':>10}"]
-    for sample in samples:
-        lines.append(f"{sample['edge_um']:>10.0f} {sample['nodes']:>9,} "
-                     f"{sample['direct_seconds']:>11.3f} "
-                     f"{sample['cg_mg_seconds']:>10.3f}")
-    lines.append(f"crossover: ~{crossover:,} nodes ({source}) "
-                 f"-> {CROSSOVER_FILE}")
-    emit(artifact_dir, "solver_crossover.txt", "\n".join(lines))
-
-    # the calibration must be loadable by the solver knob
-    from repro.solver import load_crossover_calibration
-    assert load_crossover_calibration(CROSSOVER_FILE) == int(crossover)
-
-
-def _estimate_crossover(samples):
-    """Smallest size from which CG wins *consistently*, else a log-log
-    extrapolation of the two cost curves (clamped to a sane range), else
-    the default.
-
-    The consistency requirement (CG must also win at every larger
-    measured size) is the noise guard: a single timing hiccup at a tiny
-    grid must not write a near-zero crossover that would route every
-    ``method="auto"`` solve through CG fleet-wide.
-    """
-    from repro.solver import DIRECT_SIZE_LIMIT
-
-    cg_wins = [s["cg_mg_seconds"] < s["direct_seconds"] for s in samples]
-    if cg_wins[-1]:
-        first = len(samples) - 1
-        while first > 0 and cg_wins[first - 1]:
-            first -= 1
-        return samples[first]["nodes"], "measured"
-    nodes = np.log([s["nodes"] for s in samples])
-    direct = np.log([max(s["direct_seconds"], 1e-6) for s in samples])
-    cg_mg = np.log([max(s["cg_mg_seconds"], 1e-6) for s in samples])
-    slope_d, icept_d = np.polyfit(nodes, direct, 1)
-    slope_c, icept_c = np.polyfit(nodes, cg_mg, 1)
-    if slope_d <= slope_c:  # curves never cross going up: keep the default
-        return DIRECT_SIZE_LIMIT, "default"
-    crossing = float(np.exp((icept_c - icept_d) / (slope_d - slope_c)))
-    clamped = int(np.clip(crossing, samples[-1]["nodes"], 20_000_000))
-    return clamped, "extrapolated"

@@ -16,6 +16,13 @@ RSS is the ingest's alone; the stages use only public names, so the same
 command measures any commit (``PYTHONPATH=<checkout>/src``).  Prediction
 is left out: the model samples a fixed-size point cloud, and its feature
 stack is the ``features`` stage below.
+
+When the solve runs CG (above ``REPRO_SOLVER_DIRECT_LIMIT`` nodes, 400k
+by default), ``ingest`` also splits ``solver.solve`` into preconditioner
+set-up and iterations and, for multigrid, prints the hierarchy it built:
+rows and nonzeros per level and the operator complexity (all levels'
+nonzeros over the finest level's).  ``REPRO_SOLVER_DIRECT_LIMIT=1``
+forces that path on a small deck.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from repro.pdn.generator import PDNConfig, generate_pdn
 from repro.pdn.templates import contest_stack
 from repro.solver.conductance import assemble_system
 from repro.solver.factorized import FactorizedPDN
+from repro.solver.multigrid import MultigridPreconditioner
 from repro.solver.rasterize import rasterize_ir_map
 from repro.spice.parser import parse_spice
 from repro.spice.validate import validate_netlist
@@ -57,6 +65,22 @@ def write(edge_um: float, seed: int, out: str) -> None:
     print(json.dumps({"deck": out, "edge_um": edge_um,
                       "nodes": netlist.num_nodes,
                       "write_s": round(time.perf_counter() - start, 1)}))
+
+
+def cg_split(pdn: FactorizedPDN, solve_ms: float) -> dict:
+    """Set-up vs iteration time of a CG solve, plus the multigrid
+    hierarchy the solve built (read, never rebuilt)."""
+    setup_ms = 1e3 * pdn.factor_seconds
+    split = {"setup_ms": round(setup_ms, 1),
+             "iterate_ms": round(solve_ms - setup_ms, 1)}
+    preconditioner = pdn.preconditioner
+    if isinstance(preconditioner, MultigridPreconditioner):
+        nnz = [level.matrix.nnz for level in preconditioner.levels]
+        split["levels"] = [
+            {"rows": rows, "nnz": count}
+            for rows, count in zip(preconditioner.level_sizes(), nnz)]
+        split["operator_complexity"] = round(sum(nnz) / nnz[0], 3)
+    return split
 
 
 def ingest(path: str) -> None:
@@ -88,11 +112,14 @@ def ingest(path: str) -> None:
     stage("features.maps", lambda: compute_feature_maps(netlist, shape))
     stage("solver.rasterize", lambda: rasterize_ir_map(
         netlist, solve, shape, layer=min(netlist.layers())))
-    print(json.dumps({
+    report = {
         "deck": path, "nodes": netlist.num_nodes,
         "method": pdn.resolved_method, "precond": pdn.active_precond,
         "worst_drop": solve.worst_drop, "stages": stages,
-        "peak_rss_mb": round(_peak_rss_mb(), 1)}, indent=1))
+        "peak_rss_mb": round(_peak_rss_mb(), 1)}
+    if pdn.resolved_method == "cg":
+        report["cg"] = cg_split(pdn, stages["solver.solve"]["ms"])
+    print(json.dumps(report, indent=1))
 
 
 def main(argv=None) -> None:

@@ -13,9 +13,8 @@ The layers (PR 8 tentpole):
 * :mod:`repro.faults.backoff` — :class:`BackoffPolicy` (deterministic
   jitter) and :func:`retry_with_backoff`, the one retry loop the stack
   shares;
-* :mod:`repro.faults.degrade` — :class:`DegradationPolicy` and the
-  process-wide :class:`DegradationLog` that makes every fallback chain
-  observable.
+* :mod:`repro.faults.degrade` — the process-wide
+  :class:`DegradationLog` that makes every fallback chain observable.
 
 ``benchmarks/bench_chaos.py`` (registry entry ``serving.chaos``) drives
 the serving daemon under a seeded plan and asserts the contracts:
@@ -29,7 +28,6 @@ from repro.faults.deadline import Deadline, DeadlineExceededError
 from repro.faults.degrade import (
     DegradationEvent,
     DegradationLog,
-    DegradationPolicy,
     default_log,
     reset_default_log,
 )
@@ -59,6 +57,6 @@ __all__ = [
     "arm", "disarm", "inject", "active_plan",
     "Deadline", "DeadlineExceededError",
     "BackoffPolicy", "retry_with_backoff",
-    "DegradationEvent", "DegradationLog", "DegradationPolicy",
+    "DegradationEvent", "DegradationLog",
     "default_log", "reset_default_log",
 ]

@@ -13,11 +13,12 @@ gives every fallback one narrow waist:
   so ``stats()`` surfaces (``PredictionService.stats()["degradations"]``,
   solver setup reports) can show exactly which rungs have been
   descended, and a bounded ring of the most recent events, so a
-  long-lived daemon's ledger does not grow with every breaker trip;
-* :class:`DegradationPolicy` — the knob: which preconditioner rungs
-  the solver may descend.  A chain without a rung turns that silent
-  fallback into a loud error, which is what strict reproduction runs
-  want.
+  long-lived daemon's ledger does not grow with every breaker trip.
+
+The chains themselves live with the components that descend them (the
+solver's is :data:`repro.solver.factorized.PRECOND_CHAIN`).  A run that
+wants no fallback names its rung explicitly (``precond="mg"``), which
+turns a setup failure into a loud error.
 
 Components record against the module-level :func:`default_log` unless
 handed their own — one process, one degradation ledger, matching how an
@@ -30,10 +31,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
-__all__ = ["DegradationEvent", "DegradationLog", "DegradationPolicy",
-           "EVENT_WINDOW", "default_log", "record", "reset_default_log"]
+__all__ = ["DegradationEvent", "DegradationLog", "EVENT_WINDOW",
+           "default_log", "record", "reset_default_log"]
 
 #: events a ledger keeps for :meth:`DegradationLog.events`; older ones
 #: drop off, while :meth:`DegradationLog.counts` stays exact
@@ -121,32 +122,3 @@ def record(component: str, from_mode: str, to_mode: str,
 def reset_default_log() -> None:
     """Clear the default ledger (test isolation)."""
     _DEFAULT.clear()
-
-
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """Which fallback chains may be descended, and how far.
-
-    ``precond_chain`` is ordered best-first; the solver tries each rung
-    in turn when the previous one fails to *build* (setup exceptions —
-    a preconditioner that builds but converges slowly is a perf problem,
-    not a fault).
-    """
-
-    precond_chain: Tuple[str, ...] = ("mg", "ic", "jacobi")
-
-    def __post_init__(self) -> None:
-        if not self.precond_chain:
-            raise ValueError("precond_chain must name at least one rung")
-        for rung in self.precond_chain:
-            if rung not in ("mg", "ic", "jacobi"):
-                raise ValueError(
-                    f"unknown preconditioner rung {rung!r} "
-                    f"(choose from mg/ic/jacobi)")
-
-    def chain_after(self, rung: str) -> Tuple[str, ...]:
-        """The rungs below ``rung`` in the chain (empty if last/absent)."""
-        if rung not in self.precond_chain:
-            return ()
-        index = self.precond_chain.index(rung)
-        return self.precond_chain[index + 1:]

@@ -101,9 +101,7 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     # solver
     Knob("REPRO_SOLVER_DIRECT_LIMIT", "int >= 1", "",
          "`method=\"auto\"` switches to CG above this many nodes; unset: "
-         "the calibration file, else 400 000"),
-    Knob("REPRO_SOLVER_CROSSOVER_FILE", "path", "",
-         "calibration JSON the direct/CG switch point is loaded from"),
+         "400 000"),
     Knob("REPRO_SOLVER_MAX_ITERS", "int >= 1", "",
          "CG iteration cap (an explicit `cg_maxiter` wins)"),
     Knob("REPRO_SOLVER_BUDGET_S", "float > 0", "",

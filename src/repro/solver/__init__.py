@@ -16,8 +16,6 @@ from repro.solver.factorized import (
     FactorizedCache,
     FactorizedPDN,
     direct_size_limit,
-    load_crossover_calibration,
-    solve_static_ir_many,
     solver_iteration_cap,
     solver_wall_budget,
 )
@@ -37,8 +35,8 @@ from repro.solver.store import STORE_FORMAT, FactorizationStore
 __all__ = [
     "assemble_system", "assemble_system_reference", "NodalSystem",
     "solve_static_ir", "IRSolveResult",
-    "FactorizedPDN", "FactorizedCache", "solve_static_ir_many",
-    "DIRECT_SIZE_LIMIT", "direct_size_limit", "load_crossover_calibration",
+    "FactorizedPDN", "FactorizedCache",
+    "DIRECT_SIZE_LIMIT", "direct_size_limit",
     "MultigridPreconditioner", "IncompleteCholeskyPreconditioner",
     "JacobiPreconditioner", "block_cg", "BlockCGResult",
     "SolverStalledError", "node_coordinates",

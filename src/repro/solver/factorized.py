@@ -18,20 +18,17 @@ and accounted in ``factor_seconds`` like the LU path's factor time, and
 multi-RHS solves run through :func:`repro.solver.multigrid.block_cg` so
 the whole batch shares each iteration's matvec and V-cycle.
 
-The direct↔CG crossover is a calibrated knob rather than a constant:
-``method="auto"`` consults :func:`direct_size_limit`, which honours the
-``REPRO_SOLVER_DIRECT_LIMIT`` environment variable, then a calibration
-file written by ``benchmarks/bench_solver_scaling.py`` (pointed to by
-``REPRO_SOLVER_CROSSOVER_FILE``), then the built-in default.
+``method="auto"`` solves direct up to :func:`direct_size_limit` nodes:
+the ``REPRO_SOLVER_DIRECT_LIMIT`` environment variable when set, else
+:data:`DIRECT_SIZE_LIMIT`.  ``precond="auto"`` descends
+:data:`PRECOND_CHAIN` when a rung fails to build.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -39,7 +36,6 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from repro import knobs
-from repro.faults.degrade import DegradationPolicy
 from repro.faults.degrade import record as record_degradation
 from repro.faults.points import fault_point
 from repro.solver.conductance import CurrentsLike, NodalSystem, assemble_system
@@ -55,14 +51,18 @@ from repro.solver.static import IRSolveResult, result_from_solution
 from repro.spice.netlist import Netlist
 
 __all__ = [
-    "FactorizedPDN", "FactorizedCache", "solve_static_ir_many",
-    "DIRECT_SIZE_LIMIT", "direct_size_limit", "load_crossover_calibration",
+    "FactorizedPDN", "FactorizedCache",
+    "DIRECT_SIZE_LIMIT", "PRECOND_CHAIN", "direct_size_limit",
     "solver_iteration_cap", "solver_wall_budget",
 ]
 
 DIRECT_SIZE_LIMIT = 400_000
 """Built-in default for the ``method="auto"`` direct↔CG switch; the
 effective value is resolved per solve by :func:`direct_size_limit`."""
+
+PRECOND_CHAIN = ("mg", "ic", "jacobi")
+"""The rungs ``precond="auto"`` descends, best first, when one fails to
+build."""
 
 
 def solver_iteration_cap() -> Optional[int]:
@@ -82,47 +82,15 @@ def solver_wall_budget() -> Optional[float]:
 
 
 _METHODS = ("auto", "direct", "cg")
-_PRECONDS = ("auto", "mg", "ic", "jacobi")
-
-_calibration_cache: Dict[Tuple[str, float], int] = {}
-
-
-def load_crossover_calibration(path: str) -> int:
-    """Read the measured direct↔CG crossover from a calibration JSON.
-
-    The file is written by ``benchmarks/bench_solver_scaling.py``
-    (``benchmarks/artifacts/solver_crossover.json``) and must carry a
-    positive integer ``crossover_nodes``.  Reads are memoised per
-    ``(path, mtime)`` so per-solve resolution stays cheap.
-    """
-    key = (os.path.abspath(path), os.path.getmtime(path))
-    if key not in _calibration_cache:
-        with open(path) as handle:
-            payload = json.load(handle)
-        crossover = payload.get("crossover_nodes")
-        if not isinstance(crossover, int) or crossover <= 0:
-            raise ValueError(
-                f"{path!r} is not a solver-crossover calibration "
-                f"(crossover_nodes={crossover!r})"
-            )
-        _calibration_cache[key] = crossover
-    return _calibration_cache[key]
+_PRECONDS = ("auto",) + PRECOND_CHAIN
 
 
 def direct_size_limit() -> int:
-    """The effective ``method="auto"`` direct↔CG switch point.
-
-    Resolution order: ``REPRO_SOLVER_DIRECT_LIMIT`` (explicit override),
-    the calibration file named by ``REPRO_SOLVER_CROSSOVER_FILE``, then
-    the built-in :data:`DIRECT_SIZE_LIMIT`.
+    """The effective ``method="auto"`` direct↔CG switch point:
+    ``REPRO_SOLVER_DIRECT_LIMIT`` when set, else :data:`DIRECT_SIZE_LIMIT`.
     """
     limit = knobs.read("REPRO_SOLVER_DIRECT_LIMIT")
-    if limit is not None:
-        return limit
-    calibration = knobs.read("REPRO_SOLVER_CROSSOVER_FILE")
-    if calibration is not None:
-        return load_crossover_calibration(calibration)
-    return DIRECT_SIZE_LIMIT
+    return DIRECT_SIZE_LIMIT if limit is None else limit
 
 
 class FactorizedPDN:
@@ -144,11 +112,6 @@ class FactorizedPDN:
         (incomplete factorisation), ``"jacobi"`` (diagonal), or
         ``"auto"`` — multigrid when the node names carry grid
         coordinates, incomplete factorisation otherwise.
-    warm_start:
-        When true, CG solves seed from the previous solve's mean
-        solution (the budget-sweep workload changes only the RHS
-        scaling).  Off by default: warm starts change the iterate path,
-        which matters to bit-reproducible suite builds.
     system:
         A pre-assembled :class:`~repro.solver.conductance.NodalSystem`
         for this netlist (e.g. from a
@@ -158,9 +121,8 @@ class FactorizedPDN:
 
     def __init__(self, netlist: Netlist, method: str = "auto",
                  cg_rtol: float = 1e-10, cg_maxiter: Optional[int] = None,
-                 precond: str = "auto", warm_start: bool = False,
-                 system: Optional[NodalSystem] = None,
-                 degradation: Optional[DegradationPolicy] = None):
+                 precond: str = "auto",
+                 system: Optional[NodalSystem] = None):
         if method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
         if precond not in _PRECONDS:
@@ -173,9 +135,6 @@ class FactorizedPDN:
         self.precond = precond
         self.cg_rtol = cg_rtol
         self.cg_maxiter = cg_maxiter
-        self.warm_start = warm_start
-        self.degradation = (degradation if degradation is not None
-                            else DegradationPolicy())
         #: preconditioner rung actually serving solves (settles on first
         #: CG setup; may sit below :attr:`resolved_precond` after a
         #: degradation descent)
@@ -185,7 +144,6 @@ class FactorizedPDN:
         self._preconditioner = None
         self._cg_ready = False
         self._connectivity_checked = False
-        self._last_solution: Optional[np.ndarray] = None
         self._coords: Optional[np.ndarray] = None
         self._coords_known = False
 
@@ -284,8 +242,8 @@ class FactorizedPDN:
         An *explicit* ``precond=`` choice is a configuration statement —
         its setup failure raises, because silently serving a different
         preconditioner than asked for would be the exact invisibility
-        this layer exists to kill.  ``precond="auto"`` descends the
-        policy's mg→ic→jacobi chain on *setup* failure (build
+        this layer exists to kill.  ``precond="auto"`` descends
+        :data:`PRECOND_CHAIN` (mg→ic→jacobi) on *setup* failure (build
         exceptions; slow convergence is a perf issue, not a fault),
         recording every step on the degradation ledger so a degraded
         solver is visibly degraded.
@@ -295,7 +253,7 @@ class FactorizedPDN:
             built = self._build_rung(choice)
             self.active_precond = choice
             return built
-        rungs = (choice,) + self.degradation.chain_after(choice)
+        rungs = PRECOND_CHAIN[PRECOND_CHAIN.index(choice):]
         last_error: Optional[BaseException] = None
         for index, rung in enumerate(rungs):
             try:
@@ -337,19 +295,24 @@ class FactorizedPDN:
         self._cg_ready = True
         return self._preconditioner
 
+    @property
+    def preconditioner(self):
+        """The CG preconditioner the solves run on (a
+        :class:`~repro.solver.multigrid.MultigridPreconditioner` exposes
+        its ``levels``), or ``None`` before the first CG solve.  Read
+        only: it never builds one."""
+        return self._preconditioner
+
     def _solve_cg(self, rhs: np.ndarray) -> np.ndarray:
         preconditioner = self._cg_setup()
         columns = np.atleast_2d(rhs.T).T  # (n,) -> (n, 1), (n, k) unchanged
-        x0 = None
-        if self.warm_start and self._last_solution is not None:
-            x0 = self._last_solution[:, None]
         maxiter = (self.cg_maxiter if self.cg_maxiter is not None
                    else solver_iteration_cap())
         with np.errstate(divide="ignore", invalid="ignore"):
             # singular systems divide by zero inside CG; detected below
             result = block_cg(self.system.matrix, columns,
                               preconditioner.apply, rtol=self.cg_rtol,
-                              atol=0.0, maxiter=maxiter, x0=x0,
+                              atol=0.0, maxiter=maxiter,
                               wall_budget_s=solver_wall_budget())
         if not result.converged:
             raise SolverStalledError(
@@ -362,8 +325,6 @@ class FactorizedPDN:
                 elapsed_s=result.elapsed_s,
                 unconverged=result.unconverged,
                 budget=result.exhausted or "breakdown")
-        if self.warm_start:
-            self._last_solution = result.solution.mean(axis=1)
         return result.solution.reshape(rhs.shape)
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
@@ -398,7 +359,9 @@ class FactorizedPDN:
     def solve_many(self, current_maps: Sequence[CurrentsLike]) -> List[IRSolveResult]:
         """Golden solves for many load maps on the same grid.
 
-        All RHS vectors are solved in one batched call against the shared
+        Each entry of ``current_maps`` is a ``{node: amps}`` mapping (or
+        an iterable of :class:`~repro.spice.elements.CurrentSource`) that
+        replaces the netlist's own current sources for that solve.  All RHS vectors are solved in one batched call against the shared
         factorisation (direct) or in one block-CG sweep sharing every
         iteration's matvec and preconditioner application (CG); each
         result's ``solve_seconds`` is the batch time amortised over the
@@ -474,17 +437,3 @@ class FactorizedCache:
         return (f"FactorizedCache(maxsize={self.maxsize}, entries="
                 f"{len(self._entries)}, hits={self.hits}, "
                 f"misses={self.misses}, evictions={self.evictions})")
-
-
-def solve_static_ir_many(
-    netlist: Netlist,
-    current_maps: Sequence[CurrentsLike],
-    method: str = "auto",
-) -> List[IRSolveResult]:
-    """Solve one grid under many current maps, factoring it only once.
-
-    Each entry of ``current_maps`` is a ``{node: amps}`` mapping (or an
-    iterable of :class:`~repro.spice.elements.CurrentSource`) that replaces
-    the netlist's own current sources for that solve.
-    """
-    return FactorizedPDN(netlist, method=method).solve_many(current_maps)

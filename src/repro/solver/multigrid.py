@@ -9,9 +9,9 @@ on a 2-D PDN mesh.  This module supplies the scaling machinery:
   aggregated by their (x, y) *rank* coordinates (2x2 cells per level,
   metal layers collapsed — vias couple them strongly), prolongation is
   piecewise constant, and coarse operators are Galerkin products
-  ``P.T @ A @ P``.  Smoothing is Chebyshev (default) or damped Jacobi;
-  both are symmetric, so the V-cycle is an SPD preconditioner and CG
-  theory applies.  The coarsest level is solved exactly with ``splu``.
+  ``P.T @ A @ P``.  Smoothing is Chebyshev, which is symmetric, so the
+  V-cycle is an SPD preconditioner and CG theory applies.  The coarsest
+  level is solved exactly with ``splu``.
 * :class:`IncompleteCholeskyPreconditioner` — the fallback for netlists
   whose node names carry no grid coordinates.  Implemented with
   :func:`scipy.sparse.linalg.spilu` (threshold ILU); on an SPD
@@ -25,8 +25,7 @@ on a 2-D PDN mesh.  This module supplies the scaling machinery:
   to a single-RHS solve with the same code — but the sparse matvec, the
   V-cycle and the triangular sweeps each run once per iteration for the
   whole block instead of once per column.  Converged columns are
-  compacted out of the working set (per-column convergence tracking), and
-  ``x0`` warm starts are supported.
+  compacted out of the working set (per-column convergence tracking).
 
 All preconditioners expose ``apply(residual) -> correction`` operating on
 ``(n,)`` or ``(n, k)`` arrays, plus ``setup_seconds`` so callers can
@@ -53,6 +52,15 @@ __all__ = [
     "SolverStalledError",
     "node_coordinates",
 ]
+
+#: multigrid hierarchy depth cap, and pre-/post-smoothing Chebyshev
+#: degree per level
+MAX_LEVELS = 16
+SMOOTH_STEPS = 2
+
+#: threshold-ILU drop tolerance and fill budget of the ``"ic"`` rung
+ILU_DROP_TOL = 1e-4
+ILU_FILL_FACTOR = 10.0
 
 
 class SolverStalledError(ValueError):
@@ -127,64 +135,48 @@ class MultigridPreconditioner:
         ``(n, 2)`` node coordinates from :func:`node_coordinates`.  The
         aggregation uses coordinate *ranks*, so jittered or multi-pitch
         lattices coarsen as evenly as perfect grids.
-    smoother:
-        ``"chebyshev"`` (default) or ``"jacobi"``.
     coarse_limit:
-        Coarsen until a level has at most this many unknowns, then solve
-        it exactly with ``splu``.
-    smooth_steps:
-        Pre- and post-smoothing steps per level (Chebyshev degree /
-        Jacobi sweeps).
-    smooth_prolongation:
-        Smoothed aggregation: one damped-Jacobi sweep over the
-        piecewise-constant prolongator.  Costs a denser Galerkin setup,
-        repaid within a few RHS by the much lower iteration count
-        (17 vs 33 on a 266k-node grid at rtol=1e-10).
+        Coarsen until a level has at most this many unknowns (or the
+        hierarchy reaches :data:`MAX_LEVELS`), then solve it exactly
+        with ``splu``.
+
+    The prolongator is smoothed (one damped-Jacobi sweep over the
+    piecewise-constant aggregation): a denser Galerkin setup, repaid
+    within a few RHS by the much lower iteration count (17 vs 33 on a
+    266k-node grid at rtol=1e-10).
     """
 
-    _SMOOTHERS = ("chebyshev", "jacobi")
-
     def __init__(self, matrix: sparse.spmatrix, coords: np.ndarray,
-                 smoother: str = "chebyshev", coarse_limit: int = 1500,
-                 max_levels: int = 16, smooth_steps: int = 2,
-                 jacobi_omega: float = 0.7, smooth_prolongation: bool = True):
-        if smoother not in self._SMOOTHERS:
-            raise ValueError(
-                f"smoother must be one of {self._SMOOTHERS}, got {smoother!r}")
+                 coarse_limit: int = 1500):
         start = time.perf_counter()
-        self.smoother = smoother
-        self.smooth_steps = int(smooth_steps)
-        self.jacobi_omega = float(jacobi_omega)
-        self.smooth_prolongation = bool(smooth_prolongation)
         self.levels: List[_Level] = []
         self._build_hierarchy(sparse.csr_matrix(matrix), np.asarray(coords),
-                              coarse_limit, max_levels)
+                              coarse_limit)
         self._coarse_lu = splu(sparse.csc_matrix(self.levels[-1].matrix))
         for level in self.levels[:-1]:
             diagonal = level.matrix.diagonal()
             level.diag_inv = 1.0 / diagonal
-            if self.smoother == "chebyshev":
-                # standard smoothing interval: damp the upper part of the
-                # spectrum, leave the low modes to the coarse grid.  The
-                # bound must not undershoot the true lambda_max — a
-                # Chebyshev polynomial *amplifies* modes outside its
-                # interval, which turns the V-cycle indefinite and stalls
-                # CG — so use the (deterministic, cheap) Gershgorin bound
-                # instead of a truncated power iteration.
-                upper = _gershgorin_lambda_max(level.matrix, level.diag_inv)
-                lower = upper / 30.0
-                level.cheb_theta = 0.5 * (upper + lower)
-                level.cheb_delta = 0.5 * (upper - lower)
+            # standard smoothing interval: damp the upper part of the
+            # spectrum, leave the low modes to the coarse grid.  The
+            # bound must not undershoot the true lambda_max — a
+            # Chebyshev polynomial *amplifies* modes outside its
+            # interval, which turns the V-cycle indefinite and stalls
+            # CG — so use the (deterministic, cheap) Gershgorin bound
+            # instead of a truncated power iteration.
+            upper = _gershgorin_lambda_max(level.matrix, level.diag_inv)
+            lower = upper / 30.0
+            level.cheb_theta = 0.5 * (upper + lower)
+            level.cheb_delta = 0.5 * (upper - lower)
         self.setup_seconds = time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # Hierarchy construction
     # ------------------------------------------------------------------
     def _build_hierarchy(self, matrix: sparse.csr_matrix, coords: np.ndarray,
-                         coarse_limit: int, max_levels: int) -> None:
+                         coarse_limit: int) -> None:
         self.levels.append(_Level(matrix, prolong=None))
         while (self.levels[-1].matrix.shape[0] > coarse_limit
-               and len(self.levels) < max_levels):
+               and len(self.levels) < MAX_LEVELS):
             fine = self.levels[-1]
             n = fine.matrix.shape[0]
             ranks_x = _ranks(coords[:, 0])
@@ -200,18 +192,17 @@ class MultigridPreconditioner:
                 (np.ones(n), (np.arange(n), aggregate)),
                 shape=(n, n_coarse),
             )
-            if self.smooth_prolongation:
-                # smoothed aggregation: one damped-Jacobi sweep on the
-                # piecewise-constant prolongator spreads each aggregate's
-                # basis function over its neighbours, sharply improving
-                # coarse-grid approximation of the smooth modes (fewer CG
-                # iterations at slightly denser coarse operators)
-                diag_inv = 1.0 / fine.matrix.diagonal()
-                lam_max = _gershgorin_lambda_max(fine.matrix, diag_inv)
-                omega = 4.0 / (3.0 * lam_max)
-                prolong = sparse.csr_matrix(
-                    prolong - sparse.diags(omega * diag_inv)
-                    @ (fine.matrix @ prolong))
+            # smoothed aggregation: one damped-Jacobi sweep on the
+            # piecewise-constant prolongator spreads each aggregate's
+            # basis function over its neighbours, sharply improving
+            # coarse-grid approximation of the smooth modes (fewer CG
+            # iterations at slightly denser coarse operators)
+            diag_inv = 1.0 / fine.matrix.diagonal()
+            lam_max = _gershgorin_lambda_max(fine.matrix, diag_inv)
+            omega = 4.0 / (3.0 * lam_max)
+            prolong = sparse.csr_matrix(
+                prolong - sparse.diags(omega * diag_inv)
+                @ (fine.matrix @ prolong))
             coarse_matrix = sparse.csr_matrix(
                 prolong.T @ fine.matrix @ prolong)
             fine.prolong = prolong
@@ -232,39 +223,19 @@ class MultigridPreconditioner:
         return tuple(level.matrix.shape[0] for level in self.levels)
 
     # ------------------------------------------------------------------
-    # Smoothers (all support (n,) and (n, k) arrays)
+    # Smoother ((n,) and (n, k) arrays)
     # ------------------------------------------------------------------
     def _smooth(self, level: _Level, rhs: np.ndarray,
                 x: Optional[np.ndarray]) -> np.ndarray:
-        """One smoothing pass; ``x=None`` means a zero start, which skips
-        the initial-residual matvec (pre-smoothing always starts from
-        zero — one of the V-cycle's hottest savings).
+        """One Chebyshev smoothing pass; ``x=None`` means a zero start,
+        which skips the initial-residual matvec (pre-smoothing always
+        starts from zero — one of the V-cycle's hottest savings).
 
         ``x`` (when given) and all intermediates are owned by the cycle,
         so updates are in place — on a ``(n, 16)`` block the temporaries
         cost as much as extra matvecs, and this path *is* the solver's
         per-iteration bill.  ``rhs`` is never written.
         """
-        if self.smoother == "jacobi":
-            return self._smooth_jacobi(level, rhs, x)
-        return self._smooth_chebyshev(level, rhs, x)
-
-    def _smooth_jacobi(self, level: _Level, rhs: np.ndarray,
-                       x: Optional[np.ndarray]) -> np.ndarray:
-        dinv = _diag_view(level.diag_inv, rhs)
-        for step in range(self.smooth_steps):
-            if x is None:
-                x = rhs * dinv
-                x *= self.jacobi_omega
-                continue
-            update = rhs - level.matrix @ x
-            update *= dinv
-            update *= self.jacobi_omega
-            x += update
-        return x
-
-    def _smooth_chebyshev(self, level: _Level, rhs: np.ndarray,
-                          x: Optional[np.ndarray]) -> np.ndarray:
         theta, delta = level.cheb_theta, level.cheb_delta
         dinv = _diag_view(level.diag_inv, rhs)
         if x is None:
@@ -275,8 +246,8 @@ class MultigridPreconditioner:
         sigma = theta / delta
         rho = 1.0 / sigma
         direction = residual / theta
-        for step in range(self.smooth_steps):
-            last = step == self.smooth_steps - 1
+        for step in range(SMOOTH_STEPS):
+            last = step == SMOOTH_STEPS - 1
             if x is None:
                 # first correction from a zero start: adopt (or copy)
                 # the direction instead of adding it to a zero array
@@ -366,15 +337,15 @@ class IncompleteCholeskyPreconditioner:
     break the block-vs-single bit-identity contract.
     """
 
-    def __init__(self, matrix: sparse.spmatrix, drop_tol: float = 1e-4,
-                 fill_factor: float = 10.0):
+    def __init__(self, matrix: sparse.spmatrix):
         start = time.perf_counter()
         # symmetric-mode ILU: no partial pivoting, symmetric fill-reducing
         # ordering.  SuperLU's defaults (COLAMD + pivoting) build a
         # non-symmetric M, which is not a valid PCG preconditioner and
         # can stall CG on a perfectly well-posed SPD system.
-        self._ilu = spilu(sparse.csc_matrix(matrix), drop_tol=drop_tol,
-                          fill_factor=fill_factor, diag_pivot_thresh=0.0,
+        self._ilu = spilu(sparse.csc_matrix(matrix),
+                          drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR,
+                          diag_pivot_thresh=0.0,
                           permc_spec="MMD_AT_PLUS_A",
                           options={"SymmetricMode": True})
         self.setup_seconds = time.perf_counter() - start
@@ -452,14 +423,12 @@ def block_cg(matrix: sparse.spmatrix, rhs: np.ndarray,
              precondition: Callable[[np.ndarray], np.ndarray],
              rtol: float = 1e-10, atol: float = 0.0,
              maxiter: Optional[int] = None,
-             x0: Optional[np.ndarray] = None,
-             wall_budget_s: Optional[float] = None,
-             on_stall: str = "return") -> BlockCGResult:
+             wall_budget_s: Optional[float] = None) -> BlockCGResult:
     """Preconditioned CG over an ``(n, k)`` block of right-hand sides.
 
     Every reduction (``alpha``, ``beta``, residual norms) is computed per
     column and every update is elementwise, so the iterates of column
-    ``j`` depend only on ``rhs[:, j]`` (and ``x0[:, j]``): solving a
+    ``j`` depend only on ``rhs[:, j]``: solving a
     column alone or inside any block yields bit-identical results.  What
     the block shares is *work* — one sparse matvec and one preconditioner
     application per iteration for all still-active columns, instead of
@@ -477,14 +446,10 @@ def block_cg(matrix: sparse.spmatrix, rhs: np.ndarray,
     whose *final residual* still exceeds its tolerance — whether it hit
     a budget or broke down (``p.Ap <= 0``, which on a non-SPD or
     numerically degenerate system can freeze a column far from the
-    solution).  With ``on_stall="return"`` (default) the caller decides
-    whether to raise; ``on_stall="raise"`` raises
-    :class:`SolverStalledError` — residual history attached — the
-    moment a budget expires with unconverged columns.
+    solution).  The caller decides whether to raise;
+    :class:`~repro.solver.factorized.FactorizedPDN` raises
+    :class:`SolverStalledError` with the residual history attached.
     """
-    if on_stall not in ("return", "raise"):
-        raise ValueError(
-            f"on_stall must be 'return' or 'raise', got {on_stall!r}")
     if wall_budget_s is not None and wall_budget_s <= 0:
         raise ValueError(
             f"wall_budget_s must be > 0, got {wall_budget_s}")
@@ -498,14 +463,7 @@ def block_cg(matrix: sparse.spmatrix, rhs: np.ndarray,
         maxiter = max(10 * n, 100)
 
     solution = np.zeros_like(columns)
-    if x0 is not None:
-        start_x = np.asarray(x0, dtype=float)
-        if start_x.ndim == 1:
-            start_x = start_x[:, None]
-        solution[:] = np.broadcast_to(start_x, columns.shape)
-        residual_full = columns - matrix @ solution
-    else:
-        residual_full = columns.copy()
+    residual_full = columns.copy()
 
     tolerance = np.maximum(rtol * _column_norms(columns), atol)
     iterations = np.zeros(k, dtype=np.int64)
@@ -573,17 +531,8 @@ def block_cg(matrix: sparse.spmatrix, rhs: np.ndarray,
     # a column frozen by breakdown (pap <= 0) left `live` without meeting
     # its tolerance and must not be reported as solved
     unconverged = np.flatnonzero(_column_norms(residual_full) > tolerance)
-    elapsed = time.perf_counter() - start_time
-    residual_history = np.asarray(history, dtype=float)
-    if on_stall == "raise" and unconverged.size:
-        raise SolverStalledError(
-            "iterative solve stalled",
-            residual_history=residual_history,
-            iterations=int(iterations.max(initial=0)),
-            elapsed_s=elapsed, unconverged=unconverged,
-            budget=exhausted or "breakdown")
-    result_solution = solution[:, 0] if squeeze else solution
-    return BlockCGResult(solution=result_solution, iterations=iterations,
-                         unconverged=unconverged,
-                         residual_history=residual_history,
-                         elapsed_s=elapsed, exhausted=exhausted)
+    return BlockCGResult(solution=solution[:, 0] if squeeze else solution,
+                         iterations=iterations, unconverged=unconverged,
+                         residual_history=np.asarray(history, dtype=float),
+                         elapsed_s=time.perf_counter() - start_time,
+                         exhausted=exhausted)

@@ -5,10 +5,11 @@ nodal equations exactly and report per-node voltages / IR drops.  The
 learning task is to approximate this solver's output orders of magnitude
 faster.
 
-One-shot solves delegate to :class:`repro.solver.factorized.FactorizedPDN`
-(factor-once engine, direct or preconditioned-CG backend); batch workloads
-should call :func:`repro.solver.factorized.solve_static_ir_many` so the
-factorisation is reused across RHS vectors.
+:func:`solve_static_ir` is a one-shot solve through
+:class:`repro.solver.factorized.FactorizedPDN` (factor-once engine,
+direct or preconditioned-CG backend); batch workloads keep the engine and
+call its ``solve_many`` so the factorisation or CG set-up is reused across
+RHS vectors.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ def solve_static_ir(netlist: Netlist, method: str = "auto") -> IRSolveResult:
     Parameters
     ----------
     method:
-        ``"direct"`` (sparse LU), ``"cg"`` (Jacobi-preconditioned conjugate
-        gradient, for grids too large to factor), or ``"auto"`` to pick by
-        system size.
+        ``"direct"`` (sparse LU), ``"cg"`` (conjugate gradient under the
+        ``precond="auto"`` preconditioner — multigrid on grid-named nodes,
+        incomplete factorisation otherwise — for grids too large to
+        factor), or ``"auto"`` to pick by system size.
 
     Raises
     ------

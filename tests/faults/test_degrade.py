@@ -1,11 +1,10 @@
-"""Degradation ledger and policy chains."""
+"""Degradation ledger."""
 
 import pytest
 
 from repro.faults.degrade import (
     EVENT_WINDOW,
     DegradationLog,
-    DegradationPolicy,
     default_log,
     record,
     reset_default_log,
@@ -63,25 +62,3 @@ class TestDegradationLog:
         record("infer.engine", "engine", "autograd", "why")
         assert default_log().counts() == {
             "infer.engine: engine->autograd": 1}
-
-
-class TestDegradationPolicy:
-    def test_chain_after_descends_in_order(self):
-        policy = DegradationPolicy()
-        assert policy.chain_after("mg") == ("ic", "jacobi")
-        assert policy.chain_after("ic") == ("jacobi",)
-        assert policy.chain_after("jacobi") == ()
-        assert policy.chain_after("direct") == ()
-
-    def test_custom_chain(self):
-        policy = DegradationPolicy(precond_chain=("ic", "jacobi"))
-        assert policy.chain_after("ic") == ("jacobi",)
-        assert policy.chain_after("mg") == ()  # not in this chain
-
-    def test_unknown_rung_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown preconditioner"):
-            DegradationPolicy(precond_chain=("mg", "turbo"))
-
-    def test_empty_chain_is_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            DegradationPolicy(precond_chain=())

@@ -245,30 +245,56 @@ class TestFailuresAndStats:
         """stats() snapshots counters *and* sample windows under one
         lock: a served count from one instant may never pair with
         latency samples from another."""
+        import sys
         import threading
 
         config = _config(queue_capacity=64, max_batch=2)
+        served_seen = []
         violations = []
+        errors = []
         stop = threading.Event()
 
         def hammer(service):
-            while not stop.is_set():
-                stats = service.stats()
-                count = stats.get("latency", {}).get("count", 0)
-                # windows are far from full here, so a consistent
-                # snapshot has exactly one sample per served request
-                if count != stats["served"]:
-                    violations.append((count, stats["served"]))
+            try:
+                while not stop.is_set():
+                    stats = service.stats()
+                    count = stats.get("latency", {}).get("count", 0)
+                    served_seen.append(stats["served"])
+                    # windows are far from full here, so a consistent
+                    # snapshot has exactly one sample per served request
+                    if count != stats["served"]:
+                        violations.append((count, stats["served"]))
+            except Exception as error:  # surfaced by the asserts below
+                errors.append(error)
 
-        with PredictionService(serve_spec, config) as service:
-            poller = threading.Thread(target=hammer, args=(service,))
-            poller.start()
-            tickets = [service.submit(serve_cases[i % len(serve_cases)])
-                       for i in range(24)]
-            for ticket in tickets:
-                ticket.result(timeout=60)
-            stop.set()
-            poller.join(30)
+        # a short switch interval keeps the spinning pollers from
+        # starving the worker thread of the GIL, and interleaves them
+        # finely with its records; three pollers widen the odds that
+        # one sits inside stats() whenever a record lands
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PredictionService(serve_spec, config) as service:
+                pollers = [threading.Thread(target=hammer, args=(service,))
+                           for _ in range(3)]
+                for poller in pollers:
+                    poller.start()
+                try:
+                    tickets = [
+                        service.submit(serve_cases[i % len(serve_cases)])
+                        for i in range(48)]
+                    for ticket in tickets:
+                        ticket.result(timeout=60)
+                finally:
+                    stop.set()
+                    for poller in pollers:
+                        poller.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(poller.is_alive() for poller in pollers)
+        assert errors == []
+        # the pollers ran while requests were being recorded
+        assert len(set(served_seen)) > 1
         assert violations == []
 
     def test_health_snapshot_surface(self, serve_spec, serve_cases):

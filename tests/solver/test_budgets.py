@@ -6,8 +6,7 @@ import pytest
 from scipy import sparse
 
 import repro.solver.factorized as factorized_module
-from repro.faults.degrade import DegradationPolicy, default_log, \
-    reset_default_log
+from repro.faults.degrade import default_log, reset_default_log
 from repro.pdn.generator import PDNConfig, generate_pdn
 from repro.pdn.templates import small_stack
 from repro.solver.factorized import (
@@ -47,19 +46,23 @@ def _spd_system(n=200, k=2, seed=0):
 
 
 class TestBlockCGBudgets:
-    def test_maxiter_exhaustion_is_typed_and_carries_history(self):
-        matrix, rhs = _spd_system()
-        precond = JacobiPreconditioner(matrix)
+    def test_maxiter_exhaustion_is_typed_and_carries_history(
+            self, small_netlist):
+        # jacobi: weak enough that two iterations cannot converge
+        engine = FactorizedPDN(small_netlist, method="cg",
+                               precond="jacobi", cg_maxiter=2)
+        loads = {s.node: s.value for s in small_netlist.current_sources}
         with pytest.raises(SolverStalledError) as exc_info:
-            block_cg(matrix, rhs, precond.apply, rtol=1e-14, maxiter=2,
-                     on_stall="raise")
+            engine.solve_many([loads, {n: 2 * v for n, v in loads.items()}])
         error = exc_info.value
         assert error.budget == "maxiter"
-        assert error.unconverged.size == rhs.shape[1]
-        assert error.residual_history.size >= 1
+        assert error.iterations == 2
+        assert error.unconverged.size == 2
+        assert error.residual_history.size == 2
         assert error.elapsed_s >= 0.0
         # the message shows the residual tail, not just "failed"
-        assert "residual" in str(error)
+        tail = ", ".join(f"{value:.3e}" for value in error.residual_history)
+        assert f"residual tail: {tail}" in str(error)
 
     def test_default_on_stall_returns_instead_of_raising(self):
         matrix, rhs = _spd_system()
@@ -96,8 +99,6 @@ class TestBlockCGBudgets:
 
     def test_invalid_budget_parameters_rejected(self):
         matrix, rhs = _spd_system()
-        with pytest.raises(ValueError, match="on_stall"):
-            block_cg(matrix, rhs, lambda r: r, on_stall="explode")
         with pytest.raises(ValueError, match="wall_budget_s"):
             block_cg(matrix, rhs, lambda r: r, wall_budget_s=0.0)
 
@@ -166,13 +167,16 @@ class TestPrecondDegradation:
 
     def test_single_rung_chain_fails_loudly(self, small_netlist,
                                             monkeypatch):
-        monkeypatch.setattr(factorized_module, "MultigridPreconditioner",
-                            self._BrokenMG)
-        engine = FactorizedPDN(
-            small_netlist, method="cg",
-            degradation=DegradationPolicy(precond_chain=("mg",)))
+        for name in ("MultigridPreconditioner",
+                     "IncompleteCholeskyPreconditioner",
+                     "JacobiPreconditioner"):
+            monkeypatch.setattr(factorized_module, name, self._BrokenMG)
+        engine = FactorizedPDN(small_netlist, method="cg")
         with pytest.raises(ValueError, match="every preconditioner rung"):
             engine.solve()
+        assert engine.active_precond is None
+        assert default_log().counts() == {"solver.precond: mg->ic": 1,
+                                          "solver.precond: ic->jacobi": 1}
 
     def test_healthy_auto_records_nothing(self, small_netlist):
         engine = FactorizedPDN(small_netlist, method="cg")

@@ -7,7 +7,7 @@ from repro.pdn.generator import PDNConfig, generate_pdn
 from repro.pdn.templates import small_stack
 from repro.solver.checks import audit_solution
 from repro.solver.conductance import assemble_system, assemble_system_reference
-from repro.solver.factorized import FactorizedPDN, solve_static_ir_many
+from repro.solver.factorized import FactorizedPDN
 from repro.solver.static import solve_static_ir
 from repro.spice.elements import CurrentSource
 from repro.spice.netlist import Netlist
@@ -29,7 +29,8 @@ class TestSolveMany:
     def test_matches_individual_solves(self):
         netlist = _generated_netlist()
         factors = (0.5, 1.0, 1.7, 2.4)
-        batch = solve_static_ir_many(netlist, _scaled_maps(netlist, factors))
+        batch = FactorizedPDN(netlist).solve_many(
+            _scaled_maps(netlist, factors))
         assert len(batch) == len(factors)
 
         original_sources = netlist.current_sources
@@ -48,7 +49,8 @@ class TestSolveMany:
         netlist = _generated_netlist(seed=5)
         maps = _scaled_maps(netlist, (0.4, 0.9))
         original_sources = netlist.current_sources
-        for current_map, result in zip(maps, solve_static_ir_many(netlist, maps)):
+        results = FactorizedPDN(netlist).solve_many(maps)
+        for current_map, result in zip(maps, results):
             netlist.current_sources = [
                 CurrentSource(f"I{i}", node, value)
                 for i, (node, value) in enumerate(current_map.items())
@@ -59,13 +61,13 @@ class TestSolveMany:
     def test_accepts_current_source_elements(self):
         netlist = _generated_netlist()
         as_mapping = {s.node: s.value for s in netlist.current_sources}
-        [from_map] = solve_static_ir_many(netlist, [as_mapping])
-        [from_elements] = solve_static_ir_many(netlist,
-                                               [netlist.current_sources])
+        [from_map] = FactorizedPDN(netlist).solve_many([as_mapping])
+        [from_elements] = FactorizedPDN(netlist).solve_many(
+            [netlist.current_sources])
         assert from_map.node_voltages == from_elements.node_voltages
 
     def test_empty_batch(self):
-        assert solve_static_ir_many(_generated_netlist(), []) == []
+        assert FactorizedPDN(_generated_netlist()).solve_many([]) == []
 
     def test_factorization_is_reused(self):
         engine = FactorizedPDN(_generated_netlist())
@@ -204,4 +206,4 @@ class TestVectorizedAssembly:
         with pytest.raises(ValueError, match="unknown node 'n1_m1_9999_0'"):
             system.current_vector({"n1_m1_9999_0": 0.1})
         with pytest.raises(ValueError, match="unknown node"):
-            solve_static_ir_many(net, [{"n1_m1_5000_0": 0.1}])
+            FactorizedPDN(net).solve_many([{"n1_m1_5000_0": 0.1}])

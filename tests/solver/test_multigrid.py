@@ -1,7 +1,5 @@
 """Tests for the large-grid scaling engine: multigrid/IC preconditioning,
-block CG, and the calibrated direct↔CG crossover knob."""
-
-import json
+block CG, and the direct↔CG switch knob."""
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from repro.solver.factorized import (
     DIRECT_SIZE_LIMIT,
     FactorizedPDN,
     direct_size_limit,
-    load_crossover_calibration,
 )
 from repro.solver.multigrid import (
     IncompleteCholeskyPreconditioner,
@@ -160,27 +157,6 @@ class TestBlockCGUnit:
         assert not result.converged
         assert result.unconverged.size == rhs.shape[1]
 
-    def test_warm_start_converges_faster(self):
-        matrix, rhs = self._spd_system(k=1)
-        precond = JacobiPreconditioner(matrix)
-        cold = block_cg(matrix, rhs, precond.apply, rtol=1e-10)
-        warm = block_cg(matrix, rhs, precond.apply, rtol=1e-10,
-                        x0=cold.solution)
-        assert warm.iterations.max() < cold.iterations.max()
-
-
-class TestWarmStartEngine:
-    def test_warm_start_parity(self, medium_netlist):
-        maps = _scaled_maps(medium_netlist, (1.0, 1.3))
-        warm_engine = FactorizedPDN(medium_netlist, method="cg",
-                                    warm_start=True)
-        warm_engine.solve(maps[0])
-        warmed = warm_engine.solve(maps[1])
-        cold = FactorizedPDN(medium_netlist, method="cg").solve(maps[1])
-        worst = max(abs(warmed.node_voltages[name] - cold.node_voltages[name])
-                    for name in cold.node_voltages)
-        assert worst <= 1e-8
-
 
 class TestMultigridHierarchy:
     def test_levels_shrink_to_coarse_limit(self, medium_netlist):
@@ -192,22 +168,6 @@ class TestMultigridHierarchy:
         assert sizes[0] == engine.size
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] <= 300
-
-    def test_jacobi_smoother_also_converges(self, medium_netlist):
-        engine = FactorizedPDN(medium_netlist, method="cg")
-        coords = node_coordinates(engine.system.free_nodes)
-        mg = MultigridPreconditioner(engine.system.matrix, coords,
-                                     smoother="jacobi")
-        result = block_cg(engine.system.matrix, engine.system.rhs[:, None],
-                          mg.apply, rtol=1e-10)
-        assert result.converged
-
-    def test_invalid_smoother_rejected(self, medium_netlist):
-        engine = FactorizedPDN(medium_netlist, method="cg")
-        coords = node_coordinates(engine.system.free_nodes)
-        with pytest.raises(ValueError, match="smoother"):
-            MultigridPreconditioner(engine.system.matrix, coords,
-                                    smoother="sor")
 
     def test_setup_time_recorded(self, medium_netlist):
         engine = FactorizedPDN(medium_netlist, method="cg")
@@ -257,12 +217,13 @@ class TestCgSetupCaching:
 
     def test_preconditioner_cached_across_solves(self, small_netlist):
         engine = FactorizedPDN(small_netlist, method="cg", precond="jacobi")
+        assert engine.preconditioner is None  # the accessor builds nothing
         engine.solve()
-        built = engine._preconditioner
-        assert built is not None
+        built = engine.preconditioner
+        assert isinstance(built, JacobiPreconditioner)
         assert engine._connectivity_checked
         engine.solve_many(_scaled_maps(small_netlist, (0.5, 2.0)))
-        assert engine._preconditioner is built
+        assert engine.preconditioner is built
 
     def test_setup_accounted_in_factor_seconds(self, small_netlist):
         engine = FactorizedPDN(small_netlist, method="cg")
@@ -277,7 +238,6 @@ class TestCgSetupCaching:
 class TestDirectSizeLimit:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVER_DIRECT_LIMIT", raising=False)
-        monkeypatch.delenv("REPRO_SOLVER_CROSSOVER_FILE", raising=False)
         assert direct_size_limit() == DIRECT_SIZE_LIMIT
 
     def test_env_override_flips_auto_method(self, small_netlist, monkeypatch):
@@ -286,26 +246,6 @@ class TestDirectSizeLimit:
         monkeypatch.setenv("REPRO_SOLVER_DIRECT_LIMIT", "10")
         assert direct_size_limit() == 10
         assert engine.resolved_method == "cg"
-
-    def test_calibration_file_loaded(self, tmp_path, monkeypatch):
-        path = tmp_path / "solver_crossover.json"
-        path.write_text(json.dumps({"crossover_nodes": 123456}))
-        monkeypatch.delenv("REPRO_SOLVER_DIRECT_LIMIT", raising=False)
-        monkeypatch.setenv("REPRO_SOLVER_CROSSOVER_FILE", str(path))
-        assert direct_size_limit() == 123456
-
-    def test_env_wins_over_calibration(self, tmp_path, monkeypatch):
-        path = tmp_path / "solver_crossover.json"
-        path.write_text(json.dumps({"crossover_nodes": 123456}))
-        monkeypatch.setenv("REPRO_SOLVER_CROSSOVER_FILE", str(path))
-        monkeypatch.setenv("REPRO_SOLVER_DIRECT_LIMIT", "777")
-        assert direct_size_limit() == 777
-
-    def test_invalid_calibration_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"crossover_nodes": "many"}))
-        with pytest.raises(ValueError, match="crossover"):
-            load_crossover_calibration(str(path))
 
 
 class TestIncompleteCholesky:
