@@ -169,7 +169,9 @@ class ShardedSuiteDataset:
     multiple shards are merged into full-suite order by case index.  The
     dataset is an ordered sequence of :class:`LazyCase` entries, so it
     plugs directly into :meth:`IRDropDataset.with_oversampling` and
-    :class:`repro.train.loader.BatchLoader`.
+    :class:`repro.train.loader.BatchLoader`, and it is the form in which
+    the evaluation harness (:mod:`repro.eval.harness`) takes a streamed
+    build.
     """
 
     def __init__(

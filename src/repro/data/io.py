@@ -46,7 +46,10 @@ for shard builds) next to the case directories it references::
 spec list, so shard manifests merge into exactly the order a single-shard
 build produces; ``path`` is relative to the manifest's own directory.
 The JSON is dumped with sorted keys and no timestamps, so manifests of
-equivalent builds are bit-identical.
+equivalent builds are bit-identical.  A manifest is read back lazily by
+:class:`~repro.data.dataset.ShardedSuiteDataset` (which also merges
+shard manifests) or eagerly by
+:func:`~repro.data.synthesis.suite_from_manifest`.
 
 ``quarantined`` records foreign decks handed to a mixed build
 (``ingest_decks=``) that the ingestion front door refused or could not
@@ -59,10 +62,8 @@ never perturbs the generated cases — it is accounted, not fatal.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,11 +75,10 @@ from repro.spice.parser import parse_spice_file
 from repro.spice.writer import write_spice_file
 
 __all__ = [
-    "write_case", "read_case", "case_is_complete",
+    "write_case", "read_case",
     "CHANNEL_FILES", "FLOAT_ROUNDTRIP_RTOL",
     "CaseRef", "QuarantineRecord", "SuiteManifest", "MANIFEST_FORMAT",
     "manifest_filename", "write_manifest", "read_manifest", "merge_manifests",
-    "discover_manifests",
 ]
 
 CHANNEL_FILES: Dict[str, str] = {
@@ -143,28 +143,6 @@ def read_case(directory: str) -> CaseBundle:
         ir_map=ir_map,
         metadata=meta.get("metadata", {}),
     )
-
-
-def case_is_complete(directory: str, name: str, kind: str) -> bool:
-    """Whether ``directory`` holds a finished :func:`write_case` output.
-
-    :func:`write_case` writes ``meta.json`` last, so a readable meta file
-    whose identity matches ``(name, kind)`` marks a complete case; a build
-    killed mid-case leaves no (or a stale) meta and the case is redone.
-    The golden map and netlist are checked as a cheap extra guard.
-    Resumable :func:`repro.data.synthesis.stream_suite` builds use this to
-    skip already-written case directories.
-    """
-    meta_path = os.path.join(directory, _META_FILE)
-    try:
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-    except (OSError, ValueError):
-        return False
-    if meta.get("name") != name or meta.get("kind") != kind:
-        return False
-    return (os.path.exists(os.path.join(directory, _IR_FILE))
-            and os.path.exists(os.path.join(directory, _NETLIST_FILE)))
 
 
 # ----------------------------------------------------------------------
@@ -241,10 +219,6 @@ class SuiteManifest:
     def load(self, ref: CaseRef) -> CaseBundle:
         return read_case(self.case_dir(ref))
 
-    def load_all(self) -> List[CaseBundle]:
-        """Eagerly load every referenced case (small suites / tests only)."""
-        return [self.load(ref) for ref in self.refs]
-
     def to_json(self) -> str:
         payload = {
             "format": self.format,
@@ -269,39 +243,6 @@ def manifest_filename(shard: Optional[Tuple[int, int]] = None) -> str:
         return "manifest.json"
     index, count = shard
     return f"manifest-shard{int(index)}of{int(count)}.json"
-
-
-_SHARD_MANIFEST_RE = re.compile(r"manifest-shard(\d+)of(\d+)\.json$")
-
-
-def discover_manifests(directory: str) -> List[str]:
-    """The manifest files describing the suite stored in ``directory``.
-
-    Prefers the merged/unsharded ``manifest.json``; a directory holding
-    only per-shard manifests (``manifest-shard{i}of{n}.json`` — the
-    layout a sharded :func:`repro.data.synthesis.stream_suite` build
-    leaves before anyone merges it) returns every shard file in shard
-    order, ready to hand to
-    :class:`~repro.data.dataset.ShardedSuiteDataset` or
-    :func:`merge_manifests`.  A directory with neither raises a
-    ``FileNotFoundError`` that says what was expected, instead of the
-    bare missing-``manifest.json`` error the ingestion path used to
-    surface.
-    """
-    directory = os.fspath(directory)
-    merged = os.path.join(directory, manifest_filename())
-    if os.path.exists(merged):
-        return [merged]
-    shards = []
-    for path in glob.glob(os.path.join(directory, "manifest-shard*.json")):
-        match = _SHARD_MANIFEST_RE.search(os.path.basename(path))
-        if match:
-            shards.append((int(match.group(1)), path))
-    if shards:
-        return [path for _, path in sorted(shards)]
-    raise FileNotFoundError(
-        f"{directory!r} holds no suite manifest: expected "
-        f"{manifest_filename()!r} or manifest-shard{{i}}of{{n}}.json files")
 
 
 def write_manifest(manifest: SuiteManifest, path: str) -> str:

@@ -41,15 +41,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import knobs
 from repro.data.case import CaseBundle
 from repro.data.io import (
     CaseRef,
     QuarantineRecord,
     SuiteManifest,
-    case_is_complete,
     manifest_filename,
-    read_manifest,
     write_case,
     write_manifest,
 )
@@ -72,12 +69,9 @@ from repro.pdn.generator import (
 )
 from repro.pdn.grid import Blockage
 from repro.pdn.templates import HIDDEN_CASE_SPECS, contest_stack
-from repro.solver.conductance import NodalSystem
 from repro.solver.factorized import FactorizedCache, FactorizedPDN
 from repro.solver.rasterize import rasterize_ir_map
-from repro.solver.store import FactorizationStore
-from repro.spice.elements import CurrentSource, Resistor, VoltageSource
-from repro.spice.netlist import Netlist
+from repro.spice.elements import CurrentSource
 
 __all__ = [
     "SynthesisSettings", "synthesize_case", "make_suite", "stream_suite",
@@ -279,12 +273,7 @@ class TemplateRuntime:
 
 def _template_config_for_spec(spec: GridTemplateSpec,
                               settings: SynthesisSettings) -> PDNConfig:
-    """The deterministic geometry config a template spec denotes.
-
-    Cheap (a handful of RNG draws), so a
-    :class:`~repro.solver.store.FactorizationStore` hit re-derives the
-    config instead of serialising the nested stack/blockage dataclasses.
-    """
+    """The deterministic geometry config a template spec denotes."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "fake":
         return _fake_template_config(rng, settings, edge_um=spec.edge_um)
@@ -325,111 +314,11 @@ def template_cache() -> FactorizedCache:
     return _TEMPLATE_CACHE
 
 
-# ----------------------------------------------------------------------
-# Disk persistence: template runtime <-> FactorizationStore payload
-# ----------------------------------------------------------------------
-def _template_store_identity(spec: GridTemplateSpec,
-                             settings: SynthesisSettings) -> dict:
-    """JSON identity of one template build (the store's lookup key).
-
-    Mirrors the manifest provenance scheme: the template spec *and* the
-    full synthesis settings participate, so a settings change can never
-    silently reuse a stale grid.
-    """
-    return {
-        "kind": spec.kind,
-        "seed": int(spec.seed),
-        "edge_um": None if spec.edge_um is None else float(spec.edge_um),
-        "settings": _settings_payload(settings),
-    }
-
-
-def _runtime_payload(runtime: TemplateRuntime) -> Dict[str, np.ndarray]:
-    """Flatten a template runtime into bit-exact ``npz``-able arrays.
-
-    Element values are stored as raw float64 (the ``%.6g`` SPICE text
-    format would round them), so a loaded template writes byte-identical
-    case netlists and produces byte-identical golden solves.
-    """
-    netlist = runtime.template.netlist
-    arrays = {
-        "netlist_name": np.asarray([netlist.name], dtype=np.str_),
-        "resistor_names": np.asarray([r.name for r in netlist.resistors],
-                                     dtype=np.str_),
-        "resistor_node_a": np.asarray([r.node_a for r in netlist.resistors],
-                                      dtype=np.str_),
-        "resistor_node_b": np.asarray([r.node_b for r in netlist.resistors],
-                                      dtype=np.str_),
-        "resistor_ohms": np.asarray([r.resistance for r in netlist.resistors]),
-        "vsource_names": np.asarray([v.name for v in netlist.voltage_sources],
-                                    dtype=np.str_),
-        "vsource_nodes": np.asarray([v.node for v in netlist.voltage_sources],
-                                    dtype=np.str_),
-        "vsource_volts": np.asarray([v.value for v in netlist.voltage_sources]),
-        "pad_nodes": np.asarray(runtime.template.pad_nodes, dtype=np.str_),
-    }
-    for key, value in runtime.engine.system.to_arrays().items():
-        arrays[f"system_{key}"] = value
-    for channel, raster in runtime.geometry_maps.items():
-        arrays[f"geom_{channel}"] = raster
-    return arrays
-
-
-def _runtime_from_payload(spec: GridTemplateSpec, settings: SynthesisSettings,
-                          arrays: Dict[str, np.ndarray]) -> TemplateRuntime:
-    """Rebuild a template runtime from stored arrays (no grid build, no
-    pruning, no assembly, no raster computation)."""
-    netlist = Netlist(str(arrays["netlist_name"][0]))
-    netlist.resistors = [
-        Resistor(str(name), str(node_a), str(node_b), float(ohms))
-        for name, node_a, node_b, ohms in zip(
-            arrays["resistor_names"], arrays["resistor_node_a"],
-            arrays["resistor_node_b"], arrays["resistor_ohms"])
-    ]
-    netlist.voltage_sources = [
-        VoltageSource(str(name), str(node), float(volts))
-        for name, node, volts in zip(
-            arrays["vsource_names"], arrays["vsource_nodes"],
-            arrays["vsource_volts"])
-    ]
-    system = NodalSystem.from_arrays({
-        key[len("system_"):]: value for key, value in arrays.items()
-        if key.startswith("system_")
-    })
-    geometry_maps = {}
-    for channel in GEOMETRY_CHANNELS:
-        raster = np.asarray(arrays[f"geom_{channel}"])
-        raster.setflags(write=False)  # shared by every sibling case
-        geometry_maps[channel] = raster
-    template = PDNTemplate(
-        name=netlist.name,
-        netlist=netlist,
-        pad_nodes=[str(node) for node in arrays["pad_nodes"]],
-        config=_template_config_for_spec(spec, settings),
-    )
-    engine = FactorizedPDN(netlist, system=system)
-    return TemplateRuntime(template=template, engine=engine,
-                           geometry_maps=geometry_maps)
-
-
 def _template_runtime(spec: GridTemplateSpec, settings: SynthesisSettings,
-                      cache: Optional[FactorizedCache],
-                      store: Optional[FactorizationStore] = None,
-                      ) -> TemplateRuntime:
+                      cache: Optional[FactorizedCache]) -> TemplateRuntime:
     cache = cache if cache is not None else _TEMPLATE_CACHE
-
-    def build() -> TemplateRuntime:
-        if store is not None:
-            identity = _template_store_identity(spec, settings)
-            arrays = store.load(identity)
-            if arrays is not None:
-                return _runtime_from_payload(spec, settings, arrays)
-        runtime = _build_template_runtime(spec, settings)
-        if store is not None:
-            store.save(identity, _runtime_payload(runtime))
-        return runtime
-
-    return cache.get_or_build((spec, settings.cache_key()), build)
+    return cache.get_or_build((spec, settings.cache_key()),
+                              lambda: _build_template_runtime(spec, settings))
 
 
 def synthesize_case(
@@ -440,7 +329,6 @@ def synthesize_case(
     edge_um: Optional[float] = None,
     template: Optional[GridTemplateSpec] = None,
     template_cache: Optional[FactorizedCache] = None,
-    store: Optional[FactorizationStore] = None,
 ) -> CaseBundle:
     """Generate one complete case (netlist + features + golden IR map).
 
@@ -449,10 +337,8 @@ def synthesize_case(
     :class:`GridTemplateSpec`, geometry comes from the (cached) template
     and only the load pattern is case-specific: the golden solve reuses
     the template's factorisation and the geometry-only feature channels
-    are shared — treat those arrays as read-only.  A
-    :class:`~repro.solver.store.FactorizationStore` additionally
-    persists template runtimes on disk, so separate processes and
-    restarted builds skip template setup entirely.
+    are shared — treat those arrays as read-only.  Template runtimes live
+    in ``template_cache`` (default: this process's :func:`template_cache`).
     """
     settings = settings or SynthesisSettings()
     if template is None:
@@ -460,7 +346,7 @@ def synthesize_case(
 
     if kind not in ("fake", "real", "hidden"):
         raise ValueError(f"unknown case kind {kind!r}")
-    runtime = _template_runtime(template, settings, template_cache, store)
+    runtime = _template_runtime(template, settings, template_cache)
     rng = np.random.default_rng(seed)
     hotspots, background, fraction = _case_load_draws(kind, rng)
     config = replace(runtime.template.config, hotspots=hotspots,
@@ -685,24 +571,15 @@ def _shard_slice(total: int, shard: Tuple[int, int]) -> slice:
     return slice(start, stop)
 
 
-def _resolve_store(store_dir: Optional[str]) -> Optional[FactorizationStore]:
-    """A store handle for ``store_dir`` (or the ``REPRO_FACTOR_STORE``
-    environment default); ``None`` disables disk persistence."""
-    if store_dir is None:
-        store_dir = knobs.read("REPRO_FACTOR_STORE")
-    return None if store_dir is None else FactorizationStore(store_dir)
-
-
 def _synthesize_group(
-    task: Tuple[List[IndexedSpec], SynthesisSettings, Optional[str]],
+    task: Tuple[List[IndexedSpec], SynthesisSettings],
 ) -> List[CaseBundle]:
     """Process-pool entry point (module-level so it pickles)."""
-    group, settings, store_dir = task
-    store = _resolve_store(store_dir)
+    group, settings = task
     return [
         synthesize_case(spec.kind, spec.seed, settings=settings,
                         name=spec.name, edge_um=spec.edge_um,
-                        template=spec.template, store=store)
+                        template=spec.template)
         for _, spec in group
     ]
 
@@ -713,38 +590,18 @@ def _case_dirname(index: int, name: str) -> str:
     return f"case{index:05d}_{name}"
 
 
-def _spec_case_name(spec: CaseSpec) -> str:
-    """The name :func:`synthesize_case` will give the case — known up
-    front, so resumable builds can locate a case dir without solving."""
-    return spec.name or f"{spec.kind}_{spec.seed}"
-
-
 def _synthesize_group_to_dir(
-    task: Tuple[List[IndexedSpec], SynthesisSettings, str, bool, Optional[str]],
+    task: Tuple[List[IndexedSpec], SynthesisSettings, str],
 ) -> List[CaseRef]:
     """Streamed process-pool entry point: write each case as it completes,
-    hand back only manifest refs (never a pickled bundle).
-
-    With ``resume`` set, a case whose directory already holds a complete
-    write (verified by meta identity — see
-    :func:`repro.data.io.case_is_complete`) is skipped: its ref is emitted
-    straight from the spec and the existing files are left untouched, so a
-    killed build picks up where it stopped and still merges bit-identically.
-    """
-    group, settings, out_dir, resume, store_dir = task
-    store = _resolve_store(store_dir)
+    hand back only manifest refs (never a pickled bundle)."""
+    group, settings, out_dir = task
     refs = []
     for index, spec in group:
-        name = _spec_case_name(spec)
-        dirname = _case_dirname(index, name)
-        if resume and case_is_complete(os.path.join(out_dir, dirname),
-                                       name, spec.kind):
-            refs.append(CaseRef(index=index, name=name,
-                                kind=spec.kind, path=dirname))
-            continue
         bundle = synthesize_case(spec.kind, spec.seed, settings=settings,
                                  name=spec.name, edge_um=spec.edge_um,
-                                 template=spec.template, store=store)
+                                 template=spec.template)
+        dirname = _case_dirname(index, bundle.name)
         write_case(bundle, os.path.join(out_dir, dirname))
         refs.append(CaseRef(index=index, name=bundle.name,
                             kind=bundle.kind, path=dirname))
@@ -797,7 +654,6 @@ def make_suite(
     settings: Optional[SynthesisSettings] = None,
     workers: int = 1,
     cases_per_template: int = 1,
-    store_dir: Optional[str] = None,
     ingest_decks: Optional[Sequence[str]] = None,
     ingest_mode: str = "tolerant",
 ) -> BenchmarkSuite:
@@ -811,11 +667,7 @@ def make_suite(
     suite is bit-identical for any worker count.  ``cases_per_template``
     groups fake/real cases onto shared geometries (factor once per
     template); work units are template-contiguous so a template is never
-    built twice in one worker.  ``store_dir`` (default: the
-    ``REPRO_FACTOR_STORE`` environment variable) persists template
-    runtimes in a :class:`~repro.solver.store.FactorizationStore` so
-    repeat builds skip template setup; results are bit-identical with or
-    without it.
+    built twice in one worker.
 
     ``ingest_decks`` mixes foreign SPICE decks into the build through the
     :mod:`repro.ingest` front door: each deck becomes a
@@ -831,7 +683,7 @@ def make_suite(
     specs = suite_case_specs(num_fake, num_real, num_hidden, seed, settings,
                              cases_per_template=cases_per_template)
     groups = _template_groups(list(enumerate(specs)))
-    tasks = [(group, settings, store_dir) for group in groups]
+    tasks = [(group, settings) for group in groups]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -864,8 +716,6 @@ def stream_suite(
     workers: int = 1,
     shard: Optional[Tuple[int, int]] = None,
     cases_per_template: int = 1,
-    resume: bool = False,
-    store_dir: Optional[str] = None,
     ingest_decks: Optional[Sequence[str]] = None,
     ingest_mode: str = "tolerant",
 ) -> SuiteManifest:
@@ -880,25 +730,6 @@ def stream_suite(
     :func:`repro.data.io.merge_manifests` into exactly the single-build
     ordering, and the result is bit-identical for any ``workers``/``shard``
     configuration.
-
-    ``resume=True`` makes the build restartable: case directories that
-    already contain a complete, identity-verified write are skipped (their
-    refs come from the deterministic spec list), partially written cases
-    are regenerated, and the resulting manifest — and any merge of shard
-    manifests — is bit-identical to an uninterrupted build.  Case names
-    fix the RNG seed but not the synthesis settings, so every build stamps
-    its provenance (an empty-refs manifest) *before* the first case is
-    written; a resume over a directory whose recorded build — finished or
-    killed — used different settings or suite identity refuses rather
-    than silently mixing provenances.
-
-    ``store_dir`` (default: the ``REPRO_FACTOR_STORE`` environment
-    variable) points workers at a shared
-    :class:`~repro.solver.store.FactorizationStore`: templates already
-    built by an earlier run, another shard's workers, or a killed build
-    are loaded from disk instead of being regenerated and re-assembled.
-    The store changes cost only — manifests and case files are
-    bit-identical with or without it.
 
     ``ingest_decks`` mixes foreign SPICE decks into the build (see
     :func:`make_suite`): surviving decks are written as
@@ -924,15 +755,6 @@ def stream_suite(
     }
     shard_ident = None if shard is None else (int(shard[0]), int(shard[1]))
     manifest_path = os.path.join(out_dir, manifest_filename(shard))
-    if resume and os.path.exists(manifest_path):
-        previous = read_manifest(manifest_path)
-        if (previous.suite != suite_ident
-                or previous.settings != _settings_payload(settings)):
-            raise ValueError(
-                f"{manifest_path!r} records a different build "
-                "(suite identity or settings changed); refusing to resume "
-                "over its case directories — use a fresh out_dir"
-            )
     specs = suite_case_specs(num_fake, num_real, num_hidden, seed, settings,
                              cases_per_template=cases_per_template)
     indexed = list(enumerate(specs))
@@ -941,16 +763,7 @@ def stream_suite(
     groups = _template_groups(indexed)
 
     os.makedirs(out_dir, exist_ok=True)
-    # provenance stamp: if this build dies before finishing, the partial
-    # directory still records what was being built, so a later resume can
-    # verify it is continuing the same build
-    write_manifest(SuiteManifest(suite=suite_ident,
-                                 settings=_settings_payload(settings),
-                                 refs=[], shard=shard_ident,
-                                 root=os.path.abspath(out_dir)),
-                   manifest_path)
-    tasks = [(group, settings, out_dir, resume, store_dir)
-             for group in groups]
+    tasks = [(group, settings, out_dir) for group in groups]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             ref_lists = list(pool.map(_synthesize_group_to_dir, tasks))

@@ -5,21 +5,20 @@ Scale is controlled by :class:`EvalConfig`; the ``REPRO_EVAL_*``
 environment variables let the benchmark runner trade fidelity for time
 (see EXPERIMENTS.md for the settings used in the recorded runs).
 
-The harness accepts its suite in any of three forms — an in-memory
-:class:`~repro.data.synthesis.BenchmarkSuite`, a lazily loaded
-:class:`~repro.data.dataset.ShardedSuiteDataset`, or a manifest path /
-:class:`~repro.data.io.SuiteManifest` from a streamed build — so
-evaluation never has to materialise a large suite.  ``workers > 1`` fans
-the per-model train+eval jobs of :func:`run_comparison` out over a
-process pool; every model seeds its own RNG state from the config, so
-the results are identical to the sequential run for any worker count
-(wall-clock ``train_seconds``/TAT aside — those are timings, not data).
+The harness accepts its suite as an in-memory
+:class:`~repro.data.synthesis.BenchmarkSuite` or as a lazily loaded
+:class:`~repro.data.dataset.ShardedSuiteDataset` over a streamed build's
+manifests, so evaluation never has to materialise a large suite.
+``workers > 1`` fans the per-model train+eval jobs of
+:func:`run_comparison` out over a process pool; every model seeds its
+own RNG state from the config, so the results are identical to the
+sequential run for any worker count (wall-clock ``train_seconds``/TAT
+aside — those are timings, not data).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from repro import knobs
 from repro.core.pipeline import IRPredictor
 from repro.core.registry import MODEL_REGISTRY, ModelSpec
 from repro.data.dataset import IRDropDataset, ShardedSuiteDataset
-from repro.data.io import SuiteManifest, discover_manifests
+from repro.data.io import SuiteManifest
 from repro.data.synthesis import BenchmarkSuite
 from repro.metrics.report import CaseMetrics, average_metrics, metric_ratios, score_case
 from repro.solver.store import FactorizationStore
@@ -39,17 +38,16 @@ from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
 from repro.train.trainer import TrainConfig, Trainer
 
-__all__ = ["EvalConfig", "ComparisonResult", "SuiteSource", "resolve_suite",
+__all__ = ["EvalConfig", "ComparisonResult", "SuiteSource",
            "train_predictor", "evaluate_predictor", "run_comparison",
            "CHECKPOINT_FORMAT"]
 
 CHECKPOINT_FORMAT = "lmm-ir-model-checkpoint-v1"
 
-SuiteSource = Union[BenchmarkSuite, ShardedSuiteDataset, SuiteManifest,
-                    str, "os.PathLike[str]"]
-"""Anything the harness can evaluate against: an in-memory suite, a lazy
-sharded dataset, a loaded manifest, or a manifest path (a directory is
-taken to contain ``manifest.json``)."""
+SuiteSource = Union[BenchmarkSuite, ShardedSuiteDataset]
+"""What the harness evaluates against: an in-memory suite or a lazy
+sharded dataset.  Both expose ``fake_cases`` / ``real_cases`` /
+``hidden_cases`` / ``training_cases``."""
 
 
 @dataclass
@@ -109,61 +107,26 @@ class ComparisonResult:
 # ----------------------------------------------------------------------
 # Suite sources
 # ----------------------------------------------------------------------
-def resolve_suite(source: SuiteSource):
-    """Normalise any :data:`SuiteSource` to a split-interface object.
-
-    The result exposes ``fake_cases`` / ``real_cases`` / ``hidden_cases``
-    / ``training_cases`` — satisfied by :class:`BenchmarkSuite` natively
-    and by :class:`ShardedSuiteDataset` via its lazy kind views.
-
-    A directory source may hold either the merged ``manifest.json`` or
-    only per-shard manifests (``manifest-shard{i}of{n}.json``) — the
-    layout a sharded build leaves before merging; the shards are
-    discovered and merged in memory
-    (:func:`repro.data.io.discover_manifests`), so the serve ingestion
-    path can point straight at a freshly streamed suite directory.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        return ShardedSuiteDataset(_manifest_paths(source))
-    if isinstance(source, SuiteManifest):
-        return ShardedSuiteDataset(source)
-    return source
-
-
-def _manifest_paths(source) -> Union[str, List[str]]:
-    """Path source → manifest file path(s): directories go through shard
-    discovery, explicit file paths are used as given."""
-    path = os.fspath(source)
-    if os.path.isdir(path):
-        return discover_manifests(path)
-    return path
-
-
 def _suite_payload(source: SuiteSource):
     """The cheapest picklable handle on a suite for pool workers.
 
-    Manifest-backed sources travel as the manifest (refs only — workers
-    re-open the case files lazily); in-memory suites have no smaller
-    representation and are pickled whole.
+    A dataset travels as its manifest (refs only — workers re-open the
+    case files lazily); an in-memory suite has no smaller representation
+    and is pickled whole.
     """
-    if isinstance(source, (str, os.PathLike)):
-        return os.fspath(source)
     if isinstance(source, ShardedSuiteDataset):
         return source.manifest
     return source
 
 
-def _resolve_payload(payload):
-    """Worker-side counterpart of :func:`resolve_suite`.
+def _resolve_payload(payload) -> SuiteSource:
+    """Worker-side counterpart of :func:`_suite_payload`.
 
     Completeness was already enforced (or deliberately waived) when the
-    parent resolved the original source, so workers rebuild manifest-backed
-    datasets permissively — a ``require_complete=False`` dataset must
-    behave the same under ``workers=1`` and ``workers=N``.
+    parent built its dataset, so workers rebuild it permissively — a
+    ``require_complete=False`` dataset must behave the same under
+    ``workers=1`` and ``workers=N``.
     """
-    if isinstance(payload, (str, os.PathLike)):
-        return ShardedSuiteDataset(_manifest_paths(payload),
-                                   require_complete=False)
     if isinstance(payload, SuiteManifest):
         return ShardedSuiteDataset(payload, require_complete=False)
     return payload
@@ -306,7 +269,6 @@ def train_predictor(spec_name: str, suite: SuiteSource,
     refreshes the checkpoint.
     """
     config = config or EvalConfig()
-    suite = resolve_suite(suite)
     spec = MODEL_REGISTRY[spec_name]
     seed_everything(config.seed)
     model = spec.build()
@@ -398,7 +360,6 @@ def run_comparison(suite: SuiteSource, model_names: Sequence[str],
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     config = config or EvalConfig()
-    resolved = resolve_suite(suite)
 
     if workers > 1 and len(model_names) > 1:
         # workers get the cheapest picklable handle and re-resolve it
@@ -406,9 +367,8 @@ def run_comparison(suite: SuiteSource, model_names: Sequence[str],
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             columns = list(pool.map(_train_and_score, tasks))
     else:
-        # sequential models share the already-resolved suite (and its
-        # bundle LRU, for manifest-backed sources)
-        columns = [_train_and_score((name, resolved, config))
+        # sequential models share the suite (and a dataset's bundle LRU)
+        columns = [_train_and_score((name, suite, config))
                    for name in model_names]
 
     per_model: Dict[str, List[CaseMetrics]] = {}
@@ -424,5 +384,5 @@ def run_comparison(suite: SuiteSource, model_names: Sequence[str],
         averages=averages,
         ratios=metric_ratios(averages, reference),
         train_seconds=train_seconds,
-        case_names=[case.name for case in resolved.hidden_cases],
+        case_names=[case.name for case in suite.hidden_cases],
     )

@@ -106,8 +106,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "CG iteration cap (an explicit `cg_maxiter` wins)"),
     Knob("REPRO_SOLVER_BUDGET_S", "float > 0", "",
          "wall-clock budget per CG solve, seconds"),
-    Knob("REPRO_FACTOR_STORE", "path", "",
-         "on-disk factorization store directory of suite synthesis"),
     # evaluation and inference (EvalConfig)
     Knob("REPRO_EVAL_EDGE", "int", "48",
          "training/inference edge, px (`python -m repro.ingest` 32)"),

@@ -4,7 +4,7 @@ This package substitutes for PyTorch in the LMM-IR reproduction (see
 EXPERIMENTS.md, "Substitutions").  It provides reverse-mode autodiff
 (:mod:`repro.nn.tensor`, :mod:`repro.nn.functional`), module containers,
 the layers and attention blocks the paper's architecture and the contest
-baselines need, losses, optimisers and LR schedules.  The models train
+baselines need, losses and optimisers.  The models train
 with :func:`masked_mse` and :class:`Adam`.  Checkpoints are
 :meth:`Module.state_dict` mappings, which :mod:`repro.serve.registry`
 stores.
@@ -38,13 +38,6 @@ from repro.nn.layers import (
 from repro.nn.losses import BCEWithLogitsLoss, HuberLoss, L1Loss, MSELoss, masked_mse
 from repro.nn.module import Module, ModuleList, Sequential
 from repro.nn.optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm
-from repro.nn.schedulers import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    StepLR,
-    WarmupCosine,
-)
 from repro.nn.tensor import Parameter, Tensor, as_tensor, is_grad_enabled, no_grad
 from repro.nn import init
 
@@ -60,6 +53,5 @@ __all__ = [
     "AttentionGate", "sinusoidal_positions",
     "MSELoss", "L1Loss", "HuberLoss", "BCEWithLogitsLoss", "masked_mse",
     "Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm",
-    "LRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR", "WarmupCosine",
     "check_gradients", "numerical_gradient",
 ]

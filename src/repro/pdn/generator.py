@@ -110,10 +110,9 @@ class PDNTemplate:
     The conductance matrix of the nodal system depends only on resistors
     and supply placement, so every case instantiated from one template
     shares a factorisation (see
-    :class:`repro.solver.factorized.FactorizedPDN`) — within a process
-    via the :class:`~repro.solver.factorized.FactorizedCache` LRU, and
-    across processes/restarts via the disk-persistent
-    :class:`~repro.solver.store.FactorizationStore`.  The netlist here is
+    :class:`repro.solver.factorized.FactorizedPDN`) through the
+    per-process :class:`~repro.solver.factorized.FactorizedCache` LRU.
+    The netlist here is
     already pruned; per-case current sources attach to surviving nodes
     only, so instantiated cases never need re-pruning.
     """

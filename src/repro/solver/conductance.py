@@ -100,59 +100,6 @@ class NodalSystem:
             )
         return self.supply_rhs - self.current_vector(currents)
 
-    # ------------------------------------------------------------------
-    # Exact (bit-preserving) array round trip, for disk persistence
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flatten the system into named arrays (``npz``-serialisable).
-
-        The CSR buffers are stored verbatim, so
-        ``from_arrays(to_arrays())`` reproduces the matrix bit-for-bit —
-        which is what lets a :class:`repro.solver.store.FactorizationStore`
-        hit produce the same factorisation (and therefore the same solve,
-        to the last bit) as a cold assembly.
-        """
-        csr = self.matrix.tocsr()
-        fixed_names = list(self.fixed_voltages)
-        arrays = {
-            "matrix_data": csr.data,
-            "matrix_indices": csr.indices,
-            "matrix_indptr": csr.indptr,
-            "matrix_shape": np.asarray(csr.shape, dtype=np.int64),
-            "rhs": self.rhs,
-            "free_nodes": np.asarray(self.free_nodes, dtype=np.str_),
-            "fixed_names": np.asarray(fixed_names, dtype=np.str_),
-            "fixed_values": np.asarray(
-                [self.fixed_voltages[name] for name in fixed_names]),
-            "ground_name": np.asarray([self.ground_name], dtype=np.str_),
-        }
-        if self.supply_rhs is not None:
-            arrays["supply_rhs"] = self.supply_rhs
-        return arrays
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "NodalSystem":
-        """Rebuild a system previously flattened by :meth:`to_arrays`."""
-        shape = tuple(int(s) for s in arrays["matrix_shape"])
-        matrix = sparse.csr_matrix(
-            (arrays["matrix_data"], arrays["matrix_indices"],
-             arrays["matrix_indptr"]),
-            shape=shape,
-        )
-        fixed = {str(name): float(value)
-                 for name, value in zip(arrays["fixed_names"],
-                                        arrays["fixed_values"])}
-        supply_rhs = arrays["supply_rhs"] if "supply_rhs" in arrays else None
-        return cls(
-            matrix=matrix,
-            rhs=np.asarray(arrays["rhs"], dtype=float),
-            free_nodes=[str(name) for name in arrays["free_nodes"]],
-            fixed_voltages=fixed,
-            ground_name=str(arrays["ground_name"][0]),
-            supply_rhs=(None if supply_rhs is None
-                        else np.asarray(supply_rhs, dtype=float)),
-        )
-
 
 def _fixed_voltages(netlist: Netlist) -> Dict[str, float]:
     table = netlist.node_table()

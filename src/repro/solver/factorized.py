@@ -114,9 +114,8 @@ class FactorizedPDN:
         coordinates, incomplete factorisation otherwise.
     system:
         A pre-assembled :class:`~repro.solver.conductance.NodalSystem`
-        for this netlist (e.g. from a
-        :class:`~repro.solver.store.FactorizationStore`); skips
-        re-assembly.
+        for this netlist; skips re-assembly (lets a caller time assembly
+        apart from the solve).
     """
 
     def __init__(self, netlist: Netlist, method: str = "auto",
@@ -385,9 +384,7 @@ class FactorizedCache:
     Suite synthesis keys this by grid template, so every case sharing a
     PDN geometry reuses one :class:`FactorizedPDN` (and whatever other
     per-template payload the builder bundles with it): the factorisation
-    is paid once per *template* instead of once per *case*.  For reuse
-    across processes and restarts, see the disk-persistent
-    :class:`repro.solver.store.FactorizationStore`.
+    is paid once per *template* instead of once per *case*.
 
     ``maxsize=0`` disables storage entirely (every lookup rebuilds), which
     is the no-reuse baseline the suite-synthesis benchmark measures

@@ -1,32 +1,25 @@
-"""Disk-persistent store of prepared solver state.
+"""Content-addressed disk store of named numpy payloads.
 
-The in-memory :class:`~repro.solver.factorized.FactorizedCache` amortises
-template setup within one process; this store extends the same idea
-across processes and restarts.  ``stream_suite`` workers, ``resume=True``
-re-runs and entirely separate builds that share a grid template skip the
-expensive part of template setup — grid construction, pruning, sparse
-assembly and the geometry feature rasters — by loading the flattened
-arrays from disk.
-
-Entries follow the manifest provenance scheme of :mod:`repro.data.io`:
+The store maps a JSON *identity* to a dict of numpy arrays and makes the
+write crash-safe and the read refuse anything it cannot trust.  It backs
+the serving model registry (:mod:`repro.serve.registry`) and the
+evaluation harness's trained-weight checkpoints
+(:mod:`repro.eval.harness`); the chaos soak drives it under injected
+faults.
 
 * one directory per entry (``<root>/<key>/``), keyed by a hash of the
-  entry's JSON *identity* (template spec + synthesis settings);
+  entry's canonical JSON identity;
 * the binary payload (``payload.npz``) is written first and
-  ``meta.json`` — which records the full identity — last, so a readable
-  meta file is the completion marker;
+  ``meta.json`` — which records the full identity and the payload's
+  sha256 — last, so a readable meta file is the completion marker;
 * a hit requires the stored identity to equal the requested one
-  byte-for-byte after JSON normalisation; anything else (missing files,
-  truncated npz, tampered meta, hash collision) is *refused* and treated
-  as a miss, so a corrupt entry can never poison a build — it is simply
-  rebuilt and overwritten.
+  byte-for-byte after JSON normalisation and the payload to match its
+  recorded digest; anything else (missing files, truncated npz, tampered meta,
+  hash collision, flipped bits) is *refused* and treated as a miss, so a
+  corrupt entry is never handed to a caller — it is simply rebuilt and
+  overwritten.
 
-Array payloads round-trip bit-exactly through ``npz`` (unlike the
-``%.6g`` SPICE text format), and the numeric factorisation itself is
-recomputed lazily from the stored CSR buffers — SuperLU handles are not
-serialisable, but factoring identical bytes is deterministic, so a store
-hit produces bit-identical golden solves (and therefore bit-identical
-suite manifests and case files) to a cold build.
+Array payloads round-trip bit-exactly through ``npz``.
 """
 
 from __future__ import annotations
@@ -77,12 +70,11 @@ def _canonical(identity: dict) -> str:
 
 
 class FactorizationStore:
-    """Content-addressed directory of flattened solver-setup payloads.
+    """Content-addressed directory of numpy payloads.
 
     The store is deliberately generic: it maps a JSON identity to a dict
-    of numpy arrays.  What goes into the payload (netlist elements,
-    assembled system, geometry rasters) is the caller's business — see
-    :mod:`repro.data.synthesis` for the template-runtime packing.
+    of numpy arrays.  What goes into the payload is the caller's
+    business — model state dicts for the registry and the checkpoints.
 
     Writes are crash- and race-safe: the payload lands in a
     process-private temporary directory that is renamed into place only

@@ -1,28 +1,21 @@
-"""Degenerate shard layouts round-trip cleanly (PR 7 satellite fix).
+"""Degenerate shard layouts round-trip cleanly.
 
 A sharded build with more shards than cases leaves 0-case shard
 manifests on disk, and single-machine runs often produce exactly one
-shard of N.  Before the hardening these layouts fell over at the edges:
-``resolve_suite`` on a shard-only directory died with a raw missing-
-``manifest.json`` ``FileNotFoundError``, and the 0-case/1-shard merge
-guarantees were unstated.  These tests pin the contracts end to end
-against a real streamed build.
+shard of N.  These tests pin the 0-case and 1-shard merge contracts end
+to end against a real streamed build.
 """
-
-import os
 
 import pytest
 
 from repro.data.dataset import ShardedSuiteDataset
 from repro.data.io import (
-    discover_manifests,
     manifest_filename,
     merge_manifests,
     read_manifest,
     write_manifest,
 )
 from repro.data.synthesis import SynthesisSettings, stream_suite
-from repro.eval.harness import resolve_suite
 
 SUITE = dict(num_fake=1, num_real=1, num_hidden=1, seed=11)
 SHARDS = 4  # > total cases (3): the last shard is guaranteed empty
@@ -102,35 +95,3 @@ class TestSingleShardMerge:
     def test_zero_manifests_refused(self):
         with pytest.raises(ValueError, match="zero manifests"):
             merge_manifests([])
-
-
-class TestShardDirectoryIngestion:
-    def test_discover_prefers_merged_manifest(self, sharded_build):
-        root, _, _, _ = sharded_build
-        serial_dir = str(root / "serial")
-        assert discover_manifests(serial_dir) == [
-            os.path.join(serial_dir, manifest_filename())]
-
-    def test_discover_returns_shards_in_order(self, sharded_build):
-        _, _, shard_dir, _ = sharded_build
-        found = discover_manifests(str(shard_dir))
-        assert [os.path.basename(path) for path in found] == [
-            manifest_filename(shard=(index, SHARDS))
-            for index in range(SHARDS)]
-
-    def test_discover_empty_directory_is_informative(self, tmp_path):
-        with pytest.raises(FileNotFoundError) as excinfo:
-            discover_manifests(str(tmp_path))
-        message = str(excinfo.value)
-        assert "manifest.json" in message
-        assert "manifest-shard" in message
-
-    def test_resolve_suite_on_shard_only_directory(self, sharded_build):
-        """The regression: this used to raise a raw FileNotFoundError
-        for ``<dir>/manifest.json`` instead of ingesting the shards."""
-        _, serial, shard_dir, _ = sharded_build
-        suite = resolve_suite(str(shard_dir))
-        assert len(list(suite.hidden_cases)) == SUITE["num_hidden"]
-        assert (sorted(case.name for case in suite.training_cases)
-                == sorted(ref.name for ref in serial.refs
-                          if ref.kind in ("fake", "real")))

@@ -131,95 +131,6 @@ class TestShardParity:
         assert reread.shard is None
 
 
-class TestResume:
-    """Killed-and-restarted streamed builds must leave no trace."""
-
-    def _mtimes(self, out_dir):
-        stamps = {}
-        for case_dir in sorted(os.listdir(out_dir)):
-            full = os.path.join(out_dir, case_dir)
-            if os.path.isdir(full):
-                for filename in _case_files(full):
-                    path = os.path.join(full, filename)
-                    stamps[os.path.join(case_dir, filename)] = os.stat(path).st_mtime_ns
-        return stamps
-
-    def test_killed_and_restarted_shard_merges_bit_identically(
-            self, tmp_path, settings, builds):
-        root, serial, _, fresh0, fresh1 = builds
-        kwargs = dict(settings=settings, **SUITE)
-
-        # build both shards in a layout mirroring the reference fixture,
-        # then simulate a crash in shard 0: one case vanishes entirely,
-        # another dies mid-write (meta.json, written last, is missing)
-        resumed_dir = tmp_path / "s0"
-        other = stream_suite(str(tmp_path / "s1"), shard=(1, 2), **kwargs)
-        first_pass = stream_suite(str(resumed_dir), shard=(0, 2), **kwargs)
-        assert len(first_pass.refs) >= 2
-        victims = [resumed_dir / ref.path for ref in first_pass.refs[:2]]
-        for filename in os.listdir(victims[0]):
-            os.remove(victims[0] / filename)
-        os.rmdir(victims[0])
-        os.remove(victims[1] / "meta.json")
-        survivors = self._mtimes(str(resumed_dir))
-
-        restarted = stream_suite(str(resumed_dir), shard=(0, 2), resume=True,
-                                 **kwargs)
-
-        # the restart redid exactly the damaged cases...
-        after = self._mtimes(str(resumed_dir))
-        redone = {path for path in after
-                  if path not in survivors or after[path] != survivors[path]}
-        assert {path.split(os.sep)[0] for path in redone} == \
-               {os.path.basename(str(v)) for v in victims}
-        # ...and its manifest is byte-identical to the uninterrupted build
-        with open(resumed_dir / manifest_filename((0, 2)), "rb") as handle:
-            resumed_bytes = handle.read()
-        with open(root / "shards" / "s0" / manifest_filename((0, 2)),
-                  "rb") as handle:
-            fresh_bytes = handle.read()
-        assert resumed_bytes == fresh_bytes
-
-        # the merged suite is bit-identical to the merge of uninterrupted
-        # builds (same shard layout → same relative paths → same bytes)
-        merged = merge_manifests([restarted, other],
-                                 out_path=str(tmp_path / "merged.json"))
-        reference = merge_manifests(
-            [fresh0, fresh1],
-            out_path=str(root / "shards" / "merged_ref.json"))
-        assert merged.to_json() == reference.to_json()
-        assert [(r.index, r.name, r.kind) for r in merged.refs] == \
-               [(r.index, r.name, r.kind) for r in serial.refs]
-        for ref in restarted.refs:
-            _assert_case_dirs_identical(str(resumed_dir / ref.path),
-                                        serial.case_dir(serial.refs[ref.index]))
-
-    def test_resume_on_complete_build_rewrites_nothing_but_manifest(
-            self, tmp_path, settings):
-        kwargs = dict(num_fake=2, num_real=0, num_hidden=1, seed=23,
-                      settings=settings)
-        out = tmp_path / "full"
-        stream_suite(str(out), **kwargs)
-        before = self._mtimes(str(out))
-        stream_suite(str(out), resume=True, **kwargs)
-        assert self._mtimes(str(out)) == before
-
-    def test_resume_refuses_changed_provenance(self, tmp_path, settings):
-        out = tmp_path / "prov"
-        stream_suite(str(out), num_fake=2, num_real=0, num_hidden=0, seed=23,
-                     settings=settings)
-        # case names depend only on the seed, so a settings change would
-        # silently keep stale dirs — the old manifest must block the resume
-        changed = SynthesisSettings(edge_um_range=(30.0, 32.0))
-        with pytest.raises(ValueError, match="refusing to resume"):
-            stream_suite(str(out), num_fake=2, num_real=0, num_hidden=0,
-                         seed=23, settings=changed, resume=True)
-        # a changed suite identity is refused too
-        with pytest.raises(ValueError, match="refusing to resume"):
-            stream_suite(str(out), num_fake=3, num_real=0, num_hidden=0,
-                         seed=23, settings=settings, resume=True)
-
-
 class TestShardValidation:
     def test_bad_shard_rejected(self, tmp_path, settings):
         with pytest.raises(ValueError):

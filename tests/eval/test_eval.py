@@ -112,7 +112,8 @@ class TestHarness:
 
 
 class TestManifestHarness:
-    """The harness path that never materialises the suite (PR-3)."""
+    """The harness path that never materialises the suite: a lazy
+    dataset over a streamed build's manifest."""
 
     @pytest.fixture(scope="class")
     def streamed(self, tmp_path_factory):
@@ -125,24 +126,34 @@ class TestManifestHarness:
         return out_dir, manifest
 
     def test_manifest_path_dataset_and_dir_agree(self, streamed):
+        """A dataset opened from the manifest path, one over the loaded
+        manifest, and the same cases read eagerly into a suite score
+        identically."""
         out_dir, manifest = streamed
         from repro.data.dataset import ShardedSuiteDataset
+        from repro.data.synthesis import suite_from_manifest
 
-        by_path = run_comparison(str(out_dir / "manifest.json"), ["IREDGe"],
-                                 TINY, reference="IREDGe")
-        by_dir = run_comparison(str(out_dir), ["IREDGe"], TINY,
-                                reference="IREDGe")
+        by_path = run_comparison(
+            ShardedSuiteDataset(str(out_dir / "manifest.json")), ["IREDGe"],
+            TINY, reference="IREDGe")
         by_dataset = run_comparison(ShardedSuiteDataset(manifest), ["IREDGe"],
                                     TINY, reference="IREDGe")
+        by_suite = run_comparison(suite_from_manifest(manifest), ["IREDGe"],
+                                  TINY, reference="IREDGe")
         rows = by_path.per_model["IREDGe"]
         assert [r.case_name for r in rows] == by_path.case_names
-        for other in (by_dir, by_dataset):
+        assert len(rows) == 2
+        for other in (by_dataset, by_suite):
+            assert other.case_names == by_path.case_names
             for a, b in zip(rows, other.per_model["IREDGe"]):
                 assert (a.case_name, a.f1, a.mae) == (b.case_name, b.f1, b.mae)
 
     def test_train_predictor_accepts_manifest(self, streamed):
-        out_dir, _ = streamed
-        predictor, _ = train_predictor("IRPnet", str(out_dir), TINY)
+        _, manifest = streamed
+        from repro.data.dataset import ShardedSuiteDataset
+
+        predictor, _ = train_predictor("IRPnet", ShardedSuiteDataset(manifest),
+                                       TINY)
         assert predictor.preprocessor.channels == MODEL_REGISTRY["IRPnet"].channels
 
     def test_incomplete_dataset_behaves_same_for_any_workers(self, streamed):
@@ -164,11 +175,14 @@ class TestManifestHarness:
                 assert (a.case_name, a.f1, a.mae) == (b.case_name, b.f1, b.mae)
 
     def test_parallel_workers_match_sequential(self, streamed):
-        out_dir, _ = streamed
+        _, manifest = streamed
+        from repro.data.dataset import ShardedSuiteDataset
+
+        dataset = ShardedSuiteDataset(manifest)
         names = ["IREDGe", "IRPnet"]
-        sequential = run_comparison(str(out_dir), names, TINY,
+        sequential = run_comparison(dataset, names, TINY,
                                     reference="IREDGe", workers=1)
-        parallel = run_comparison(str(out_dir), names, TINY,
+        parallel = run_comparison(dataset, names, TINY,
                                   reference="IREDGe", workers=2)
         for name in names:
             for a, b in zip(sequential.per_model[name], parallel.per_model[name]):

@@ -1,4 +1,4 @@
-"""Tests for optimisers and LR schedulers."""
+"""Tests for optimisers."""
 
 import numpy as np
 import pytest
@@ -99,56 +99,6 @@ class TestClipGradNorm:
         before = p.grad.copy()
         clip_grad_norm([p], max_norm=10.0)
         assert np.allclose(p.grad, before)
-
-
-class TestSchedulers:
-    def _opt(self):
-        return nn.SGD([quadratic_param()], lr=1.0)
-
-    def test_step_lr(self):
-        opt = self._opt()
-        sched = nn.StepLR(opt, step_size=2, gamma=0.1)
-        # epoch counter increments on step(): epochs 1..4 -> decay at 2 and 4
-        lrs = [sched.step() for _ in range(4)]
-        assert np.allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-
-    def test_exponential_lr(self):
-        opt = self._opt()
-        sched = nn.ExponentialLR(opt, gamma=0.5)
-        assert np.allclose([sched.step(), sched.step()], [0.5, 0.25])
-
-    def test_cosine_reaches_eta_min(self):
-        opt = self._opt()
-        sched = nn.CosineAnnealingLR(opt, t_max=10, eta_min=0.01)
-        last = [sched.step() for _ in range(10)][-1]
-        assert np.isclose(last, 0.01)
-
-    def test_cosine_monotone_decreasing(self):
-        opt = self._opt()
-        sched = nn.CosineAnnealingLR(opt, t_max=20)
-        lrs = [sched.step() for _ in range(20)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_warmup_cosine_ramps_then_decays(self):
-        opt = self._opt()
-        sched = nn.WarmupCosine(opt, warmup=5, t_max=20)
-        lrs = [sched.step() for _ in range(20)]
-        assert lrs[0] < lrs[4]          # warming up
-        assert np.isclose(lrs[4], 1.0)  # peak at end of warmup
-        assert lrs[-1] < 0.05           # decayed
-
-    def test_scheduler_updates_optimizer(self):
-        opt = self._opt()
-        nn.StepLR(opt, step_size=1, gamma=0.5).step()
-        assert opt.lr == 0.5
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            nn.StepLR(self._opt(), step_size=0)
-        with pytest.raises(ValueError):
-            nn.CosineAnnealingLR(self._opt(), t_max=0)
-        with pytest.raises(ValueError):
-            nn.WarmupCosine(self._opt(), warmup=5, t_max=5)
 
 
 class TestEndToEndTraining:

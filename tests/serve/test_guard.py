@@ -17,6 +17,7 @@ import pytest
 from repro.faults.degrade import default_log, reset_default_log
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.points import inject
+from repro.serve.breaker import CircuitOpenError
 from repro.serve.config import ServeConfig
 from repro.serve.guard import (
     AuditRecord,
@@ -199,6 +200,24 @@ def test_auditor_validation():
         OnlineAuditor(every=0)
     with pytest.raises(ValueError):
         OnlineAuditor(every=1, divergence_v=0.0)
+
+
+def test_service_audit_divergence_opens_breaker(serve_spec, serve_cases):
+    """The service wires its auditor to the breaker: an untrained model's
+    served map is far off the golden solve, so one audited request trips
+    the breaker and later submits are shed."""
+    config = ServeConfig(workers=1, worker_kind="thread", queue_capacity=8,
+                         max_batch=1, batch_window_s=0.0, audit_every=1,
+                         audit_divergence_v=1e-6, breaker_cooldown_s=60.0)
+    with PredictionService(serve_spec, config) as service:
+        service.submit(serve_cases[0]).result(60.0)
+        assert _wait_for(lambda: service.breaker.state == "open")
+        with pytest.raises(CircuitOpenError):
+            service.submit(serve_cases[1])
+        stats = service.stats()
+    assert stats["audit"]["divergent"] >= 1
+    assert stats["breaker"]["state"] == "open"
+    assert default_log().counts().get("serve.audit: serving->diverged", 0) >= 1
 
 
 # ----------------------------------------------------------------------

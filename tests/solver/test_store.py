@@ -1,159 +1,95 @@
-"""Tests for the disk-persistent FactorizationStore.
+"""Corruption refusal of the disk-persistent FactorizationStore.
 
-The store must be invisible in the numbers: a hit skips grid build,
-assembly, and raster computation, but every manifest and case file it
-helps produce is byte-identical to a cold build.  Corrupt or mismatched
-entries are refused and rebuilt, never trusted.
+The store backs the model registry and the trained-weight checkpoints,
+so a corrupt or mismatched entry must be refused (a miss), never handed
+back as plausible arrays; rebuilding it overwrites the bad entry.
 """
 
 import json
 import os
 
 import numpy as np
-import pytest
 
-from repro.data.synthesis import (
-    GridTemplateSpec,
-    SynthesisSettings,
-    _template_store_identity,
-    stream_suite,
-    synthesize_case,
-)
-from repro.solver.conductance import assemble_system
-from repro.solver.factorized import FactorizedCache
 from repro.solver.store import STORE_FORMAT, FactorizationStore
 
-SETTINGS = SynthesisSettings(edge_um_range=(26.0, 30.0))
-SPEC = GridTemplateSpec("real", 314)
+IDENTITY = {"model": "IREDGe", "train": {"epochs": 2, "seed": 0}}
 
 
-def _case(store=None, cache_size=2, seed=5):
-    return synthesize_case("real", seed, settings=SETTINGS, template=SPEC,
-                           template_cache=FactorizedCache(maxsize=cache_size),
-                           store=store)
+def _arrays():
+    rng = np.random.default_rng(7)
+    return {"state/conv.weight": rng.standard_normal((4, 3, 3, 3)),
+            "state/conv.bias": rng.standard_normal(4),
+            "train_seconds": np.asarray([1.25])}
 
 
-def _assert_bundles_identical(left, right):
-    assert left.name == right.name and left.kind == right.kind
-    assert np.array_equal(left.ir_map, right.ir_map)
-    assert left.feature_maps.keys() == right.feature_maps.keys()
-    for channel, raster in left.feature_maps.items():
-        assert np.array_equal(raster, right.feature_maps[channel]), channel
-    assert ([r.spice_line() for r in left.netlist.resistors]
-            == [r.spice_line() for r in right.netlist.resistors])
-    assert ([s.spice_line() for s in left.netlist.current_sources]
-            == [s.spice_line() for s in right.netlist.current_sources])
-    assert ([v.spice_line() for v in left.netlist.voltage_sources]
-            == [v.spice_line() for v in right.netlist.voltage_sources])
+def _saved_entry(root):
+    """A store under ``root`` holding one entry; returns its directory."""
+    store = FactorizationStore(str(root))
+    assert store.save(IDENTITY, _arrays()) is True
+    return store.entry_dir(IDENTITY)
 
 
-class TestStoreHitMiss:
-    def test_cold_build_misses_then_populates(self, tmp_path):
-        store = FactorizationStore(str(tmp_path))
-        cold = _case(store)
-        assert store.stats() == {"hits": 0, "misses": 1, "corrupt": 0, "swept": 0}
-        assert os.path.isdir(store.entry_dir(
-            _template_store_identity(SPEC, SETTINGS)))
-        # second process (fresh in-memory cache, fresh store handle): hit
-        reopened = FactorizationStore(str(tmp_path))
-        warm = _case(reopened)
-        assert reopened.stats() == {"hits": 1, "misses": 0, "corrupt": 0, "swept": 0}
-        _assert_bundles_identical(cold, warm)
+def _edit_meta(entry, edit):
+    meta_path = os.path.join(entry, "meta.json")
+    with open(meta_path) as handle:
+        meta = json.load(handle)
+    edit(meta)
+    with open(meta_path, "w") as handle:
+        json.dump(meta, handle)
 
-    def test_hit_is_bit_identical_to_storeless_build(self, tmp_path):
-        store = FactorizationStore(str(tmp_path))
-        _case(store)
-        warm = _case(FactorizationStore(str(tmp_path)))
-        plain = _case(store=None)
-        _assert_bundles_identical(plain, warm)
 
-    def test_different_settings_miss(self, tmp_path):
-        store = FactorizationStore(str(tmp_path))
-        _case(store)
-        other_settings = SynthesisSettings(edge_um_range=(26.0, 30.0),
-                                           tap_spacing_um=8.0)
-        reopened = FactorizationStore(str(tmp_path))
-        synthesize_case("real", 5, settings=other_settings, template=SPEC,
-                        template_cache=FactorizedCache(maxsize=2),
-                        store=reopened)
-        assert reopened.hits == 0 and reopened.misses == 1
-
-    def test_loaded_system_matches_reassembly(self, tmp_path):
-        """The stored CSR buffers equal a fresh assembly of the stored
-        netlist — the factorisation input is bit-identical either way."""
-        from repro.data.synthesis import _build_template_runtime, \
-            _runtime_from_payload, _runtime_payload
-
-        runtime = _build_template_runtime(SPEC, SETTINGS)
-        loaded = _runtime_from_payload(
-            SPEC, SETTINGS, _runtime_payload(runtime))
-        reassembled = assemble_system(loaded.template.netlist)
-        stored = loaded.engine.system
-        assert stored.free_nodes == reassembled.free_nodes
-        assert np.array_equal(stored.matrix.data, reassembled.matrix.data)
-        assert np.array_equal(stored.matrix.indices,
-                              reassembled.matrix.indices)
-        assert np.array_equal(stored.matrix.indptr, reassembled.matrix.indptr)
-        assert np.array_equal(stored.rhs, reassembled.rhs)
-        assert np.array_equal(stored.supply_rhs, reassembled.supply_rhs)
-        assert stored.fixed_voltages == reassembled.fixed_voltages
+def _assert_arrays_identical(left, right):
+    assert left.keys() == right.keys()
+    for key, value in left.items():
+        assert value.dtype == right[key].dtype, key
+        assert np.array_equal(value, right[key]), key
 
 
 class TestCorruptionRefusal:
     def test_truncated_payload_is_miss_and_rebuilt(self, tmp_path):
-        store = FactorizationStore(str(tmp_path))
-        reference = _case(store)
-        entry = store.entry_dir(_template_store_identity(SPEC, SETTINGS))
+        entry = _saved_entry(tmp_path)
         with open(os.path.join(entry, "payload.npz"), "wb") as handle:
             handle.write(b"garbage")
 
         damaged = FactorizationStore(str(tmp_path))
-        rebuilt = _case(damaged)
+        assert damaged.load(IDENTITY) is None
         assert damaged.stats() == {"hits": 0, "misses": 1, "corrupt": 1, "swept": 0}
-        _assert_bundles_identical(reference, rebuilt)
         # the rebuild overwrote the entry: next lookup hits again
+        assert damaged.save(IDENTITY, _arrays()) is True
         healed = FactorizationStore(str(tmp_path))
-        _case(healed)
+        _assert_arrays_identical(healed.load(IDENTITY), _arrays())
         assert healed.stats() == {"hits": 1, "misses": 0, "corrupt": 0, "swept": 0}
 
     def test_zip_magic_truncation_is_refused(self, tmp_path):
         """A payload truncated *after* the zip magic raises BadZipFile
-        (not ValueError) inside np.load — it must still be a miss."""
-        store = FactorizationStore(str(tmp_path))
-        _case(store)
-        entry = store.entry_dir(_template_store_identity(SPEC, SETTINGS))
+        (not ValueError) inside np.load — it must still be a miss.  The
+        digest is dropped (an entry written before digests were
+        recorded), so the archive reader itself meets the bad bytes."""
+        entry = _saved_entry(tmp_path)
         with open(os.path.join(entry, "payload.npz"), "wb") as handle:
             handle.write(b"PK\x03\x04truncated")
+        _edit_meta(entry, lambda meta: meta.pop("payload_sha256"))
         reopened = FactorizationStore(str(tmp_path))
-        assert reopened.load(_template_store_identity(SPEC, SETTINGS)) is None
+        assert reopened.load(IDENTITY) is None
         assert reopened.corrupt == 1
 
     def test_identity_mismatch_is_refused(self, tmp_path):
-        store = FactorizationStore(str(tmp_path))
-        _case(store)
-        entry = store.entry_dir(_template_store_identity(SPEC, SETTINGS))
-        meta_path = os.path.join(entry, "meta.json")
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-        meta["identity"]["seed"] = 999  # tamper
-        with open(meta_path, "w") as handle:
-            json.dump(meta, handle)
+        entry = _saved_entry(tmp_path)
+
+        def tamper(meta):
+            meta["identity"]["train"]["seed"] = 999
+
+        _edit_meta(entry, tamper)
         reopened = FactorizationStore(str(tmp_path))
-        assert reopened.load(_template_store_identity(SPEC, SETTINGS)) is None
+        assert reopened.load(IDENTITY) is None
         assert reopened.corrupt == 1
 
     def test_wrong_format_is_refused(self, tmp_path):
-        store = FactorizationStore(str(tmp_path))
-        _case(store)
-        entry = store.entry_dir(_template_store_identity(SPEC, SETTINGS))
-        meta_path = os.path.join(entry, "meta.json")
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-        meta["format"] = "something-else"
-        with open(meta_path, "w") as handle:
-            json.dump(meta, handle)
+        entry = _saved_entry(tmp_path)
+        _edit_meta(entry, lambda meta: meta.update(format="something-else"))
         reopened = FactorizationStore(str(tmp_path))
-        assert reopened.load(_template_store_identity(SPEC, SETTINGS)) is None
+        assert reopened.load(IDENTITY) is None
+        assert reopened.corrupt == 1
 
     def test_missing_entry_is_plain_miss(self, tmp_path):
         store = FactorizationStore(str(tmp_path))
@@ -161,120 +97,8 @@ class TestCorruptionRefusal:
         assert store.stats() == {"hits": 0, "misses": 1, "corrupt": 0, "swept": 0}
 
     def test_format_constant_stamped(self, tmp_path):
-        store = FactorizationStore(str(tmp_path))
-        _case(store)
-        entry = store.entry_dir(_template_store_identity(SPEC, SETTINGS))
+        entry = _saved_entry(tmp_path)
         with open(os.path.join(entry, "meta.json")) as handle:
-            assert json.load(handle)["format"] == STORE_FORMAT
-
-
-class TestEvictionParity:
-    def test_results_identical_after_inmemory_eviction_with_store(self, tmp_path):
-        """A thrashing maxsize-1 in-memory cache backed by the store must
-        reproduce warm-cache results bit-for-bit (the eviction-parity
-        guarantee of PR 2, now with the disk path in the loop)."""
-        template_a = GridTemplateSpec("fake", 41)
-        template_b = GridTemplateSpec("real", 42)
-        store = FactorizationStore(str(tmp_path))
-        tiny = FactorizedCache(maxsize=1)
-        warm = FactorizedCache(maxsize=4)
-
-        def build(cache, case_seed, template, use_store):
-            return synthesize_case(
-                template.kind, case_seed, settings=SETTINGS,
-                template=template, template_cache=cache,
-                store=store if use_store else None)
-
-        thrash = [build(tiny, seed, template, True)
-                  for seed in (100, 101)
-                  for template in (template_a, template_b)]
-        steady = [build(warm, seed, template, False)
-                  for seed in (100, 101)
-                  for template in (template_a, template_b)]
-        assert tiny.evictions >= 2
-        assert store.hits >= 2  # evicted templates reloaded from disk
-        for thrashed, cached in zip(thrash, steady):
-            _assert_bundles_identical(thrashed, cached)
-
-
-class TestStreamSuiteStore:
-    SUITE = dict(num_fake=4, num_real=2, num_hidden=1, seed=9,
-                 settings=SETTINGS, cases_per_template=2)
-
-    @pytest.fixture(autouse=True)
-    def fresh_template_cache(self):
-        """The per-process in-memory template cache would otherwise serve
-        every lookup before the disk store is even consulted."""
-        from repro.data.synthesis import template_cache
-
-        template_cache().clear()
-        yield
-        template_cache().clear()
-
-    @staticmethod
-    def _forbid_template_builds(monkeypatch):
-        """After this, any template not served by the store fails loudly."""
-        import repro.data.synthesis as synthesis
-
-        def refuse(spec, settings):
-            raise AssertionError(
-                f"template {spec} was rebuilt instead of loaded from the store")
-
-        monkeypatch.setattr(synthesis, "_build_template_runtime", refuse)
-
-    @staticmethod
-    def _tree_bytes(root, refs):
-        tree = {}
-        for ref in refs:
-            directory = os.path.join(root, ref.path)
-            for filename in sorted(os.listdir(directory)):
-                with open(os.path.join(directory, filename), "rb") as handle:
-                    tree[(ref.path, filename)] = handle.read()
-        return tree
-
-    def test_second_build_hits_store_and_is_bit_identical(
-            self, tmp_path, monkeypatch):
-        store_dir = str(tmp_path / "store")
-        cold_dir = str(tmp_path / "cold")
-        warm_dir = str(tmp_path / "warm")
-        cold = stream_suite(cold_dir, store_dir=store_dir, **self.SUITE)
-        assert os.listdir(store_dir)  # templates were persisted
-
-        from repro.data.synthesis import template_cache
-        template_cache().clear()
-        self._forbid_template_builds(monkeypatch)  # store hits only
-        warm = stream_suite(warm_dir, store_dir=store_dir, **self.SUITE)
-
-        with open(os.path.join(cold_dir, "manifest.json"), "rb") as handle:
-            cold_bytes = handle.read()
-        with open(os.path.join(warm_dir, "manifest.json"), "rb") as handle:
-            warm_bytes = handle.read()
-        assert cold_bytes == warm_bytes
-        assert (self._tree_bytes(cold_dir, cold.refs)
-                == self._tree_bytes(warm_dir, warm.refs))
-
-    def test_resume_restart_uses_store(self, tmp_path, monkeypatch):
-        store_dir = str(tmp_path / "store")
-        out_dir = str(tmp_path / "out")
-        reference_dir = str(tmp_path / "reference")
-        reference = stream_suite(reference_dir, store_dir=store_dir,
-                                 **self.SUITE)
-        # simulate a killed build: first shard written, then restart the
-        # full build with resume=True against the populated store — every
-        # template must come off disk, none may be rebuilt
-        from repro.data.synthesis import template_cache
-        template_cache().clear()
-        stream_suite(out_dir, shard=(0, 2), store_dir=store_dir, **self.SUITE)
-        template_cache().clear()
-        self._forbid_template_builds(monkeypatch)
-        resumed = stream_suite(out_dir, resume=True, store_dir=store_dir,
-                               **self.SUITE)
-        assert resumed.complete
-        assert (self._tree_bytes(out_dir, resumed.refs)
-                == self._tree_bytes(reference_dir, reference.refs))
-
-    def test_env_default_enables_store(self, tmp_path, monkeypatch):
-        store_dir = str(tmp_path / "env_store")
-        monkeypatch.setenv("REPRO_FACTOR_STORE", store_dir)
-        stream_suite(str(tmp_path / "build"), **self.SUITE)
-        assert os.listdir(store_dir)
+            meta = json.load(handle)
+        assert meta["format"] == STORE_FORMAT
+        assert meta["identity"] == IDENTITY
