@@ -4,15 +4,7 @@ A scaled-down version of ``benchmarks/bench_table3_comparison.py`` that
 finishes in a couple of minutes:
 
     python examples/compare_baselines.py
-
-Pass ``--checkpoint-dir DIR`` to persist the trained weights: a re-run
-with the same directory skips training entirely and reports the recorded
-train times.  ``--retrain`` forces fresh training and refreshes the
-checkpoints (``REPRO_EVAL_CHECKPOINT_DIR`` / ``REPRO_EVAL_RETRAIN`` are
-the environment-variable equivalents).
 """
-
-import argparse
 
 from repro.core.registry import OURS
 from repro.data import make_suite
@@ -20,21 +12,10 @@ from repro.eval import EvalConfig, format_table3, run_comparison
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="persist/reuse trained weights in this directory")
-    parser.add_argument("--retrain", action="store_true",
-                        help="ignore existing checkpoints and train afresh")
-    args = parser.parse_args()
-
     print("generating suite ...")
     suite = make_suite(num_fake=8, num_real=5, num_hidden=4, seed=21)
 
     config = EvalConfig.from_env(epochs=12, pretrain_epochs=2)
-    if args.checkpoint_dir:
-        config.checkpoint_dir = args.checkpoint_dir
-    if args.retrain:
-        config.retrain = True
     names = ["IREDGe", OURS]
     print(f"training {names} for {config.epochs} epochs each ...")
     result = run_comparison(suite, names, config, reference=OURS)

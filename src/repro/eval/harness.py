@@ -18,13 +18,10 @@ aside — those are timings, not data).
 
 from __future__ import annotations
 
-import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro import knobs
 from repro.core.pipeline import IRPredictor
@@ -33,16 +30,12 @@ from repro.data.dataset import IRDropDataset, ShardedSuiteDataset
 from repro.data.io import SuiteManifest
 from repro.data.synthesis import BenchmarkSuite
 from repro.metrics.report import CaseMetrics, average_metrics, metric_ratios, score_case
-from repro.solver.store import FactorizationStore
 from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
 from repro.train.trainer import TrainConfig, Trainer
 
 __all__ = ["EvalConfig", "ComparisonResult", "SuiteSource",
-           "train_predictor", "evaluate_predictor", "run_comparison",
-           "CHECKPOINT_FORMAT"]
-
-CHECKPOINT_FORMAT = "lmm-ir-model-checkpoint-v1"
+           "train_predictor", "evaluate_predictor", "run_comparison"]
 
 SuiteSource = Union[BenchmarkSuite, ShardedSuiteDataset]
 """What the harness evaluates against: an in-memory suite or a lazy
@@ -66,20 +59,11 @@ class EvalConfig:
     real_oversample: int = knobs.field("REPRO_EVAL_REAL_OVERSAMPLE")
     hotspot_weight: float = knobs.field("REPRO_EVAL_HOTSPOT_WEIGHT")
     seed: int = knobs.field("REPRO_EVAL_SEED")
-    checkpoint_dir: Optional[str] = knobs.field("REPRO_EVAL_CHECKPOINT_DIR")
-    """Directory of persisted trained weights.  When set, every
-    :func:`train_predictor` call first looks for a checkpoint keyed by
-    model name + training config + suite identity and skips training on
-    a hit; after a fresh training run the weights are saved there."""
-    retrain: bool = knobs.field("REPRO_EVAL_RETRAIN")
-    """Force training even when a matching checkpoint exists (the
-    checkpoint is then overwritten with the fresh weights)."""
     infer_engine: Union[bool, str] = knobs.field("REPRO_INFER_ENGINE")
     """Forward executor for evaluation predictors: ``"auto"`` compiles
     the grad-free inference engine (falling back to autograd when a model
     cannot be compiled), ``True`` requires it, ``False`` forces the
-    autograd forward.  Checkpoint-loaded weights compile directly — the
-    engine traces the model as restored, no retraining involved."""
+    autograd forward."""
     infer_dtype: Optional[str] = knobs.field("REPRO_INFER_DTYPE")
     """Inference-engine precision: ``None`` honours ``REPRO_INFER_DTYPE``
     and defaults to float64, which is bit-exact against the autograd
@@ -139,135 +123,11 @@ def _training_cases(spec: ModelSpec, suite) -> list:
 
 
 # ----------------------------------------------------------------------
-# Trained-weight checkpoints
-# ----------------------------------------------------------------------
-def _suite_identity(suite) -> dict:
-    """JSON identity of the training data, for checkpoint keying.
-
-    Manifest-backed suites carry full provenance (suite parameters +
-    synthesis settings) *plus* the actual case roster — the refs matter
-    because a partial dataset (one shard, or ``require_complete=False``
-    with dropped cases) shares ``suite``/``settings`` with the full
-    build, and weights trained on half the data must not be silently
-    reused for the whole suite.  In-memory suites are identified by
-    their case roster plus a digest of each case's actual arrays — the
-    golden map and feature stacks are a function of *every* synthesis
-    setting (smoothing sigma, density window, drop targets, ...), none
-    of which an in-memory :class:`BenchmarkSuite` carries explicitly, so
-    hashing the data itself is the only way a settings change can never
-    silently reuse stale weights.  Suite generation is bit-reproducible,
-    so two builds of the same suite digest identically.
-    """
-    if isinstance(suite, ShardedSuiteDataset):
-        manifest = suite.manifest
-        return {
-            "suite": manifest.suite,
-            "settings": manifest.settings,
-            "refs": [[ref.index, ref.name, ref.kind]
-                     for ref in manifest.refs],
-        }
-    cases = (list(suite.fake_cases) + list(suite.real_cases)
-             + list(suite.hidden_cases))
-    return {"cases": [
-        [case.name, case.kind, _case_digest(case)] for case in cases
-    ]}
-
-
-def _case_digest(case) -> str:
-    """Content hash of a case's golden map + feature channels."""
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(case.ir_map).tobytes())
-    for channel in sorted(case.feature_maps):
-        digest.update(channel.encode())
-        digest.update(np.ascontiguousarray(case.feature_maps[channel]).tobytes())
-    return digest.hexdigest()[:16]
-
-
-def _checkpoint_identity(spec_name: str, spec: ModelSpec, suite,
-                         config: EvalConfig) -> dict:
-    """Everything that determines the trained weights, JSON-normalised."""
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "model": spec_name,
-        "train": {
-            "target_edge": config.target_edge,
-            "num_points": config.num_points,
-            "epochs": config.epochs,
-            "pretrain_epochs": config.pretrain_epochs,
-            "batch_size": config.batch_size,
-            "lr": config.lr,
-            "fake_oversample": config.fake_oversample,
-            "real_oversample": config.real_oversample,
-            "hotspot_weight": config.hotspot_weight,
-            "seed": config.seed,
-        },
-        "regime": {
-            "train_on": spec.train_on,
-            "augment_multiplier": spec.augment_multiplier,
-            "epoch_fraction": spec.epoch_fraction,
-            "channels": list(spec.channels),
-            "uses_pointcloud": spec.uses_pointcloud,
-            "tta_samples": spec.tta_samples,
-        },
-        "suite": _suite_identity(suite),
-    }
-
-
-_STATE_PREFIX = "state/"
-_TRAIN_SECONDS_KEY = "train_seconds"
-
-
-def _load_checkpoint(directory: str, identity: dict, model) -> Optional[float]:
-    """Restore ``model`` in place; returns the recorded train time, or
-    ``None`` on miss (absent, incomplete, corrupt, or identity-mismatched
-    checkpoints are all refused and simply retrained).
-
-    Storage is a :class:`~repro.solver.store.FactorizationStore` — the
-    same identity-hashed, meta-last, corruption-refusing, atomically
-    renamed scheme the solver uses, with the state dict as the array
-    payload.  A load that fails mid-way (e.g. a stale checkpoint whose
-    layer shapes no longer match the registry) restores the model's
-    previous weights before reporting the miss, so the fallback retrain
-    starts from the clean seeded init, not a half-overwritten one.
-    """
-    store = FactorizationStore(directory)
-    payload = store.load(identity)
-    if payload is None:
-        return None
-    state = {key[len(_STATE_PREFIX):]: value
-             for key, value in payload.items()
-             if key.startswith(_STATE_PREFIX)}
-    backup = {key: value.copy() for key, value in model.state_dict().items()}
-    try:
-        model.load_state_dict(state)
-    except (ValueError, KeyError):
-        model.load_state_dict(backup)
-        return None
-    seconds = payload.get(_TRAIN_SECONDS_KEY)
-    return 0.0 if seconds is None else float(np.asarray(seconds).ravel()[0])
-
-
-def _save_checkpoint(directory: str, identity: dict, model,
-                     train_seconds: float) -> None:
-    payload = {f"{_STATE_PREFIX}{key}": value
-               for key, value in model.state_dict().items()}
-    payload[_TRAIN_SECONDS_KEY] = np.asarray([float(train_seconds)])
-    FactorizationStore(directory).save(identity, payload)
-
-
-# ----------------------------------------------------------------------
 # Train / evaluate
 # ----------------------------------------------------------------------
 def train_predictor(spec_name: str, suite: SuiteSource,
                     config: Optional[EvalConfig] = None) -> Tuple[IRPredictor, float]:
-    """Train one registered model under its paper-documented regime.
-
-    With ``config.checkpoint_dir`` set, a previous run's weights for the
-    same (model, training config, suite) are loaded instead of training
-    — the returned train time is then the *recorded* cost of the run
-    that produced the weights.  ``config.retrain`` forces training and
-    refreshes the checkpoint.
-    """
+    """Train one registered model under its paper-documented regime."""
     config = config or EvalConfig()
     spec = MODEL_REGISTRY[spec_name]
     seed_everything(config.seed)
@@ -281,18 +141,6 @@ def train_predictor(spec_name: str, suite: SuiteSource,
     )
     cases = _training_cases(spec, suite)
     preprocessor.fit(cases)
-
-    identity = None
-    if config.checkpoint_dir:
-        identity = _checkpoint_identity(spec_name, spec, suite, config)
-        if not config.retrain:
-            recorded = _load_checkpoint(config.checkpoint_dir, identity, model)
-            if recorded is not None:
-                predictor = IRPredictor(model, preprocessor, name=spec_name,
-                                        tta_samples=spec.tta_samples,
-                                        engine=config.infer_engine,
-                                        infer_dtype=config.infer_dtype)
-                return predictor, recorded
 
     dataset = IRDropDataset.with_oversampling(
         cases,
@@ -312,8 +160,6 @@ def train_predictor(spec_name: str, suite: SuiteSource,
     start = time.perf_counter()
     trainer.fit(list(dataset))
     elapsed = time.perf_counter() - start
-    if identity is not None:
-        _save_checkpoint(config.checkpoint_dir, identity, model, elapsed)
     predictor = IRPredictor(model, preprocessor, name=spec_name,
                             tta_samples=spec.tta_samples,
                             engine=config.infer_engine,

@@ -17,9 +17,8 @@ Two faces of one policy:
   armed :class:`~repro.faults.plan.FaultPlan` are always considered
   retryable — chaos must never be *less* recoverable than reality).
 
-``REPRO_BACKOFF_BASE_MS`` / ``REPRO_BACKOFF_MAX_MS`` (declared with the
-defaults in :mod:`repro.knobs`) tune the default policy without code
-changes.
+The default policy (50 ms base, 2 s cap) is fixed in code; a call site
+that needs another schedule passes its own :class:`BackoffPolicy`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Type, TypeVar
 
-from repro import knobs
 from repro.faults.deadline import Deadline, DeadlineExceededError
 from repro.faults.plan import InjectedFaultError
 
@@ -48,23 +46,19 @@ class BackoffPolicy:
     ``(seed, key, attempt)`` — same inputs, same delay, forever.
     """
 
-    base_s: float = knobs.field("REPRO_BACKOFF_BASE_MS")
-    cap_s: float = knobs.field("REPRO_BACKOFF_MAX_MS")
+    base_s: float = 0.05
+    cap_s: float = 2.0
     jitter: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
-        knobs.check(self)
+        if self.base_s < 0:
+            raise ValueError(f"base_s must be >= 0, got {self.base_s}")
         if self.cap_s < self.base_s:
             raise ValueError(
                 f"cap_s ({self.cap_s}) must be >= base_s ({self.base_s})")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "BackoffPolicy":
-        """Policy honouring ``REPRO_BACKOFF_*``; overrides win."""
-        return knobs.build(cls, overrides)
 
     def delay(self, attempt: int, key: object = 0) -> float:
         """Seconds to wait before retry number ``attempt`` (1-based)."""
@@ -101,7 +95,7 @@ def retry_with_backoff(
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    policy = policy if policy is not None else BackoffPolicy.from_env()
+    policy = policy if policy is not None else BackoffPolicy()
     retryable = tuple(retry_on) + (InjectedFaultError,)
     attempt = 0
     while True:

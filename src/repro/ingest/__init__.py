@@ -22,7 +22,6 @@ from repro.ingest.diagnostics import (
     IngestError,
     IngestSolveError,
     NonPDNDeckError,
-    RasterizationError,
 )
 from repro.ingest.pipeline import (
     DEFAULT_RASTER_LIMIT_PX, IngestResult, ingest_deck, ingest_text,
@@ -31,8 +30,7 @@ from repro.ingest.report import INGEST_OUTCOMES, REPORT_FORMAT, IngestReport
 
 __all__ = [
     "Diagnostic", "IngestError", "DeckReadError", "DeckParseError",
-    "NonPDNDeckError", "DeckValidationError", "RasterizationError",
-    "IngestSolveError",
+    "NonPDNDeckError", "DeckValidationError", "IngestSolveError",
     "DeckClassification", "classify_deck", "DECK_CATEGORIES",
     "IngestReport", "REPORT_FORMAT", "INGEST_OUTCOMES",
     "IngestResult", "ingest_deck", "ingest_text",

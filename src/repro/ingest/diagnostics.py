@@ -18,7 +18,6 @@ code                meaning
 ``parse``           strict-mode syntax error, or nothing usable parsed
 ``non-pdn``         classified as an analog/non-PDN deck and refused
 ``validate``        structurally unsolvable (no supply, floating nodes)
-``rasterize``       feature/golden rasterization failed (grid decks)
 ``solve``           the golden solve itself failed
 ==================  ====================================================
 """
@@ -31,8 +30,7 @@ from repro.spice.parser import Diagnostic
 
 __all__ = [
     "Diagnostic", "IngestError", "DeckReadError", "DeckParseError",
-    "NonPDNDeckError", "DeckValidationError", "RasterizationError",
-    "IngestSolveError",
+    "NonPDNDeckError", "DeckValidationError", "IngestSolveError",
 ]
 
 
@@ -84,13 +82,6 @@ class DeckValidationError(IngestError):
     subgrids, duplicate element names)."""
 
     code = "validate"
-
-
-class RasterizationError(IngestError):
-    """Feature-channel or golden-map rasterization failed for a deck
-    that claimed grid coordinates."""
-
-    code = "rasterize"
 
 
 class IngestSolveError(IngestError):

@@ -2,8 +2,9 @@
 
 :func:`ingest_deck` drives a raw SPICE deck through the whole stack:
 
-1. **read** — file bytes to text, retried with backoff (transient I/O
-   and injected faults), refused as :class:`DeckReadError`;
+1. **read** — file bytes to text, retried :data:`READ_RETRIES` times
+   under :data:`READ_POLICY` (transient I/O and injected faults),
+   refused as :class:`DeckReadError`;
 2. **parse** — strict or tolerant :func:`repro.spice.parser.parse_spice`
    with structured diagnostics, refused as :class:`DeckParseError`;
 3. **classify** — :func:`repro.ingest.classify.classify_deck`; analog
@@ -18,9 +19,7 @@
 6. **rasterize** — feature channels + golden map + a ``kind="ingested"``
    :class:`~repro.data.case.CaseBundle`; only for grids with contest
    coordinates and a raster under ``raster_limit_px``.  Failure here
-   *degrades* to a solve-only outcome by default (we already hold a
-   good solve) — ``on_raster_error="refuse"`` turns it into a
-   :class:`RasterizationError` instead;
+   *degrades* to a solve-only outcome (we already hold a good solve);
 7. **predict** — the supplied :class:`~repro.core.pipeline.IRPredictor`
    on the adapted case; failure degrades the outcome from
    ``"predicted"`` to ``"solved"``.
@@ -50,7 +49,7 @@ import numpy as np
 
 from repro.core.pipeline import IRPredictor
 from repro.data.case import CaseBundle
-from repro.faults.backoff import retry_with_backoff
+from repro.faults.backoff import BackoffPolicy, retry_with_backoff
 from repro.faults.degrade import DegradationLog, default_log
 from repro.faults.plan import InjectedFaultError
 from repro.faults.points import fault_point
@@ -63,7 +62,6 @@ from repro.ingest.diagnostics import (
     IngestError,
     IngestSolveError,
     NonPDNDeckError,
-    RasterizationError,
 )
 from repro.ingest.report import IngestReport
 from repro.solver.factorized import FactorizedPDN
@@ -81,6 +79,12 @@ DEFAULT_RASTER_LIMIT_PX = 4_000_000
 raster to more pixels than this degrades to solve-only instead of
 allocating an absurd feature stack (2000x2000 µm is far beyond any
 contest die)."""
+
+READ_RETRIES = 2
+"""Retries of a deck read that failed with a transient ``OSError``."""
+
+READ_POLICY = BackoffPolicy()
+"""Backoff between deck-read retries."""
 
 
 @dataclass
@@ -131,13 +135,8 @@ def ingest_text(text: str, name: str = "deck", mode: str = "tolerant",
                 raster_limit_px: int = DEFAULT_RASTER_LIMIT_PX,
                 smooth_sigma: float = 1.0,
                 raster_shape: Optional[Tuple[int, int]] = None,
-                on_raster_error: str = "degrade",
                 degradations: Optional[DegradationLog] = None) -> IngestResult:
     """Ingest SPICE source already in memory (see :func:`ingest_deck`)."""
-    if on_raster_error not in ("degrade", "refuse"):
-        raise ValueError(
-            f"on_raster_error must be 'degrade' or 'refuse', "
-            f"got {on_raster_error!r}")
     log = degradations if degradations is not None else default_log()
     report = IngestReport(deck=name, mode=mode)
 
@@ -203,18 +202,16 @@ def ingest_text(text: str, name: str = "deck", mode: str = "tolerant",
     report.outcome = "solved"
 
     # ---- rasterize (grid decks only) --------------------------------
-    rasterizable = classification.category == "pdn-grid"
     if classification.category == "pdn-coordinate-free":
         _degrade(report, log, "ingest.pipeline", "raster", "solve-only",
                  f"{name!r}: {classification.reason}")
-    elif rasterizable:
+    elif classification.category == "pdn-grid":
         # the node bounding box understates a die whose PDN does not
         # reach the edges; a caller who knows the true raster (contest
         # bundles, round trips) passes it explicitly
         shape = (raster_shape if raster_shape is not None
                  else netlist.statistics().shape_pixels)
         if shape[0] * shape[1] > raster_limit_px:
-            rasterizable = False
             _degrade(report, log, "ingest.pipeline", "raster", "solve-only",
                      f"{name!r}: raster {shape} exceeds the "
                      f"{raster_limit_px}-pixel guard")
@@ -232,11 +229,6 @@ def ingest_text(text: str, name: str = "deck", mode: str = "tolerant",
                     metadata={"vdd": float(solve.vdd),
                               "worst_drop": float(solve.worst_drop)})
             except Exception as error:
-                if on_raster_error == "refuse":
-                    raise _refuse(report, RasterizationError(
-                        f"rasterization failed for {name!r}: "
-                        f"{error}")) from error
-                rasterizable = False
                 _degrade(report, log, "ingest.pipeline", "raster",
                          "solve-only",
                          f"{name!r}: rasterization failed "
@@ -275,9 +267,7 @@ def ingest_deck(path: str, mode: str = "tolerant",
                 raster_limit_px: int = DEFAULT_RASTER_LIMIT_PX,
                 smooth_sigma: float = 1.0,
                 raster_shape: Optional[Tuple[int, int]] = None,
-                on_raster_error: str = "degrade",
-                degradations: Optional[DegradationLog] = None,
-                read_retries: int = 2) -> IngestResult:
+                degradations: Optional[DegradationLog] = None) -> IngestResult:
     """Ingest a SPICE deck file end to end (see module docstring).
 
     Returns an :class:`IngestResult` whose ``report.outcome`` is
@@ -294,8 +284,9 @@ def ingest_deck(path: str, mode: str = "tolerant",
 
     start = time.perf_counter()
     try:
-        text = retry_with_backoff(read, retries=read_retries,
-                                  retry_on=(OSError,), key=str(path))
+        text = retry_with_backoff(read, retries=READ_RETRIES,
+                                  policy=READ_POLICY, retry_on=(OSError,),
+                                  key=str(path))
     except FileNotFoundError as error:
         raise _refuse(report, DeckReadError(
             f"deck {path!r} does not exist")) from error
@@ -313,8 +304,7 @@ def ingest_deck(path: str, mode: str = "tolerant",
         result = ingest_text(
             text, name=name, mode=mode, predictor=predictor,
             raster_limit_px=raster_limit_px, smooth_sigma=smooth_sigma,
-            raster_shape=raster_shape, on_raster_error=on_raster_error,
-            degradations=degradations)
+            raster_shape=raster_shape, degradations=degradations)
     except IngestError as error:
         if error.report is not None:
             error.report.deck = str(path)

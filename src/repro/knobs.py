@@ -42,7 +42,6 @@ RULES = {
     "flag": _flag,
     "auto/flag": lambda text: _flag(text, ("auto",)),
     "choice": str.lower,
-    "path": str,
 }
 
 #: value ranges: the rest of a knob's ``rule``
@@ -124,10 +123,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_EVAL_HOTSPOT_WEIGHT", "float", "6.0",
          "loss weight of hotspot pixels"),
     Knob("REPRO_EVAL_SEED", "int", "0", "training RNG seed"),
-    Knob("REPRO_EVAL_CHECKPOINT_DIR", "path", "",
-         "directory of persisted trained weights (unset: always train)"),
-    Knob("REPRO_EVAL_RETRAIN", "flag", "off",
-         "train even when a matching checkpoint exists"),
     Knob("REPRO_INFER_ENGINE", "auto/flag", "auto",
          "`auto` compiles the inference engine and falls back to "
          "autograd; on requires it; off forces autograd"),
@@ -168,10 +163,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "re-dispatch delay ceiling"),
     Knob("REPRO_SERVE_MAX_RESPAWNS", "int >= 0", "8",
          "worker respawns before the pool declares itself failed"),
-    Knob("REPRO_BACKOFF_BASE_MS", "ms >= 0", "50",
-         "`BackoffPolicy.from_env` base delay"),
-    Knob("REPRO_BACKOFF_MAX_MS", "ms", "2000",
-         "`BackoffPolicy.from_env` delay cap"),
     Knob("REPRO_CHAOS_SEED", "int", "1337",
          "pinned `FaultPlan` seed of the chaos and self-heal benches"),
     # self-healing

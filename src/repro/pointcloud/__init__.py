@@ -1,7 +1,7 @@
 """``repro.pointcloud`` — the netlist modality.
 
-Lossless element-wise encoding (paper Fig. 3), token-count sampling for
-fixed-size batches, and augmentation-safe transforms.
+Lossless element-wise encoding (paper Fig. 3) and token-count sampling
+for fixed-size batches.
 """
 
 from repro.pointcloud.encode import POINT_FEATURES, PointCloud, encode_netlist
@@ -11,10 +11,8 @@ from repro.pointcloud.sampling import (
     sample_grid,
     sample_random,
 )
-from repro.pointcloud.transforms import jitter_points, shuffle_points
 
 __all__ = [
     "encode_netlist", "PointCloud", "POINT_FEATURES",
     "sample_random", "sample_grid", "farthest_point_sample", "fit_to_count",
-    "jitter_points", "shuffle_points",
 ]

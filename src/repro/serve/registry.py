@@ -1,9 +1,9 @@
 """Checkpoint registry backing serving hot-swaps.
 
 :class:`ModelRegistry` stores named model checkpoints on disk and hands
-their state dicts to :meth:`PredictionService.swap`.  It reuses the
-:class:`~repro.solver.store.FactorizationStore` machinery — entries are
-content-addressed by the hash of a JSON *identity* (format tag, name,
+their state dicts to :meth:`PredictionService.swap`.  It is the one
+library user of :class:`~repro.solver.store.FactorizationStore`: entries
+are content-addressed by the hash of a JSON *identity* (format tag, name,
 weight digest), payloads are npz archives written payload-first /
 meta-last, and corrupt or tampered entries are refused rather than
 served — so a half-written checkpoint can never be hot-swapped into a

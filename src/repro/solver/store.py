@@ -2,10 +2,8 @@
 
 The store maps a JSON *identity* to a dict of numpy arrays and makes the
 write crash-safe and the read refuse anything it cannot trust.  It backs
-the serving model registry (:mod:`repro.serve.registry`) and the
-evaluation harness's trained-weight checkpoints
-(:mod:`repro.eval.harness`); the chaos soak drives it under injected
-faults.
+the serving model registry (:mod:`repro.serve.registry`), its only
+caller in the library; the chaos soak drives it under injected faults.
 
 * one directory per entry (``<root>/<key>/``), keyed by a hash of the
   entry's canonical JSON identity;
@@ -74,7 +72,7 @@ class FactorizationStore:
 
     The store is deliberately generic: it maps a JSON identity to a dict
     of numpy arrays.  What goes into the payload is the caller's
-    business — model state dicts for the registry and the checkpoints.
+    business — model state dicts for the serving registry.
 
     Writes are crash- and race-safe: the payload lands in a
     process-private temporary directory that is renamed into place only

@@ -53,8 +53,7 @@ class TestEvalConfig:
         reference = EvalConfig(
             target_edge=24, num_points=48, epochs=5, pretrain_epochs=1,
             batch_size=3, lr=2.5e-4, fake_oversample=2, real_oversample=7,
-            hotspot_weight=3.5, seed=9, checkpoint_dir="/tmp/ckpts",
-            retrain=True,
+            hotspot_weight=3.5, seed=9,
         )
         env = {
             "REPRO_EVAL_EDGE": "24", "REPRO_EVAL_POINTS": "48",
@@ -63,8 +62,6 @@ class TestEvalConfig:
             "REPRO_EVAL_FAKE_OVERSAMPLE": "2",
             "REPRO_EVAL_REAL_OVERSAMPLE": "7",
             "REPRO_EVAL_HOTSPOT_WEIGHT": "3.5", "REPRO_EVAL_SEED": "9",
-            "REPRO_EVAL_CHECKPOINT_DIR": "/tmp/ckpts",
-            "REPRO_EVAL_RETRAIN": "1",
         }
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -190,134 +187,6 @@ class TestManifestHarness:
         for name in names:
             assert sequential.ratios[name]["f1"] == parallel.ratios[name]["f1"]
             assert sequential.ratios[name]["mae"] == parallel.ratios[name]["mae"]
-
-
-class TestCheckpoints:
-    """Persisted trained weights: rerunning a comparison skips training."""
-
-    @staticmethod
-    def _counting_fit(monkeypatch):
-        from repro.train.trainer import Trainer
-
-        calls = []
-        original = Trainer.fit
-
-        def counted(self, cases):
-            calls.append(1)
-            return original(self, cases)
-
-        monkeypatch.setattr(Trainer, "fit", counted)
-        return calls
-
-    def test_second_run_skips_training_with_identical_scores(
-            self, suite, tmp_path, monkeypatch):
-        calls = self._counting_fit(monkeypatch)
-        config = EvalConfig(target_edge=16, num_points=32, epochs=1,
-                            pretrain_epochs=0, batch_size=2,
-                            checkpoint_dir=str(tmp_path))
-        first = run_comparison(suite, ["IREDGe"], config)
-        assert len(calls) == 1
-        second = run_comparison(suite, ["IREDGe"], config)
-        assert len(calls) == 1  # loaded, not retrained
-        a, b = first.averages["IREDGe"], second.averages["IREDGe"]
-        assert (a.f1, a.mae) == (b.f1, b.mae)
-        for x, y in zip(first.per_model["IREDGe"], second.per_model["IREDGe"]):
-            assert (x.case_name, x.f1, x.mae) == (y.case_name, y.f1, y.mae)
-        # the recorded train time of the original run is reported
-        assert second.train_seconds == first.train_seconds
-
-    def test_retrain_forces_training(self, suite, tmp_path, monkeypatch):
-        calls = self._counting_fit(monkeypatch)
-        config = EvalConfig(target_edge=16, num_points=32, epochs=1,
-                            pretrain_epochs=0, batch_size=2,
-                            checkpoint_dir=str(tmp_path))
-        run_comparison(suite, ["IREDGe"], config)
-        config.retrain = True
-        run_comparison(suite, ["IREDGe"], config)
-        assert len(calls) == 2
-
-    def test_config_change_invalidates_checkpoint(
-            self, suite, tmp_path, monkeypatch):
-        calls = self._counting_fit(monkeypatch)
-        config = EvalConfig(target_edge=16, num_points=32, epochs=1,
-                            pretrain_epochs=0, batch_size=2,
-                            checkpoint_dir=str(tmp_path))
-        train_predictor("IREDGe", suite, config)
-        other = EvalConfig(target_edge=16, num_points=32, epochs=2,
-                           pretrain_epochs=0, batch_size=2,
-                           checkpoint_dir=str(tmp_path))
-        train_predictor("IREDGe", suite, other)
-        assert len(calls) == 2
-
-    def test_corrupt_checkpoint_is_retrained(self, suite, tmp_path, monkeypatch):
-        calls = self._counting_fit(monkeypatch)
-        config = EvalConfig(target_edge=16, num_points=32, epochs=1,
-                            pretrain_epochs=0, batch_size=2,
-                            checkpoint_dir=str(tmp_path))
-        train_predictor("IREDGe", suite, config)
-        corrupted = 0
-        for root, _dirs, files in os.walk(tmp_path):
-            for name in files:
-                if name.endswith(".npz"):
-                    # truncated zip magic: the nastiest corruption mode
-                    # (raises BadZipFile, not ValueError, inside np.load)
-                    with open(os.path.join(root, name), "wb") as handle:
-                        handle.write(b"PK\x03\x04garbage")
-                    corrupted += 1
-        assert corrupted == 1
-        train_predictor("IREDGe", suite, config)
-        assert len(calls) == 2
-
-    def test_partial_manifest_dataset_does_not_reuse_full_suite_weights(
-            self, suite, tmp_path, monkeypatch):
-        """A shard / incomplete dataset shares suite+settings provenance
-        with the full build; only the case roster tells them apart, and
-        half-data weights must never be silently reused."""
-        from dataclasses import replace as dc_replace
-
-        from repro.data.dataset import ShardedSuiteDataset
-        from repro.data.synthesis import stream_suite
-
-        manifest = stream_suite(str(tmp_path / "suite"), num_fake=2,
-                                num_real=1, num_hidden=2, seed=12)
-        calls = self._counting_fit(monkeypatch)
-        config = EvalConfig(target_edge=16, num_points=32, epochs=1,
-                            pretrain_epochs=0, batch_size=2,
-                            checkpoint_dir=str(tmp_path / "ckpt"))
-        train_predictor("IREDGe", ShardedSuiteDataset(manifest), config)
-        partial = dc_replace(manifest,
-                             refs=[r for r in manifest.refs if r.index != 0])
-        train_predictor(
-            "IREDGe",
-            ShardedSuiteDataset(partial, require_complete=False), config)
-        assert len(calls) == 2  # different rosters, different checkpoints
-
-    def test_inmemory_suite_settings_change_invalidates_checkpoint(
-            self, tmp_path, monkeypatch):
-        """Two in-memory suites with identical rosters but different
-        synthesis settings produce different golden data — the content
-        digest in the identity must force a retrain."""
-        from repro.data.synthesis import SynthesisSettings, make_suite
-
-        sizes = dict(num_fake=2, num_real=1, num_hidden=1, seed=12)
-        default = make_suite(**sizes)
-        smoother = make_suite(settings=SynthesisSettings(
-            golden_smooth_sigma=1.0), **sizes)
-        assert [c.name for c in default.all_cases()] \
-            == [c.name for c in smoother.all_cases()]
-        calls = self._counting_fit(monkeypatch)
-        config = EvalConfig(target_edge=16, num_points=32, epochs=1,
-                            pretrain_epochs=0, batch_size=2,
-                            checkpoint_dir=str(tmp_path))
-        train_predictor("IREDGe", default, config)
-        train_predictor("IREDGe", smoother, config)
-        assert len(calls) == 2
-
-    def test_no_checkpoint_dir_trains_every_time(self, suite, monkeypatch):
-        calls = self._counting_fit(monkeypatch)
-        train_predictor("IREDGe", suite, TINY)
-        train_predictor("IREDGe", suite, TINY)
-        assert len(calls) == 2
 
 
 class TestAblation:

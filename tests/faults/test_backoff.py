@@ -36,17 +36,9 @@ class TestBackoffPolicy:
         with pytest.raises(ValueError, match="cap_s"):
             BackoffPolicy(base_s=1.0, cap_s=0.5)
 
-    def test_from_env_reads_milliseconds(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKOFF_BASE_MS", "10")
-        monkeypatch.setenv("REPRO_BACKOFF_MAX_MS", "250")
-        policy = BackoffPolicy.from_env()
-        assert policy.base_s == pytest.approx(0.010)
-        assert policy.cap_s == pytest.approx(0.250)
-
-    def test_from_env_overrides_win(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKOFF_BASE_MS", "10")
-        policy = BackoffPolicy.from_env(base_s=1.0, cap_s=2.0)
-        assert policy.base_s == 1.0
+    def test_negative_base_is_rejected(self):
+        with pytest.raises(ValueError, match="base_s must be >= 0"):
+            BackoffPolicy(base_s=-0.1)
 
 
 class TestRetryWithBackoff:

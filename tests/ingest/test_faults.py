@@ -9,21 +9,24 @@ degradation — never as a raw :class:`InjectedFaultError`.
 
 import pytest
 
+from repro import knobs
+from repro.faults.backoff import BackoffPolicy
 from repro.faults.degrade import DegradationLog
 from repro.faults.plan import FaultPlan, FaultRule, InjectedFaultError
 from repro.faults.points import inject
 from repro.ingest import (
     DeckParseError,
     DeckReadError,
-    RasterizationError,
+    IngestError,
     ingest_deck,
 )
+from repro.ingest import pipeline
 
 
 @pytest.fixture(autouse=True)
 def _fast_backoff(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKOFF_BASE_MS", "0")
-    monkeypatch.setenv("REPRO_BACKOFF_MAX_MS", "0")
+    monkeypatch.setattr(pipeline, "READ_POLICY",
+                        BackoffPolicy(base_s=0.0, cap_s=0.0, jitter=0.0))
 
 
 def _plan(point: str, at) -> FaultPlan:
@@ -39,14 +42,15 @@ def deck(fixtures_dir):
 class TestReadPoint:
     def test_transient_fault_absorbed_by_retry(self, deck):
         with inject(_plan("ingest.read", at=(1,))) as plan:
-            result = ingest_deck(deck, read_retries=2)
+            result = ingest_deck(deck)
         assert result.report.outcome == "solved"
         assert plan.log  # the fault really fired
 
     def test_persistent_fault_becomes_typed_refusal(self, deck):
+        assert pipeline.READ_RETRIES == 2
         with inject(_plan("ingest.read", at=(1, 2, 3))):
             with pytest.raises(DeckReadError) as info:
-                ingest_deck(deck, read_retries=2)
+                ingest_deck(deck)
         assert info.value.code == "read"
         assert "injected fault" in str(info.value)
 
@@ -73,12 +77,6 @@ class TestRasterizePoint:
         assert events[0].to_mode == "solve-only"
         assert "InjectedFaultError" in events[0].reason
 
-    def test_refuse_policy_raises_typed_error(self, deck):
-        with inject(_plan("ingest.rasterize", at=(1,))):
-            with pytest.raises(RasterizationError) as info:
-                ingest_deck(deck, on_raster_error="refuse")
-        assert info.value.code == "rasterize"
-
 
 class TestNoRawEscape:
     def test_injected_faults_never_escape_untyped(self, deck):
@@ -90,5 +88,19 @@ class TestNoRawEscape:
                     pytest.fail(f"raw injected fault escaped at {point}: "
                                 f"{error}")
                 except Exception as error:
-                    from repro.ingest import IngestError
                     assert isinstance(error, IngestError)
+
+    def test_malformed_knobs_never_escape_untyped(self, deck, monkeypatch):
+        """No ``REPRO_*`` value, however malformed, turns an ingestion
+        into anything but a result or a typed refusal."""
+        escaped = {}
+        for name in knobs.KNOBS:
+            monkeypatch.setenv(name, "abc")
+            try:
+                ingest_deck(deck)
+            except IngestError:
+                pass
+            except Exception as error:
+                escaped[name] = f"{type(error).__name__}: {error}"
+            monkeypatch.delenv(name)
+        assert not escaped

@@ -143,10 +143,6 @@ class TestRasterGuard:
         assert [d.code for d in result.report.diagnostics] == \
             ["grounded-source"]
 
-    def test_bad_on_raster_error_rejected(self):
-        with pytest.raises(ValueError):
-            ingest_text("V1 a 0 1\nR1 a b 1\n", on_raster_error="explode")
-
 
 class TestGoldenParity:
     """Re-ingesting a written suite case reproduces its golden data."""

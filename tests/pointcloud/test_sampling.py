@@ -11,7 +11,6 @@ from repro.pointcloud.sampling import (
     sample_grid,
     sample_random,
 )
-from repro.pointcloud.transforms import jitter_points, shuffle_points
 
 
 def cloud(n, rng=None):
@@ -92,27 +91,3 @@ class TestFitToCount:
         out = fit_to_count(cloud(n), count)
         assert out.shape == (count, 11)
 
-
-class TestTransforms:
-    def test_jitter_leaves_padding_untouched(self):
-        points = fit_to_count(cloud(4), 8)
-        out = jitter_points(points, np.random.default_rng(0),
-                            coord_sigma=0.01, value_sigma=0.01)
-        assert np.allclose(out[4:], 0.0)
-        assert not np.allclose(out[:4, 0:4], points[:4, 0:4])
-
-    def test_jitter_clips_coordinates(self):
-        points = cloud(50)
-        out = jitter_points(points, np.random.default_rng(1), coord_sigma=0.5)
-        assert out[:, 0:4].min() >= 0.0
-        assert out[:, 0:4].max() <= 1.0
-
-    def test_jitter_validates_sigma(self):
-        with pytest.raises(ValueError):
-            jitter_points(cloud(5), np.random.default_rng(0), coord_sigma=-1.0)
-
-    def test_shuffle_permutes_rows(self):
-        points = cloud(50)
-        out = shuffle_points(points, np.random.default_rng(3))
-        assert not np.array_equal(out, points)
-        assert np.array_equal(np.sort(out, axis=0), np.sort(points, axis=0))

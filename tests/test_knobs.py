@@ -9,18 +9,17 @@ import pytest
 
 from repro import knobs
 from repro.eval.harness import EvalConfig
-from repro.faults.backoff import BackoffPolicy
 from repro.infer.engine import _SUPPORTED_DTYPES
 from repro.serve.config import ServeConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CONFIGS = (EvalConfig, ServeConfig, BackoffPolicy)
+CONFIGS = (EvalConfig, ServeConfig)
 
 
 @pytest.mark.parametrize("name, raw, expected", [
-    ("REPRO_EVAL_RETRAIN", "on", True),
-    ("REPRO_EVAL_RETRAIN", "true ", True),
-    ("REPRO_EVAL_RETRAIN", "No", False),
+    ("REPRO_SERVE_BREAKER", "on", True),
+    ("REPRO_SERVE_BREAKER", "true ", True),
+    ("REPRO_SERVE_BREAKER", "No", False),
     ("REPRO_SERVE_BREAKER", " OFF", False),
     ("REPRO_SERVE_BREAKER", "disable", ValueError),
     ("REPRO_INFER_ENGINE", "disable", ValueError),
@@ -40,7 +39,6 @@ CONFIGS = (EvalConfig, ServeConfig, BackoffPolicy)
     ("REPRO_INFER_DTYPE", "float16", ValueError),
     ("REPRO_SERVE_WORKER_KIND", "Process ", "process"),
     ("REPRO_SERVE_WORKER_KIND", "fiber", ValueError),
-    ("REPRO_EVAL_CHECKPOINT_DIR", " ckpts ", "ckpts"),
     ("REPRO_SERVE_WORKERS", "0", ValueError),
     ("REPRO_SERVE_DEADLINE_MS", "-5", ValueError),
     ("REPRO_SERVE_BREAKER_THRESHOLD", "1.5", ValueError),
@@ -65,9 +63,12 @@ class TestConsumers:
     """The flag rule reaches every config that reads a flag."""
 
     @pytest.mark.parametrize("raw", ["on", "true ", "YES"])
-    def test_eval_retrain_truthy(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_EVAL_RETRAIN", raw)
-        assert EvalConfig.from_env().retrain is True
+    def test_serve_breaker_truthy(self, monkeypatch, raw):
+        # the default is on: turn it off first so the read is observable
+        monkeypatch.setenv("REPRO_SERVE_BREAKER", "off")
+        assert ServeConfig.from_env().breaker_enabled is False
+        monkeypatch.setenv("REPRO_SERVE_BREAKER", raw)
+        assert ServeConfig.from_env().breaker_enabled is True
 
     def test_breaker_typo_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_BREAKER", "disable")
