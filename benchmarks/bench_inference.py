@@ -43,7 +43,7 @@ from repro import knobs, nn
 from repro.bench.measure import geomean, median
 from repro.core.pipeline import IRPredictor
 from repro.core.registry import MODEL_REGISTRY
-from repro.infer import InferenceEngine
+from repro.infer import InferenceEngine, lanes
 from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
 
@@ -141,12 +141,14 @@ def test_engine_predictions_identical_through_pipeline(bench_suite):
 
 
 def test_arena_zero_allocation_steady_state():
-    """After warm-up the serving arena never allocates again."""
+    """After warm-up the serving arena never allocates again, in any of
+    the lanes batch 4 is sharded over."""
     spec, model = _build_model("LMM-IR (Ours)")
     engine = InferenceEngine(model, dtype="float32")
     args = _raw_inputs(spec, 4)
     first = engine.run(*args)
-    engine.arena.freeze()   # any allocation now raises ArenaFrozenError
+    assert engine.arena.lanes == min(lanes.LANES, 4)
+    engine.arena.freeze()   # any allocation in any lane now raises
     second = engine.run(*args)
     engine.arena.freeze(False)
     assert np.array_equal(first, second)

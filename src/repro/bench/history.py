@@ -1,7 +1,8 @@
 """PR-over-PR perf trajectory: ``benchmarks/BENCH_history.json``.
 
-Every orchestrated run appends one entry — git SHA, timestamp, tier, and
-the flattened ``bench.metric -> value`` map of *headline* metrics — so
+Every orchestrated run appends one entry — git SHA, timestamp, tier, the
+numpy BLAS thread count and inference lane count it ran with, and the
+flattened ``bench.metric -> value`` map of *headline* metrics — so
 the speedup arc across PRs is a queryable artifact instead of prose in
 CHANGES.md.  Re-running at the same SHA and tier replaces that entry
 in place (local iteration must not spam the trajectory).
@@ -48,6 +49,9 @@ def append_history(path: str, report: BenchSuiteReport,
         "tier": tier,
         "headlines": report.headlines(),
     }
+    for key in ("blas_threads", "infer_lanes"):
+        if key in report.fingerprint:
+            entry[key] = report.fingerprint[key]
     entries = [e for e in entries
                if not (sha is not None and e.get("git_sha") == sha
                        and e.get("tier") == tier)]

@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.registry import DEFAULT_ENTRIES, BenchEntry, select_entries
 from repro.bench.schema import BenchResult, BenchSuiteReport
+from repro.infer import lanes
 
 __all__ = ["EntryRun", "BenchRunner", "environment_fingerprint",
            "assemble_report", "collect_results"]
@@ -81,8 +82,9 @@ def _git_sha(cwd: str) -> Optional[str]:
 
 
 def environment_fingerprint(cwd: str = ".") -> Dict[str, Any]:
-    """Where these numbers came from: interpreter, CPU, BLAS, git SHA,
-    and every ``REPRO_*`` budget knob in effect."""
+    """Where these numbers came from: interpreter, CPU, BLAS (and its
+    thread count), inference lanes, git SHA, and every ``REPRO_*``
+    budget knob in effect."""
     try:
         import numpy as np
         numpy_version = np.__version__
@@ -109,6 +111,8 @@ def environment_fingerprint(cwd: str = ".") -> Dict[str, Any]:
     blas = _blas_info()
     if blas:
         fingerprint["blas"] = blas
+    fingerprint["blas_threads"] = lanes.blas_threads()
+    fingerprint["infer_lanes"] = lanes.LANES
     sha = _git_sha(cwd)
     if sha:
         fingerprint["git_sha"] = sha

@@ -12,6 +12,11 @@ a second forward of the same shape reuses exactly the chunks the first
 one released, allocating nothing.  :meth:`BufferArena.freeze` turns that
 steady-state claim into a hard assertion: a frozen arena raises instead
 of allocating.
+
+An engine that shards a batch over lanes (see :mod:`repro.infer.lanes`)
+gives each extra lane its own child arena, :meth:`BufferArena.lane`, so
+no two threads share a pool.  The parent's ``freeze``, ``live``,
+``pooled`` and allocation counters cover every lane.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ class BufferArena:
         self._free: List[np.ndarray] = []   # release order (oldest first)
         self._live: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._frozen = False
-        self.allocations = 0
-        self.allocated_bytes = 0
+        self._lanes: Dict[int, "BufferArena"] = {}
+        self._allocations = 0
+        self._allocated_bytes = 0
 
     # ------------------------------------------------------------------
     def acquire(self, shape: tuple, dtype,
@@ -83,8 +89,8 @@ class BufferArena:
                     "warm-up forward did not cover this buffer"
                 )
             chunk = np.empty(max(nbytes_hint or 0, nbytes), dtype=np.uint8)
-            self.allocations += 1
-            self.allocated_bytes += chunk.nbytes
+            self._allocations += 1
+            self._allocated_bytes += chunk.nbytes
         view = chunk[:count * dtype.itemsize].view(dtype).reshape(shape)
         self._live[id(view)] = (chunk, view)
         return view
@@ -101,27 +107,65 @@ class BufferArena:
         self._free.append(entry[0])
 
     # ------------------------------------------------------------------
+    def lane(self, index: int) -> "BufferArena":
+        """The arena lane ``index`` draws from: lane 0 is this arena, any
+        other lane gets a child arena on first use (frozen if this one
+        is), counted in this arena's totals."""
+        if index == 0:
+            return self
+        child = self._lanes.get(index)
+        if child is None:
+            child = self.make_lane()
+            child.freeze(self._frozen)
+            self._lanes[index] = child
+        return child
+
+    def make_lane(self) -> "BufferArena":
+        """A fresh arena for a new lane (tests override it with a fake)."""
+        return BufferArena()
+
+    def _all(self) -> List["BufferArena"]:
+        return [self, *self._lanes.values()]
+
     def freeze(self, frozen: bool = True) -> None:
-        """Forbid (or re-allow) new allocations; reuse keeps working."""
+        """Forbid (or re-allow) new allocations, in every lane; reuse
+        keeps working."""
         self._frozen = frozen
+        for child in self._lanes.values():
+            child.freeze(frozen)
 
     @property
     def frozen(self) -> bool:
         return self._frozen
 
     @property
+    def lanes(self) -> int:
+        """This arena plus the child lanes it has created."""
+        return 1 + len(self._lanes)
+
+    @property
+    def allocations(self) -> int:
+        """Chunks allocated so far, over every lane."""
+        return sum(arena._allocations for arena in self._all())
+
+    @property
+    def allocated_bytes(self) -> int:
+        return sum(arena._allocated_bytes for arena in self._all())
+
+    @property
     def pooled(self) -> int:
-        """Number of chunks currently sitting in the free pool."""
-        return len(self._free)
+        """Number of chunks currently sitting in the free pools."""
+        return sum(len(arena._free) for arena in self._all())
 
     @property
     def live(self) -> int:
-        """Number of views currently checked out."""
-        return len(self._live)
+        """Number of views currently checked out, over every lane."""
+        return sum(len(arena._live) for arena in self._all())
 
     def clear(self) -> None:
-        """Drop all pooled chunks (counters are kept)."""
-        self._free.clear()
+        """Drop all pooled chunks in every lane (counters are kept)."""
+        for arena in self._all():
+            arena._free.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BufferArena(allocations={self.allocations}, "

@@ -20,6 +20,16 @@ Numerics:
   BLAS runs single-precision, and BatchNorm folding defaults on.
   Outputs agree with the float64 forward to ~1e-5 relative.
 
+Threading: a batch of n >= 2 rows is split into row-contiguous shards,
+one per lane (see :mod:`repro.infer.lanes`).  The caller runs shard 0;
+the module's lane pool runs the others, each over its own lane of the
+engine's arena.  Plans are compiled (and validated) per shard shape on
+the calling thread, so a batch of 8 on two lanes compiles the batch-4
+plan.  This relies on the forward treating rows independently, which
+every eval-mode model here does; the parity tests check it at batch >= 2
+against ``model.forward`` on the whole batch.  Batch 1 runs on the
+caller exactly as without lanes.
+
 The engine snapshots weights at compile time: call :meth:`refresh` after
 mutating parameters (e.g. ``load_state_dict``) to drop stale plans.
 """
@@ -31,6 +41,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro import knobs
+from repro.infer import lanes
 from repro.infer.arena import BufferArena
 from repro.infer.plan import Plan, compile_plan
 from repro.infer.trace import InferenceUnsupportedError, trace_module
@@ -164,16 +175,56 @@ class InferenceEngine:
                 "the first batch's values")
 
     def run(self, *args) -> np.ndarray:
-        """One forward; returns a fresh array in the engine dtype."""
+        """One forward; returns a fresh array in the engine dtype.
+
+        A batch of several rows is sharded over the lanes (see the
+        module docstring); an error raised in any lane reaches the
+        caller once every lane has finished.
+        """
         if getattr(self.model, "training", False):
             raise InferenceUnsupportedError(
                 "InferenceEngine.run requires eval mode; call model.eval()")
         self._drop_stale_plans()
         arrays = tuple(np.asarray(arg) for arg in args)
+        bounds = self._shards(arrays)
+        if len(bounds) == 1:
+            return self._plan_for(arrays).run(arrays, self.arena)
+        shards = [tuple(array[start:stop] for array in arrays)
+                  for start, stop in bounds]
+        plans = [self._plan_for(shard) for shard in shards]
+        arenas = [self.arena.lane(index) for index in range(len(shards))]
+        pool = lanes.executor()
+        futures = [pool.submit(plan.run, shard, arena) for plan, shard, arena
+                   in zip(plans[1:], shards[1:], arenas[1:])]
+        # every lane finishes before anything is raised: a lane still
+        # running would hold its arena's buffers past this call
+        outputs, error = [], None
+        try:
+            outputs.append(plans[0].run(shards[0], arenas[0]))
+        except BaseException as caught:
+            error = caught
+        for future in futures:
+            try:
+                outputs.append(future.result())
+            except BaseException as caught:
+                if error is None:
+                    error = caught
+        if error is not None:
+            raise error
+        return np.concatenate(outputs)
+
+    @staticmethod
+    def _shards(arrays) -> list:
+        """Row bounds of the lane shards: one shard unless every input
+        has the same leading (batch) dimension of 2 or more."""
+        n = arrays[0].shape[0] if arrays and arrays[0].ndim else 1
+        if n < 2 or any(a.ndim == 0 or a.shape[0] != n for a in arrays):
+            return [(0, n)]
+        return lanes.shard_bounds(n, lanes.LANES)
+
+    def _plan_for(self, arrays) -> Plan:
         plan = self._plans.get(self._signature(arrays))
-        if plan is None:
-            plan = self.compile(*arrays)
-        return plan.run(arrays, self.arena)
+        return plan if plan is not None else self.compile(*arrays)
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:

@@ -45,6 +45,15 @@ class TestAppendHistory:
         [loaded] = load_history(path)
         assert loaded == entry
 
+    def test_records_blas_threads_and_lanes_when_fingerprinted(self,
+                                                               tmp_path):
+        path = str(tmp_path / "BENCH_history.json")
+        report = _report()
+        assert "infer_lanes" not in append_history(path, report)
+        report.fingerprint.update(blas_threads=1, infer_lanes=2)
+        entry = append_history(path, report)
+        assert (entry["blas_threads"], entry["infer_lanes"]) == (1, 2)
+
     def test_distinct_shas_accumulate(self, tmp_path):
         path = str(tmp_path / "BENCH_history.json")
         append_history(path, _report(sha="a" * 40))

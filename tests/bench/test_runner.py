@@ -124,6 +124,12 @@ class TestFingerprint:
         # the repo is a git checkout, so the SHA must be stamped
         assert len(fingerprint.get("git_sha", "")) == 40
 
+    def test_records_blas_threads_and_inference_lanes(self):
+        from repro.infer import lanes
+        fingerprint = environment_fingerprint()
+        assert fingerprint["blas_threads"] == lanes.blas_threads()
+        assert fingerprint["infer_lanes"] == lanes.LANES >= 1
+
     def test_env_captures_repro_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_EPOCHS", "3")
         fingerprint = environment_fingerprint()

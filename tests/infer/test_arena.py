@@ -5,8 +5,14 @@ import pytest
 
 from repro import nn
 from repro.core.model import LMMIR, LMMIRConfig
-from repro.infer import ArenaFrozenError, BufferArena, InferenceEngine
+from repro.infer import ArenaFrozenError, BufferArena, InferenceEngine, lanes
 from repro.train.seed import seed_everything
+
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Shard every batch of two or more rows over two lanes."""
+    monkeypatch.setattr(lanes, "LANES", 2)
 
 
 class TestBufferArena:
@@ -87,11 +93,40 @@ class TestBufferArena:
         assert arena.allocations == 2
         assert arena.chunk_nbytes(hinted) == 400
 
+    def test_lanes_are_child_arenas_counted_in_the_totals(self):
+        arena = BufferArena()
+        assert arena.lane(0) is arena
+        assert arena.lanes == 1
+        child = arena.lane(1)
+        assert child is not arena and arena.lane(1) is child
+        assert arena.lanes == 2
+        own = arena.acquire((4,), np.float64)
+        held = child.acquire((8,), np.float64)
+        assert (arena.allocations, arena.allocated_bytes) == (2, 96)
+        assert arena.live == 2
+        child.release(held)
+        arena.release(own)
+        assert (arena.live, arena.pooled) == (0, 2)
+        arena.clear()
+        assert arena.pooled == 0
+
+    def test_freeze_covers_existing_and_later_lanes(self):
+        arena = BufferArena()
+        early = arena.lane(1)
+        arena.freeze()
+        late = arena.lane(2)
+        for lane in (early, late):
+            assert lane.frozen
+            with pytest.raises(ArenaFrozenError):
+                lane.acquire((4,), np.float64)
+        arena.freeze(False)
+        assert not early.frozen and not late.frozen
+
 
 class TestZeroAllocationReplay:
     """The arena-reuse guarantee: after warm-up, a same-shape forward
     acquires only pooled chunks — a frozen arena proves it by raising on
-    any allocation."""
+    any allocation, in every lane a sharded batch runs on."""
 
     def _model(self):
         seed_everything(0)
@@ -100,7 +135,7 @@ class TestZeroAllocationReplay:
                                   netlist_heads=2, fusion_heads=2))
         return model.eval()
 
-    def test_second_forward_allocates_nothing(self):
+    def test_second_forward_allocates_nothing(self, two_lanes):
         model = self._model()
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 16, 16))
@@ -111,10 +146,11 @@ class TestZeroAllocationReplay:
         engine.arena.freeze()
         second = engine.run(x, points)   # would raise on any new buffer
         engine.arena.freeze(False)
+        assert engine.arena.lanes == 2
         assert engine.arena.allocations == allocations
         assert np.array_equal(first, second)
 
-    def test_two_shapes_share_one_arena(self):
+    def test_two_shapes_share_one_arena(self, two_lanes):
         model = self._model()
         rng = np.random.default_rng(1)
         engine = InferenceEngine(model)
@@ -128,12 +164,17 @@ class TestZeroAllocationReplay:
         assert np.array_equal(engine.run(*args_a), out_a)
         assert np.array_equal(engine.run(*args_a), out_a)
         engine.arena.freeze(False)
+        # batch 4 runs as two batch-2 shards, one per lane
         assert engine.plan_count == 2
+        assert engine.arena.lanes == 2
 
-    def test_everything_released_after_run(self):
+    def test_everything_released_after_run(self, two_lanes):
         model = self._model()
         rng = np.random.default_rng(2)
         engine = InferenceEngine(model)
-        engine.run(rng.normal(size=(1, 3, 16, 16)),
-                   rng.normal(size=(1, 12, 11)))
-        assert engine.arena.live == 0
+        for batch in (1, 3):
+            engine.run(rng.normal(size=(batch, 3, 16, 16)),
+                       rng.normal(size=(batch, 12, 11)))
+            assert engine.arena.live == 0
+        assert engine.arena.lanes == 2
+        assert engine.arena.lane(1).live == 0

@@ -249,30 +249,47 @@ class TestFailureModes:
             engine.run(np.zeros((3, 2)))
 
     @pytest.mark.parametrize("fail_after", [1, 5, 20])
-    def test_buffers_released_when_a_run_fails_mid_plan(self, fail_after):
+    def test_buffers_released_when_a_run_fails_mid_plan(self, fail_after,
+                                                        monkeypatch):
         """Mid-plan failures must not leak held or scratch buffers out of
-        the arena (the zero-allocation steady state would quietly erode)."""
-        from repro.infer import ArenaFrozenError, BufferArena
+        the arena (the zero-allocation steady state would quietly erode),
+        whether the caller's lane fails or a lane on the pool thread."""
+        import threading
+        from repro.infer import ArenaFrozenError, BufferArena, lanes
 
         class FailingArena(BufferArena):
             def __init__(self, fail_after):
                 super().__init__()
                 self.calls = 0
                 self.fail_after = fail_after
+                self.failed_on = None
 
             def acquire(self, shape, dtype, nbytes_hint=None):
                 self.calls += 1
                 if self.calls > self.fail_after:
+                    self.failed_on = threading.current_thread()
                     raise ArenaFrozenError("injected failure")
                 return super().acquire(shape, dtype, nbytes_hint)
 
+        class LaneFailingArena(BufferArena):
+            def make_lane(self):
+                return FailingArena(fail_after)
+
+        monkeypatch.setattr(lanes, "LANES", 2)
         spec, model = _build("IREDGe")
         args = _inputs(spec)
-        arena = FailingArena(fail_after)
-        engine = InferenceEngine(model, arena=arena)
-        with pytest.raises(ArenaFrozenError):
-            engine.run(*args)
-        assert arena.live == 0
+        for failing_lane in (0, 1):
+            arena = (FailingArena(fail_after) if failing_lane == 0
+                     else LaneFailingArena())
+            engine = InferenceEngine(model, arena=arena)
+            with pytest.raises(ArenaFrozenError, match="injected"):
+                engine.run(*args)
+            failing = arena.lane(failing_lane)
+            assert failing.failed_on is not None
+            assert ((failing.failed_on is threading.current_thread())
+                    == (failing_lane == 0))
+            assert arena.lane(0).live == 0 and arena.lane(1).live == 0
+            assert arena.live == 0
 
     def test_training_mode_rejected(self):
         _, model = _build("IREDGe")
