@@ -3,15 +3,16 @@
 PR 5's tentpole: prediction is the product (the paper's pitch is that the
 NN replaces the golden solver because inference is cheap), so the hot
 path gets an engine of its own — compiled kernel plans, BatchNorm/bias/
-ReLU fusion, a chunk-pooled buffer arena, and an opt-in float32 serving
-mode — instead of the autograd graph run with its gradients thrown away.
+ReLU fusion, a fixed buffer layout in one workspace slab per lane, and
+an opt-in float32 serving mode — instead of the autograd graph run with
+its gradients thrown away.
 
 Tests split into two CI tiers, following ``bench_solver_scaling.py``:
 
 * **numeric parity** (unmarked, *gating*) — the float64 engine output is
   bit-exact against ``model.forward`` for LMMIR and every registered
-  baseline, float32 stays within 1e-4 relative, and the arena replays a
-  warm shape without allocating (asserted via an allocation-frozen
+  baseline, float32 stays within 1e-4 relative, and the engine replays
+  a warm shape without allocating (asserted via an allocation-frozen
   arena).
 * **wall-clock** (``@pytest.mark.perf``) — speedup floors for the
   serving configuration (engine + float32 + BN folding + batched

@@ -21,7 +21,8 @@ Three serving levers, all on by default:
 * **Compiled forwards** (``engine="auto"``) — the eval forward runs on a
   grad-free :class:`~repro.infer.engine.InferenceEngine` plan instead of
   the autograd graph: no Tensor wrapping, BatchNorm/bias/ReLU fusion, and
-  a buffer arena so steady-state serving allocates nothing.  At the
+  a buffer layout fixed at compile time in one workspace per lane, so
+  steady-state serving allocates nothing.  At the
   default ``infer_dtype="float64"`` the engine is bit-exact against the
   autograd forward; ``infer_dtype="float32"`` (or ``REPRO_INFER_DTYPE``)
   selects the reduced-precision serving mode (~1e-5 relative agreement,

@@ -4,9 +4,11 @@ Prediction does not need gradients, yet the autograd forward pays for
 them anyway: closure construction per op, fresh im2col buffers per conv,
 Tensor wrapping everywhere.  This package compiles an eval-mode module
 into a flat plan of pure-ndarray kernel calls (the same arithmetic the
-autograd ops use — see the kernels in :mod:`repro.nn.functional`),
-executed over a shape-keyed :class:`BufferArena` so steady-state serving
-allocates nothing.  Float64 plans are bit-exact against
+autograd ops use — see the kernels in :mod:`repro.nn.functional`).
+Every buffer a plan needs sits at a fixed offset of one workspace laid
+out at compile time, and each lane's :class:`BufferArena` holds one slab
+that workspace is bound to, so steady-state serving allocates nothing
+and makes no per-step arena call.  Float64 plans are bit-exact against
 ``model.forward``; ``dtype="float32"`` (or ``REPRO_INFER_DTYPE``) trades
 ~1e-5 relative agreement for roughly half the memory traffic and BLAS
 time, with BatchNorm weights folded into the convolutions.

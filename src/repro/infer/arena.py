@@ -1,36 +1,34 @@
-"""Shape-keyed buffer arena for the grad-free inference engine.
+"""Per-lane workspace slab for the grad-free inference engine.
 
 Every intermediate an :class:`~repro.infer.engine.InferenceEngine` plan
-produces lives in an arena buffer.  Internally the arena pools raw byte
-chunks and hands out dtype/shape *views*, preferring the most recently
-released chunk that fits (exact size first, then best fit).  That
-mirrors what glibc's allocator does for the autograd path's temporaries
-— consecutive convolutions write into the same cache-warm region — but
-without ever touching the allocator in steady state: a plan acquires
-what it needs step by step and releases each buffer at its last use, so
-a second forward of the same shape reuses exactly the chunks the first
-one released, allocating nothing.  :meth:`BufferArena.freeze` turns that
-steady-state claim into a hard assertion: a frozen arena raises instead
-of allocating.
+produces lives at a fixed offset of one workspace, laid out at compile
+time (see :func:`repro.infer.plan.compile_plan`).  The arena holds that
+workspace: one 64-byte-aligned byte slab that grows to the largest
+``workspace_nbytes`` of the plans run on it and never shrinks.  A run
+checks the slab out once, takes the plan's views over it (bound on the
+plan's first run on this slab, then cached) and checks it back in; a
+second forward of a known shape therefore allocates nothing.
+:meth:`BufferArena.freeze` turns that steady-state claim into a hard
+assertion: a frozen arena raises instead of growing.
 
 An engine that shards a batch over lanes (see :mod:`repro.infer.lanes`)
 gives each extra lane its own child arena, :meth:`BufferArena.lane`, so
-no two threads share a pool.  The parent's ``freeze``, ``live``,
-``pooled`` and allocation counters cover every lane.
+no two threads share a slab.  The parent's ``freeze``, ``live``,
+``nbytes`` and allocation counters cover every lane.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Tuple
+import threading
+import weakref
+from typing import Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["BufferArena", "ArenaFrozenError"]
+__all__ = ["BufferArena", "ArenaFrozenError", "ALIGN"]
 
-#: a pooled chunk may serve a request down to 1/4 of its size; anything
-#: smaller would waste too much of the chunk
-_FIT_RATIO = 4
+#: byte alignment of the slab and of every buffer offset in a layout
+ALIGN = 64
 
 
 class ArenaFrozenError(RuntimeError):
@@ -38,73 +36,57 @@ class ArenaFrozenError(RuntimeError):
 
 
 class BufferArena:
-    """Pool of reusable byte chunks served as shaped ndarray views."""
+    """One lane's grow-only workspace slab, plus the plan views over it."""
 
     def __init__(self):
-        self._free: List[np.ndarray] = []   # release order (oldest first)
-        self._live: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._slab: Optional[np.ndarray] = None
+        self._bound = weakref.WeakKeyDictionary()   # plan -> its binding
+        self._in_use = threading.Lock()
         self._frozen = False
         self._lanes: Dict[int, "BufferArena"] = {}
         self._allocations = 0
-        self._allocated_bytes = 0
 
     # ------------------------------------------------------------------
-    def acquire(self, shape: tuple, dtype,
-                nbytes_hint: int = None) -> np.ndarray:
-        """Return a buffer of the requested shape/dtype, reusing a pooled
-        chunk when one fits and allocating otherwise.
+    def checkout(self, plan):
+        """Check the slab out for one run of ``plan`` and return the
+        plan's binding over it (:meth:`~repro.infer.plan.Plan.bind`).
 
-        Without a hint the most recently released chunk that fits (exact
-        size first, then best fit within ``_FIT_RATIO``) is reused — the
-        cache-warm choice.  With ``nbytes_hint`` (a chunk size recorded
-        from a previous run of the same plan) only chunks of exactly that
-        size are reused, which makes replays deterministic: a schedule
-        that ran once can always run again without allocating.
+        The slab grows to ``plan.workspace_nbytes`` when it is smaller,
+        which drops every cached binding of the old slab; a frozen arena
+        raises :class:`ArenaFrozenError` instead.  Pair every checkout
+        with :meth:`checkin`.
         """
-        dtype = np.dtype(dtype)
-        count = math.prod(shape) if shape else 1
-        nbytes = max(count * dtype.itemsize, 1)
-        chosen = None
-        if nbytes_hint is not None:
-            for position in range(len(self._free) - 1, -1, -1):
-                if self._free[position].nbytes == nbytes_hint:
-                    chosen = position
-                    break
-        else:
-            for position in range(len(self._free) - 1, -1, -1):
-                size = self._free[position].nbytes
-                if size == nbytes:
-                    chosen = position
-                    break
-                if (size > nbytes and size <= nbytes * _FIT_RATIO
-                        and (chosen is None
-                             or size < self._free[chosen].nbytes)):
-                    chosen = position
-        if chosen is not None:
-            chunk = self._free.pop(chosen)
-        else:
+        if not self._in_use.acquire(blocking=False):
+            raise RuntimeError(
+                "arena lane is already checked out: a lane runs one plan "
+                "at a time")
+        try:
+            return self._binding(plan)
+        except BaseException:
+            self._in_use.release()
+            raise
+
+    def _binding(self, plan):
+        nbytes = plan.workspace_nbytes
+        if self._slab is None or self._slab.nbytes < nbytes:
             if self._frozen:
                 raise ArenaFrozenError(
-                    f"frozen arena asked to allocate {shape} {dtype} — the "
-                    "warm-up forward did not cover this buffer"
-                )
-            chunk = np.empty(max(nbytes_hint or 0, nbytes), dtype=np.uint8)
+                    f"frozen arena asked to grow to {nbytes} bytes — the "
+                    "warm-up forward did not cover this plan")
+            self._bound.clear()
+            self._slab = None   # free the old slab before the new one
+            raw = np.empty(nbytes + ALIGN, dtype=np.uint8)
+            shift = -raw.ctypes.data % ALIGN
+            self._slab = raw[shift:shift + nbytes]
             self._allocations += 1
-            self._allocated_bytes += chunk.nbytes
-        view = chunk[:count * dtype.itemsize].view(dtype).reshape(shape)
-        self._live[id(view)] = (chunk, view)
-        return view
+        binding = self._bound.get(plan)
+        if binding is None:
+            binding = self._bound[plan] = plan.bind(self._slab)
+        return binding
 
-    def chunk_nbytes(self, array: np.ndarray) -> int:
-        """Size of the pooled chunk backing a live view from :meth:`acquire`."""
-        return self._live[id(array)][0].nbytes
-
-    def release(self, array: np.ndarray) -> None:
-        """Return a view handed out by :meth:`acquire` to the pool."""
-        entry = self._live.pop(id(array), None)
-        if entry is None:
-            raise KeyError("release of a buffer this arena did not hand out")
-        self._free.append(entry[0])
+    def checkin(self) -> None:
+        """Return the slab checked out by :meth:`checkout`."""
+        self._in_use.release()
 
     # ------------------------------------------------------------------
     def lane(self, index: int) -> "BufferArena":
@@ -115,21 +97,17 @@ class BufferArena:
             return self
         child = self._lanes.get(index)
         if child is None:
-            child = self.make_lane()
+            child = BufferArena()
             child.freeze(self._frozen)
             self._lanes[index] = child
         return child
-
-    def make_lane(self) -> "BufferArena":
-        """A fresh arena for a new lane (tests override it with a fake)."""
-        return BufferArena()
 
     def _all(self) -> List["BufferArena"]:
         return [self, *self._lanes.values()]
 
     def freeze(self, frozen: bool = True) -> None:
-        """Forbid (or re-allow) new allocations, in every lane; reuse
-        keeps working."""
+        """Forbid (or re-allow) slab growth, in every lane; runs that fit
+        the slab keep working."""
         self._frozen = frozen
         for child in self._lanes.values():
             child.freeze(frozen)
@@ -144,29 +122,26 @@ class BufferArena:
         return 1 + len(self._lanes)
 
     @property
+    def slab_nbytes(self) -> int:
+        """Size of this lane's slab (0 before its first run)."""
+        return 0 if self._slab is None else self._slab.nbytes
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in slabs, over every lane."""
+        return sum(arena.slab_nbytes for arena in self._all())
+
+    @property
     def allocations(self) -> int:
-        """Chunks allocated so far, over every lane."""
+        """Slabs allocated so far (first use and every growth), over
+        every lane."""
         return sum(arena._allocations for arena in self._all())
 
     @property
-    def allocated_bytes(self) -> int:
-        return sum(arena._allocated_bytes for arena in self._all())
-
-    @property
-    def pooled(self) -> int:
-        """Number of chunks currently sitting in the free pools."""
-        return sum(len(arena._free) for arena in self._all())
-
-    @property
     def live(self) -> int:
-        """Number of views currently checked out, over every lane."""
-        return sum(len(arena._live) for arena in self._all())
-
-    def clear(self) -> None:
-        """Drop all pooled chunks in every lane (counters are kept)."""
-        for arena in self._all():
-            arena._free.clear()
+        """Workspaces currently checked out, over every lane."""
+        return sum(arena._in_use.locked() for arena in self._all())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"BufferArena(allocations={self.allocations}, "
-                f"bytes={self.allocated_bytes}, pooled={self.pooled})")
+        return (f"BufferArena(lanes={self.lanes}, nbytes={self.nbytes}, "
+                f"allocations={self.allocations})")

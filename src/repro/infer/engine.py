@@ -1,13 +1,14 @@
-"""Grad-free inference engine: compiled forwards over a buffer arena.
+"""Grad-free inference engine: compiled forwards over a static workspace.
 
 :class:`InferenceEngine` turns an eval-mode :class:`~repro.nn.module.Module`
 into shape-specialised kernel plans.  The first forward of a new input
 signature traces the model once (an ordinary autograd forward under
 ``no_grad``), compiles the trace (constant folding, optional BatchNorm
 weight folding, bias+ReLU epilogue fusion, in-place planning, buffer
-liveness) and caches the plan; every following forward of that signature
-replays the plan with buffers from a shape-keyed
-:class:`~repro.infer.arena.BufferArena`, allocating nothing.
+liveness and a fixed-offset buffer layout) and caches the plan; every
+following forward of that signature replays the plan over its lane's
+workspace slab (:class:`~repro.infer.arena.BufferArena`), allocating
+nothing and making no per-step arena call.
 
 Numerics:
 
@@ -23,11 +24,12 @@ Numerics:
 Threading: a batch of n >= 2 rows is split into row-contiguous shards,
 one per lane (see :mod:`repro.infer.lanes`).  The caller runs shard 0;
 the module's lane pool runs the others, each over its own lane of the
-engine's arena.  Plans are compiled (and validated) per shard shape on
-the calling thread, so a batch of 8 on two lanes compiles the batch-4
-plan.  This relies on the forward treating rows independently, which
-every eval-mode model here does; the parity tests check it at batch >= 2
-against ``model.forward`` on the whole batch.  Batch 1 runs on the
+engine's arena, i.e. its own slab.  Plans are compiled (and validated,
+on lane 0's slab) per shard shape on the calling thread, so a batch of 8
+on two lanes compiles the batch-4 plan.  This relies on the forward
+treating rows independently, which every eval-mode model here does; the
+parity tests check it at batch >= 2 against ``model.forward`` on the
+whole batch.  Batch 1 runs on the
 caller exactly as without lanes.
 
 The engine snapshots weights at compile time: call :meth:`refresh` after
@@ -68,15 +70,14 @@ class InferenceEngine:
     """Compile-and-replay executor for a fixed-weight model."""
 
     def __init__(self, model, dtype=None, fold_bn: Optional[bool] = None,
-                 fuse: bool = True, arena: Optional[BufferArena] = None,
-                 validate: bool = True):
+                 fuse: bool = True, validate: bool = True):
         self.model = model
         self.dtype = resolve_infer_dtype(dtype)
         self.fold_bn = (bool(fold_bn) if fold_bn is not None
                         else self.dtype == np.dtype("float32"))
         self.fuse = bool(fuse)
         self.validate = bool(validate)
-        self.arena = arena if arena is not None else BufferArena()
+        self.arena = BufferArena()
         self._plans: Dict[tuple, Plan] = {}
         self._const_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._compiled_version = self._model_version()
@@ -197,7 +198,7 @@ class InferenceEngine:
         futures = [pool.submit(plan.run, shard, arena) for plan, shard, arena
                    in zip(plans[1:], shards[1:], arenas[1:])]
         # every lane finishes before anything is raised: a lane still
-        # running would hold its arena's buffers past this call
+        # running would hold its slab checked out past this call
         outputs, error = [], None
         try:
             outputs.append(plans[0].run(shards[0], arenas[0]))

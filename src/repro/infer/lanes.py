@@ -5,7 +5,7 @@ im2col, softmax and the elementwise passes run on the calling thread.
 :meth:`~repro.infer.engine.InferenceEngine.run` therefore splits a batch
 into row-contiguous shards, one per *lane*: the caller runs shard 0 and
 a module-level pool of ``LANES - 1`` threads runs the rest, each lane
-over its own :class:`~repro.infer.arena.BufferArena`.
+over its own :class:`~repro.infer.arena.BufferArena` workspace slab.
 
 That is only bit-safe when every GEMM in the process runs at one BLAS
 width: some conv GEMMs with K >= 500 round differently when OpenBLAS

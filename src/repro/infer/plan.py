@@ -16,18 +16,22 @@
    sequence, so they stay on in the bit-exact default;
 4. **dead-code elimination** and **in-place planning** — single-consumer
    elementwise ops write into their dying input's buffer;
-5. **liveness** — every arena buffer is released at its last use, so the
-   live set tracks the model's activation footprint and a same-shape
-   re-run allocates nothing.
+5. **liveness and layout** — every owned buffer lives from the step that
+   first needs it to its last read (scratch for its own step only), and
+   buffers whose lifetimes overlap get disjoint, 64-byte-aligned offsets
+   of one workspace, packed greedily by size.  A run binds those offsets
+   to its lane's slab (see :mod:`repro.infer.arena`) and makes no
+   per-step allocation or arena call.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.infer.arena import BufferArena
+from repro.infer.arena import ALIGN, BufferArena
 from repro.infer.steps import BUILDERS, INPLACE_SAFE, Step, build_step
 from repro.infer.trace import InferenceUnsupportedError, Trace, TraceNode
 
@@ -299,83 +303,94 @@ def _fuse_epilogues(nodes, const_of, dead, ctx, out_ref):
 # Plan
 # ----------------------------------------------------------------------
 class Plan:
-    """A compiled forward: ordered kernel steps plus buffer bookkeeping."""
+    """A compiled forward: ordered kernel steps over a static buffer layout.
+
+    ``buffers`` holds ``(offset, shape, dtype)`` per owned buffer, in the
+    order a run first needs them; ``workspace_nbytes`` is the workspace
+    they pack into.  Arg casts name their buffer in ``arg_plan``, steps
+    in ``out_slot`` and ``scratch_slots``.
+    """
 
     __slots__ = ("steps", "n_nodes", "n_args", "arg_plan", "out_index",
-                 "out_const", "dtype", "_chunk_sizes")
+                 "out_const", "dtype", "buffers", "workspace_nbytes",
+                 "__weakref__")
 
     def __init__(self, steps: List[Step], n_nodes: int, n_args: int,
                  arg_plan, out_index: Optional[int],
-                 out_const: Optional[np.ndarray], dtype):
+                 out_const: Optional[np.ndarray], dtype,
+                 buffers: List[Tuple[int, tuple, np.dtype]],
+                 workspace_nbytes: int):
         self.steps = steps
         self.n_nodes = n_nodes
         self.n_args = n_args
-        self.arg_plan = arg_plan      # [(arg position, node idx, cast spec|None)]
+        self.arg_plan = arg_plan      # [(arg position, node idx, slot|None)]
         self.out_index = out_index
         self.out_const = out_const
         self.dtype = np.dtype(dtype)
-        # chunk sizes recorded on the first successful run; replayed as
-        # exact-match hints so later runs are deterministic and never
-        # allocate (see BufferArena.acquire)
-        self._chunk_sizes: Optional[List[int]] = None
+        self.buffers = buffers
+        self.workspace_nbytes = workspace_nbytes
+
+    def bind(self, slab: np.ndarray):
+        """The plan's buffers as views of ``slab`` (at least
+        ``workspace_nbytes`` bytes): ``(arg binding, step binding)``,
+        the tuples :meth:`run` iterates."""
+        views = [slab[offset:offset + math.prod(shape) * dtype.itemsize]
+                 .view(dtype).reshape(shape)
+                 for offset, shape, dtype in self.buffers]
+        args = [(position, index, None if slot is None else views[slot])
+                for position, index, slot in self.arg_plan]
+        steps = [(step,
+                  None if step.out_slot is None else views[step.out_slot],
+                  [views[slot] for slot in step.scratch_slots])
+                 for step in self.steps]
+        return args, steps
 
     def run(self, args, arena: BufferArena) -> np.ndarray:
         if len(args) != self.n_args:
             raise ValueError(
                 f"plan compiled for {self.n_args} inputs, got {len(args)}")
-        env: List[Optional[np.ndarray]] = [None] * self.n_nodes
-        held: Dict[int, np.ndarray] = {}
-        scratch: List[np.ndarray] = []
-        hints = self._chunk_sizes
-        recorded: Optional[List[int]] = [] if hints is None else None
-        cursor = 0
-
-        def acquire(spec):
-            nonlocal cursor
-            hint = hints[cursor] if hints is not None else None
-            cursor += 1
-            buffer = arena.acquire(spec[0], spec[1], hint)
-            if recorded is not None:
-                recorded.append(arena.chunk_nbytes(buffer))
-            return buffer
-
+        arg_binding, step_binding = arena.checkout(self)
         try:
-            for position, index, cast_spec in self.arg_plan:
-                if cast_spec is None:
+            env: List[Optional[np.ndarray]] = [None] * self.n_nodes
+            for position, index, buffer in arg_binding:
+                if buffer is None:
                     env[index] = args[position]
                 else:
-                    buffer = acquire(cast_spec)
                     np.copyto(buffer, args[position])
                     env[index] = buffer
-                    held[index] = buffer
-            for step in self.steps:
-                out = None
-                if step.out_spec is not None:
-                    out = acquire(step.out_spec)
-                    held[step.index] = out
-                for spec in step.scratch_specs:
-                    # tracked incrementally so the finally-block can
-                    # release them if the step (or an acquire) raises
-                    scratch.append(acquire(spec))
+            for step, out, scratch in step_binding:
                 env[step.index] = step.run(env, out, scratch)
-                while scratch:
-                    arena.release(scratch.pop())
-                for index in step.release_after:
-                    buffer = held.pop(index, None)
-                    if buffer is not None:
-                        arena.release(buffer)
             if self.out_const is not None:
-                result = self.out_const.copy()
-            else:
-                result = np.array(env[self.out_index], copy=True)
-            if recorded is not None:
-                self._chunk_sizes = recorded
-            return result
+                return self.out_const.copy()
+            return np.array(env[self.out_index], copy=True)
         finally:
-            while scratch:
-                arena.release(scratch.pop())
-            for buffer in held.values():
-                arena.release(buffer)
+            arena.checkin()
+
+
+def _pack(sizes: List[int], lifetimes: List[Tuple[int, int]]):
+    """Greedy-by-size layout: largest buffer first, each at the start of
+    the tightest gap that fits it among the placed buffers whose
+    ``(first, last)`` lifetimes overlap its own, else past their end.
+    Every offset is a multiple of ``ALIGN``.  Returns ``(offsets,
+    workspace bytes)``."""
+    offsets = [0] * len(sizes)
+    placed: List[Tuple[int, int, int, int]] = []  # offset, end, first, last
+    for slot in sorted(range(len(sizes)), key=lambda slot: -sizes[slot]):
+        first, last = lifetimes[slot]
+        size = -(-sizes[slot] // ALIGN) * ALIGN
+        busy = sorted((start, stop) for start, stop, begin, end in placed
+                      if begin <= last and first <= end)
+        cursor, best, best_gap = 0, None, None
+        for start, stop in busy:
+            gap = start - cursor
+            if gap >= size and (best_gap is None or gap < best_gap):
+                best, best_gap = cursor, gap
+            cursor = max(cursor, stop)
+        offsets[slot] = cursor if best is None else best
+        placed.append((offsets[slot], offsets[slot] + size, first, last))
+    total = max((offset + size for offset, size in zip(offsets, sizes)),
+                default=0)
+    return offsets, total
 
 
 # ----------------------------------------------------------------------
@@ -481,31 +496,47 @@ def compile_plan(trace: Trace, dtype, fold_bn: bool, fuse: bool,
         if const_of[i] is None:
             node.value = None
 
-    # 6. liveness: release each owned buffer right after its last read
+    # 6. liveness and layout.  Time 0 is the arg casts, time k+1 step k.
+    # An owned buffer lives from the time it is first needed to the last
+    # read of it or of a view/alias sharing it (the output buffer to the
+    # final copy); a step's scratch lives for that step only.
     out_root = (ctx.roots.get(out_payload) if out_kind == "node" else None)
-    last_use: Dict[int, int] = {}
-    for position, step in enumerate(steps):
+    last_read: Dict[int, int] = {}
+    for time, step in enumerate(steps, 1):
         for read in step._reads:
             root = ctx.roots.get(read)
             if root is not None:
-                last_use[root] = position
-    owner_specs: Dict[int, tuple] = {}
-    for _, index, spec in arg_plan:
-        if spec is not None:
-            owner_specs[index] = spec
-    for step in steps:
-        if step.out_spec is not None:
-            owner_specs[step.index] = step.out_spec
-    position_of = {step.index: position for position, step in enumerate(steps)}
-    for root, spec in owner_specs.items():
-        if root == out_root:
-            continue  # the output buffer is copied out at the end of run()
-        position = last_use.get(root, position_of.get(root, 0))
-        steps[position].release_after.append(root)
-    for step in steps:
+                last_read[root] = time
         del step._reads
+    specs: List[tuple] = []
+    lifetimes: List[Tuple[int, int]] = []
+
+    def own(spec, first, root=None) -> int:
+        if root is None:
+            last = first
+        elif root == out_root:
+            last = len(steps)
+        else:
+            last = last_read.get(root, first)
+        specs.append(spec)
+        lifetimes.append((first, last))
+        return len(specs) - 1
+
+    arg_plan = [(position, index,
+                 None if spec is None else own(spec, 0, index))
+                for position, index, spec in arg_plan]
+    for time, step in enumerate(steps, 1):
+        step.out_slot = (None if step.out_spec is None
+                         else own(step.out_spec, time, step.index))
+        step.scratch_slots = tuple(own(spec, time)
+                                   for spec in step.scratch_specs)
+    offsets, workspace_nbytes = _pack(
+        [math.prod(shape) * np.dtype(dtype).itemsize
+         for shape, dtype in specs], lifetimes)
+    buffers = [(offset, tuple(shape), np.dtype(dtype))
+               for offset, (shape, dtype) in zip(offsets, specs)]
 
     out_index = out_payload if out_kind == "node" else None
     out_const = out_payload if out_kind == "const" else None
     return Plan(steps, len(nodes), trace.n_args, arg_plan, out_index,
-                out_const, plan_dtype)
+                out_const, plan_dtype, buffers, workspace_nbytes)

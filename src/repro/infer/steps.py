@@ -2,11 +2,11 @@
 
 Each traced op is lowered to a :class:`Step` — a closure over constant
 operands and op parameters that reads its inputs from the runtime value
-environment and writes into arena-provided buffers.  Builders reproduce
-the autograd ops' arithmetic exactly (same ufunc sequences, same matmul
-operands), which is what keeps float64 plans bit-exact against
-``model.forward``; the only opt-in deviation is BatchNorm weight folding
-(see :mod:`repro.infer.plan`).
+environment and writes into buffers of the plan's workspace.  Builders
+reproduce the autograd ops' arithmetic exactly (same ufunc sequences,
+same matmul operands), which is what keeps float64 plans bit-exact
+against ``model.forward``; the only opt-in deviation is BatchNorm weight
+folding (see :mod:`repro.infer.plan`).
 
 There are builders only for the ops the registered models run.  A traced
 op without one raises :class:`InferenceUnsupportedError` at compile
@@ -14,7 +14,7 @@ time, and an ``"auto"`` predictor then falls back to autograd.
 
 Output kinds:
 
-* ``buffer`` — the step owns an arena buffer (``out_spec``);
+* ``buffer`` — the step owns a workspace buffer (``out_spec``);
 * ``view``   — the step returns a numpy view of its input (reshape /
   transpose), sharing the input's buffer;
 * ``alias``  — the step runs in place on its (dying) input's buffer.
@@ -36,7 +36,7 @@ class Step:
     """One executable plan step."""
 
     __slots__ = ("index", "out_spec", "scratch_specs", "run", "kind",
-                 "source", "release_after", "_reads")
+                 "source", "out_slot", "scratch_slots", "_reads")
 
     def __init__(self, index: int, out_spec, scratch_specs: list,
                  run: Callable, kind: str = "buffer",
@@ -47,8 +47,8 @@ class Step:
         self.run = run                    # run(env, out, scratch) -> ndarray
         self.kind = kind                  # "buffer" | "view" | "alias"
         self.source = source              # env index sharing our buffer
-        self.release_after: list = []     # env indices of buffers whose
-        #                                   last use is this step (planner)
+        self.out_slot = None              # layout buffer of out_spec and
+        self.scratch_slots = ()           # of scratch_specs (planner)
 
 
 def _val(src, env):

@@ -581,7 +581,8 @@ def _im2col_into(x: np.ndarray, kh: int, kw: int, stride: int,
     """:func:`_im2col` writing into a preallocated (n, c·kh·kw, oh·ow) buffer.
 
     Produces exactly the layout (and therefore the exact matmul result)
-    of :func:`_im2col`; used by the inference engine's buffer arena.
+    of :func:`_im2col`; the inference engine's conv steps write into a
+    scratch buffer of their plan's workspace.
     """
     n, c, h, w = x.shape
     oh = (h - kh) // stride + 1

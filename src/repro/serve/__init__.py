@@ -14,7 +14,7 @@ The layers, bottom to top:
   against the golden solver;
 * :mod:`repro.serve.worker` — one worker supervisor over thread or
   process transports, each worker owning a private predictor (engine
-  plans, buffer arena, prep cache), with heartbeats and a hung-worker
+  plans, workspace slabs, prep cache), with heartbeats and a hung-worker
   watchdog;
 * :mod:`repro.serve.service` — micro-batching scheduler + façade;
 * :mod:`repro.serve.registry` — content-addressed checkpoint registry

@@ -2,7 +2,7 @@
 
 A worker is one :class:`~repro.core.pipeline.IRPredictor` built from a
 picklable :class:`PredictorSpec` — its own compiled-plan cache, its own
-:class:`~repro.infer.arena.BufferArena`, its own
+:class:`~repro.infer.arena.BufferArena` workspace slabs, its own
 :class:`~repro.train.loader.PreparedCaseCache` — so workers never share
 mutable hot-path state.
 

@@ -1,4 +1,5 @@
-"""BufferArena behaviour: pooling, freeze semantics, zero-alloc replay."""
+"""BufferArena behaviour: the per-lane slab, freeze semantics, zero-alloc
+replay."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from repro import nn
 from repro.core.model import LMMIR, LMMIRConfig
 from repro.infer import ArenaFrozenError, BufferArena, InferenceEngine, lanes
+from repro.infer.arena import ALIGN
 from repro.train.seed import seed_everything
 
 
@@ -15,83 +17,86 @@ def two_lanes(monkeypatch):
     monkeypatch.setattr(lanes, "LANES", 2)
 
 
+class _Plan:
+    """Stand-in plan: a workspace size, and a binding that is the slab."""
+
+    def __init__(self, nbytes):
+        self.workspace_nbytes = nbytes
+        self.binds = 0
+
+    def bind(self, slab):
+        self.binds += 1
+        return slab
+
+
+def _run(arena, plan):
+    binding = arena.checkout(plan)
+    arena.checkin()
+    return binding
+
+
 class TestBufferArena:
     def test_acquire_shapes_and_dtype(self):
-        arena = BufferArena()
-        buf = arena.acquire((3, 4), np.float64)
-        assert buf.shape == (3, 4)
-        assert buf.dtype == np.float64
-        assert buf.flags.c_contiguous
-        scalar = arena.acquire((), np.float32)
-        assert scalar.shape == ()
-
-    def test_release_and_reuse_exact_size(self):
-        arena = BufferArena()
-        spec = ((8, 8), np.dtype(np.float64))
-        first = arena.acquire(*spec)
-        chunk_before = first.base
-        arena.release(first)
-        second = arena.acquire(*spec)
-        assert second.base is chunk_before
-        assert arena.allocations == 1
-
-    def test_best_fit_reuses_larger_chunk(self):
-        arena = BufferArena()
-        big_spec = ((100,), np.dtype(np.float64))   # 800 bytes
-        big = arena.acquire(*big_spec)
-        arena.release(big)
-        # 400 bytes fits within the 4x window of an 800-byte chunk
-        small = arena.acquire((50,), np.float64)
-        assert arena.allocations == 1
-        assert small.shape == (50,)
-
-    def test_oversized_chunk_not_wasted_on_tiny_request(self):
-        arena = BufferArena()
-        big_spec = ((1000,), np.dtype(np.float64))  # 8000 bytes
-        big = arena.acquire(*big_spec)
-        arena.release(big)
-        tiny = arena.acquire((10,), np.float64)     # 80 bytes: > 4x waste
-        assert arena.allocations == 2
-        assert tiny.shape == (10,)
+        """Every buffer a plan binds is a C-contiguous, 64-byte-aligned
+        view of its layout's shape and dtype, at its layout offset."""
+        seed_everything(0)
+        model = nn.Sequential(nn.Linear(6, 5), nn.ReLU(),
+                              nn.Linear(5, 3)).eval()
+        engine = InferenceEngine(model, dtype="float32")
+        plan = engine.compile(np.ones((4, 6)))   # float64 arg: cast buffer
+        args, steps = engine.arena.checkout(plan)
+        engine.arena.checkin()
+        bound = [(slot, buffer) for (_, _, slot), (_, _, buffer)
+                 in zip(plan.arg_plan, args) if slot is not None]
+        for step, out, scratch in steps:
+            if step.out_slot is not None:
+                bound.append((step.out_slot, out))
+            bound.extend(zip(step.scratch_slots, scratch))
+        assert sorted(slot for slot, _ in bound) == list(
+            range(len(plan.buffers)))
+        assert any(buffer.dtype == np.float32 and buffer.shape == (4, 6)
+                   for _, buffer in bound)
+        base = min(buffer.ctypes.data for _, buffer in bound) - min(
+            offset for offset, _, _ in plan.buffers)
+        for slot, buffer in bound:
+            offset, shape, dtype = plan.buffers[slot]
+            assert (buffer.shape, buffer.dtype) == (shape, dtype)
+            assert buffer.flags.c_contiguous and buffer.flags.writeable
+            assert buffer.ctypes.data == base + offset
+            assert buffer.ctypes.data % ALIGN == 0
 
     def test_frozen_arena_refuses_allocation_but_allows_reuse(self):
         arena = BufferArena()
-        spec = ((4, 4), np.dtype(np.float64))
-        buf = arena.acquire(*spec)
-        arena.release(buf)
+        big = _Plan(4096)
+        _run(arena, big)
         arena.freeze()
-        again = arena.acquire(*spec)  # pooled: fine
-        arena.release(again)
+        _run(arena, _Plan(256))   # fits the slab: fine
+        _run(arena, big)
         with pytest.raises(ArenaFrozenError):
-            arena.acquire((64, 64), np.float64)
+            _run(arena, _Plan(8192))
+        assert arena.live == 0 and arena.allocations == 1
         arena.freeze(False)
-        assert arena.acquire((64, 64), np.float64).shape == (64, 64)
-
-    def test_release_of_foreign_array_rejected(self):
-        arena = BufferArena()
-        with pytest.raises(KeyError):
-            arena.release(np.zeros(4))
+        assert _run(arena, _Plan(8192)).nbytes == 8192
 
     def test_counters(self):
         arena = BufferArena()
-        spec = ((16,), np.dtype(np.float64))
-        buf = arena.acquire(*spec)
+        plan = _Plan(128)
+        binding = arena.checkout(plan)
         assert arena.live == 1
-        assert arena.pooled == 0
-        assert arena.allocated_bytes == 128
-        arena.release(buf)
+        assert (arena.allocations, arena.nbytes) == (1, 128)
+        assert binding.ctypes.data % ALIGN == 0
+        with pytest.raises(RuntimeError, match="already checked out"):
+            arena.checkout(plan)
+        arena.checkin()
         assert arena.live == 0
-        assert arena.pooled == 1
-
-    def test_hint_requires_exact_chunk(self):
-        arena = BufferArena()
-        spec = ((100,), np.dtype(np.float64))
-        buf = arena.acquire(*spec)           # 800-byte chunk
-        arena.release(buf)
-        # hinted acquire for a different chunk size allocates fresh
-        hinted = arena.acquire((50,), np.float64, nbytes_hint=400)
-        assert arena.allocations == 2
-        assert arena.chunk_nbytes(hinted) == 400
+        # the binding is cached per (plan, slab)
+        assert _run(arena, plan) is binding and plan.binds == 1
+        _run(arena, _Plan(64))             # smaller: same slab
+        assert (arena.allocations, arena.slab_nbytes) == (1, 128)
+        _run(arena, _Plan(1000))           # larger: the slab grows ...
+        assert (arena.allocations, arena.slab_nbytes) == (2, 1000)
+        assert _run(arena, plan) is not binding   # ... and rebinds
+        assert plan.binds == 2
 
     def test_lanes_are_child_arenas_counted_in_the_totals(self):
         arena = BufferArena()
@@ -100,15 +105,15 @@ class TestBufferArena:
         child = arena.lane(1)
         assert child is not arena and arena.lane(1) is child
         assert arena.lanes == 2
-        own = arena.acquire((4,), np.float64)
-        held = child.acquire((8,), np.float64)
-        assert (arena.allocations, arena.allocated_bytes) == (2, 96)
+        own = arena.checkout(_Plan(64))
+        held = child.checkout(_Plan(128))
+        assert (arena.allocations, arena.nbytes) == (2, 192)
         assert arena.live == 2
-        child.release(held)
-        arena.release(own)
-        assert (arena.live, arena.pooled) == (0, 2)
-        arena.clear()
-        assert arena.pooled == 0
+        assert not np.shares_memory(own, held)
+        child.checkin()
+        arena.checkin()
+        assert arena.live == 0
+        assert (child.slab_nbytes, arena.slab_nbytes) == (128, 64)
 
     def test_freeze_covers_existing_and_later_lanes(self):
         arena = BufferArena()
@@ -118,15 +123,15 @@ class TestBufferArena:
         for lane in (early, late):
             assert lane.frozen
             with pytest.raises(ArenaFrozenError):
-                lane.acquire((4,), np.float64)
+                _run(lane, _Plan(32))
         arena.freeze(False)
         assert not early.frozen and not late.frozen
 
 
 class TestZeroAllocationReplay:
-    """The arena-reuse guarantee: after warm-up, a same-shape forward
-    acquires only pooled chunks — a frozen arena proves it by raising on
-    any allocation, in every lane a sharded batch runs on."""
+    """The workspace guarantee: after warm-up, a same-shape forward fits
+    the lane slabs it runs on — a frozen arena proves it by raising on
+    any growth, in every lane a sharded batch runs on."""
 
     def _model(self):
         seed_everything(0)
@@ -178,3 +183,32 @@ class TestZeroAllocationReplay:
             assert engine.arena.live == 0
         assert engine.arena.lanes == 2
         assert engine.arena.lane(1).live == 0
+
+    def test_each_lane_slab_is_its_largest_workspace(self, two_lanes):
+        """After batches 1..8, each lane's slab is exactly the largest
+        workspace it ran, and a frozen second pass allocates nothing."""
+        model = self._model()
+        rng = np.random.default_rng(3)
+        engine = InferenceEngine(model)
+        batches = [(rng.normal(size=(n, 3, 16, 16)),
+                    rng.normal(size=(n, 12, 11))) for n in range(1, 9)]
+        outputs = [engine.run(*args) for args in batches]
+        # lane 0 also validates every new plan, the others' included
+        ran = [set(engine._plans.values()), set()]
+        for args in batches:
+            bounds = lanes.shard_bounds(len(args[0]), lanes.LANES)
+            for lane, (start, stop) in enumerate(bounds):
+                ran[lane].add(engine.compile(*(a[start:stop] for a in args)))
+        expected = [max(plan.workspace_nbytes for plan in plans)
+                    for plans in ran]
+        assert engine.plan_count == 4   # shards of 1..4 rows
+        assert [engine.arena.lane(lane).slab_nbytes
+                for lane in range(2)] == expected
+        assert engine.arena.nbytes == sum(expected)
+        allocations = engine.arena.allocations
+        engine.arena.freeze()
+        for args, output in zip(batches, outputs):
+            assert np.array_equal(engine.run(*args), output)
+        engine.arena.freeze(False)
+        assert engine.arena.allocations == allocations
+        assert engine.arena.live == 0

@@ -251,45 +251,59 @@ class TestFailureModes:
     @pytest.mark.parametrize("fail_after", [1, 5, 20])
     def test_buffers_released_when_a_run_fails_mid_plan(self, fail_after,
                                                         monkeypatch):
-        """Mid-plan failures must not leak held or scratch buffers out of
-        the arena (the zero-allocation steady state would quietly erode),
-        whether the caller's lane fails or a lane on the pool thread."""
+        """A failure at the k-th step, on the caller's lane or on the
+        pool's, reaches the caller typed and leaves no lane's workspace
+        checked out (a leaked checkout would refuse every later run);
+        the next run is bit-equal and allocates nothing."""
         import threading
-        from repro.infer import ArenaFrozenError, BufferArena, lanes
+        from repro.infer import lanes
+        from repro.infer import plan as plan_module
 
-        class FailingArena(BufferArena):
-            def __init__(self, fail_after):
-                super().__init__()
-                self.calls = 0
-                self.fail_after = fail_after
-                self.failed_on = None
+        class InjectedFailure(RuntimeError):
+            pass
 
-            def acquire(self, shape, dtype, nbytes_hint=None):
-                self.calls += 1
-                if self.calls > self.fail_after:
-                    self.failed_on = threading.current_thread()
-                    raise ArenaFrozenError("injected failure")
-                return super().acquire(shape, dtype, nbytes_hint)
+        caller = threading.current_thread()
+        armed = {"lane": None, "steps": 0, "failed_on": None}
+        build_step = plan_module.build_step
 
-        class LaneFailingArena(BufferArena):
-            def make_lane(self):
-                return FailingArena(fail_after)
+        def failing_build_step(index, node, ctx):
+            step = build_step(index, node, ctx)
+            run = step.run
 
+            def counted(env, out, scratch):
+                on_caller = threading.current_thread() is caller
+                if (armed["lane"] is not None
+                        and on_caller == (armed["lane"] == 0)):
+                    armed["steps"] += 1
+                    if armed["steps"] == fail_after:
+                        armed["failed_on"] = threading.current_thread()
+                        raise InjectedFailure(f"step {fail_after}")
+                return run(env, out, scratch)
+            step.run = counted
+            return step
+
+        monkeypatch.setattr(plan_module, "build_step", failing_build_step)
         monkeypatch.setattr(lanes, "LANES", 2)
         spec, model = _build("IREDGe")
-        args = _inputs(spec)
+        args = _inputs(spec)   # two rows: one per lane
+        reference = _autograd(model, args)
+        engine = InferenceEngine(model)
+        assert np.array_equal(engine.run(*args), reference)
         for failing_lane in (0, 1):
-            arena = (FailingArena(fail_after) if failing_lane == 0
-                     else LaneFailingArena())
-            engine = InferenceEngine(model, arena=arena)
-            with pytest.raises(ArenaFrozenError, match="injected"):
+            armed.update(lane=failing_lane, steps=0, failed_on=None)
+            with pytest.raises(InjectedFailure):
                 engine.run(*args)
-            failing = arena.lane(failing_lane)
-            assert failing.failed_on is not None
-            assert ((failing.failed_on is threading.current_thread())
-                    == (failing_lane == 0))
+            armed["lane"] = None
+            assert armed["failed_on"] is not None
+            assert ((armed["failed_on"] is caller) == (failing_lane == 0))
+            arena = engine.arena
             assert arena.lane(0).live == 0 and arena.lane(1).live == 0
             assert arena.live == 0
+            allocations = arena.allocations
+            arena.freeze()
+            assert np.array_equal(engine.run(*args), reference)
+            arena.freeze(False)
+            assert arena.allocations == allocations
 
     def test_training_mode_rejected(self):
         _, model = _build("IREDGe")
