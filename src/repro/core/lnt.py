@@ -2,8 +2,7 @@
 
 Consumes the netlist point cloud (one token per element, §III-B/C) and
 produces a sequence of netlist embeddings via a trainable input embedding
-followed by stacked self-attention blocks.  A learned [SUMMARY]-style
-token pool is exposed for models that need a global vector.
+followed by stacked self-attention blocks.
 
 Note: the paper's Fig. 2 shows "Linear & BatchNorm & ReLU" for the input
 embedding; we use LayerNorm in its place (the standard choice for token
@@ -13,10 +12,7 @@ size 1, which inference uses).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import nn
-from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
 __all__ = ["LargeNetlistTransformer"]
@@ -38,7 +34,7 @@ class LargeNetlistTransformer(nn.Module):
     """
 
     def __init__(self, in_features: int = 11, dim: int = 32, depth: int = 2,
-                 num_heads: int = 4, mlp_ratio: float = 2.0, dropout: float = 0.0):
+                 num_heads: int = 4, mlp_ratio: float = 2.0):
         super().__init__()
         if depth < 1:
             raise ValueError(f"LNT depth must be >= 1, got {depth}")
@@ -49,7 +45,7 @@ class LargeNetlistTransformer(nn.Module):
             nn.ReLU(),
         )
         self.blocks = nn.ModuleList([
-            nn.TransformerEncoderBlock(dim, num_heads, mlp_ratio, dropout)
+            nn.TransformerEncoderBlock(dim, num_heads, mlp_ratio)
             for _ in range(depth)
         ])
         self.norm = nn.LayerNorm(dim)
@@ -62,7 +58,3 @@ class LargeNetlistTransformer(nn.Module):
         for block in self.blocks:
             tokens = block(tokens)
         return self.norm(tokens)
-
-    def global_embedding(self, points: Tensor) -> Tensor:
-        """(B, dim) mean-pooled netlist summary vector."""
-        return F.mean(self.forward(points), axis=1)

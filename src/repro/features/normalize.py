@@ -10,7 +10,7 @@ IR-drop target so the MSE loss operates in a well-conditioned range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -84,10 +84,6 @@ class ChannelNormalizer:
                 f"{self.shift.size}"
             )
         return (stack - self.shift[:, None, None]) / self.scale[:, None, None]
-
-    def fit_transform(self, stacks: Sequence[np.ndarray]) -> list:
-        self.fit(stacks)
-        return [self.transform(s) for s in stacks]
 
 
 @dataclass

@@ -404,10 +404,11 @@ def compile_plan(trace: Trace, dtype, fold_bn: bool, fuse: bool,
     ctx = _BuildContext(nodes, const_of, {}, dtype, const_fn, arg_contiguous)
 
     # 1. constant folding (the traced values ARE the folded results).  Only
-    # ops with a builder fold: an op without one (embedding, where, ...)
-    # may carry runtime arrays in its meta, and folding it would bake the
-    # first batch's data into every later forward; unfolded, it refuses
-    # compilation in step 5 instead
+    # ops with a builder fold: an op without one (``div`` and ``sum``, which
+    # only training losses run, or any op traced through ``F._make`` with
+    # an index array in its meta) may depend on runtime data the trace
+    # cannot see, and folding it would bake the first batch's data into
+    # every later forward; unfolded, it refuses compilation in step 5
     for i, node in enumerate(nodes):
         if node.op == "arg" or not node.inputs or node.op not in BUILDERS:
             continue

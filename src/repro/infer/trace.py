@@ -69,8 +69,8 @@ def trace_module(model, args: Tuple[np.ndarray, ...]) -> Trace:
     """Run ``model(*args)`` once under the trace hook and record the ops.
 
     ``model`` must be in eval mode — inference plans bake in eval-time
-    behaviour (running statistics, no dropout), and tracing a training
-    forward would silently freeze a dropout mask into the plan.
+    behaviour (BatchNorm's running statistics), and tracing a training
+    forward would silently freeze one batch's statistics into the plan.
     """
     if getattr(model, "training", False):
         raise InferenceUnsupportedError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.activations import GELU, ReLU, Sigmoid
-from repro.nn.layers import Conv2d, Dropout, LayerNorm, Linear
+from repro.nn.layers import Conv2d, LayerNorm, Linear
 from repro.nn.module import Module, Sequential
 from repro.nn.tensor import Tensor
 
@@ -26,7 +26,6 @@ __all__ = [
     "TransformerEncoderBlock",
     "CrossAttentionBlock",
     "AttentionGate",
-    "sinusoidal_positions",
 ]
 
 
@@ -38,7 +37,7 @@ class MultiHeadAttention(Module):
     both self-attention (``key is None``) and cross-attention.
     """
 
-    def __init__(self, dim: int, num_heads: int = 4, dropout: float = 0.0):
+    def __init__(self, dim: int, num_heads: int = 4):
         super().__init__()
         if dim % num_heads != 0:
             raise ValueError(f"dim {dim} not divisible by num_heads {num_heads}")
@@ -49,7 +48,6 @@ class MultiHeadAttention(Module):
         self.k_proj = Linear(dim, dim)
         self.v_proj = Linear(dim, dim)
         self.out_proj = Linear(dim, dim)
-        self.dropout = Dropout(dropout) if dropout > 0 else None
         self._scale = 1.0 / np.sqrt(self.head_dim)
 
     def _split_heads(self, x: Tensor) -> Tensor:
@@ -70,8 +68,6 @@ class MultiHeadAttention(Module):
 
         scores = F.mul(F.matmul(q, F.transpose(k, (0, 1, 3, 2))), self._scale)
         weights = F.softmax(scores, axis=-1)
-        if self.dropout is not None:
-            weights = self.dropout(weights)
         attended = F.matmul(weights, v)
 
         merged = F.transpose(attended, (0, 2, 1, 3))
@@ -82,12 +78,11 @@ class MultiHeadAttention(Module):
 class TransformerEncoderBlock(Module):
     """Pre-norm transformer block: LN→MHA→residual, LN→MLP→residual."""
 
-    def __init__(self, dim: int, num_heads: int = 4, mlp_ratio: float = 2.0,
-                 dropout: float = 0.0):
+    def __init__(self, dim: int, num_heads: int = 4, mlp_ratio: float = 2.0):
         super().__init__()
         hidden = int(dim * mlp_ratio)
         self.norm1 = LayerNorm(dim)
-        self.attention = MultiHeadAttention(dim, num_heads, dropout)
+        self.attention = MultiHeadAttention(dim, num_heads)
         self.norm2 = LayerNorm(dim)
         self.mlp = Sequential(Linear(dim, hidden), GELU(), Linear(hidden, dim))
 
@@ -104,13 +99,12 @@ class CrossAttentionBlock(Module):
     can pull in electrically relevant netlist context.
     """
 
-    def __init__(self, dim: int, num_heads: int = 4, mlp_ratio: float = 2.0,
-                 dropout: float = 0.0):
+    def __init__(self, dim: int, num_heads: int = 4, mlp_ratio: float = 2.0):
         super().__init__()
         hidden = int(dim * mlp_ratio)
         self.norm_query = LayerNorm(dim)
         self.norm_context = LayerNorm(dim)
-        self.attention = MultiHeadAttention(dim, num_heads, dropout)
+        self.attention = MultiHeadAttention(dim, num_heads)
         self.norm_mlp = LayerNorm(dim)
         self.mlp = Sequential(Linear(dim, hidden), GELU(), Linear(hidden, dim))
 
@@ -147,15 +141,3 @@ class AttentionGate(Module):
         mixed = self.relu(F.add(self.gate_conv(gate), self.skip_conv(skip)))
         coefficients = self.sigmoid(self.psi(mixed))
         return F.mul(skip, coefficients)
-
-
-def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
-    """Classic transformer positional encoding table, shape (length, dim)."""
-    positions = np.arange(length)[:, None]
-    dims = np.arange(dim)[None, :]
-    angle_rates = 1.0 / np.power(10000.0, (2 * (dims // 2)) / dim)
-    angles = positions * angle_rates
-    table = np.zeros((length, dim))
-    table[:, 0::2] = np.sin(angles[:, 0::2])
-    table[:, 1::2] = np.cos(angles[:, 1::2])
-    return table

@@ -23,22 +23,19 @@ Two extra surfaces exist for the grad-free inference engine
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
-    "add", "sub", "mul", "div", "neg", "pow", "abs", "clip",
-    "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "leaky_relu", "gelu",
-    "matmul", "reshape", "transpose", "getitem", "concat", "stack",
-    "pad2d", "sum", "mean", "max", "min", "softmax", "log_softmax",
-    "conv2d", "conv_transpose2d", "max_pool2d", "avg_pool2d",
-    "upsample_nearest2d", "embedding", "dropout", "where",
+    "add", "sub", "mul", "div", "pow", "exp", "log", "sigmoid", "relu",
+    "gelu", "matmul", "reshape", "transpose", "concat", "sum", "mean",
+    "softmax", "conv2d", "conv_transpose2d", "max_pool2d",
     "set_trace_hook",
-    "max_pool2d_kernel", "avg_pool2d_kernel", "upsample_nearest2d_kernel",
-    "relu_kernel", "sigmoid_kernel", "gelu_kernel", "softmax_kernel",
+    "max_pool2d_kernel", "relu_kernel", "sigmoid_kernel", "gelu_kernel",
+    "softmax_kernel",
 ]
 
 Axis = Union[None, int, Tuple[int, ...]]
@@ -157,17 +154,6 @@ def div(a, b) -> Tensor:
     return _make(out_data, (a, b), backward, op="div")
 
 
-def neg(a) -> Tensor:
-    """Elementwise negation."""
-    a = as_tensor(a)
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate_grad(-grad)
-
-    return _make(-a.data, (a,), backward, op="neg")
-
-
 def pow(a, exponent: float) -> Tensor:
     """Elementwise power with a *constant* exponent."""
     a = as_tensor(a)
@@ -179,51 +165,6 @@ def pow(a, exponent: float) -> Tensor:
             a.accumulate_grad(grad * exponent * a.data ** (exponent - 1.0))
 
     return _make(out_data, (a,), backward, op="pow", meta={"exponent": exponent})
-
-
-def abs(a) -> Tensor:  # noqa: A001 - mirrors numpy naming
-    """Elementwise absolute value (subgradient sign(x))."""
-    a = as_tensor(a)
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate_grad(grad * np.sign(a.data))
-
-    return _make(np.abs(a.data), (a,), backward, op="abs")
-
-
-def clip(a, low: Optional[float], high: Optional[float]) -> Tensor:
-    """Clamp values; gradient is passed through only inside the range."""
-    a = as_tensor(a)
-    out_data = np.clip(a.data, low, high)
-    inside = np.ones_like(a.data, dtype=bool)
-    if low is not None:
-        inside &= a.data > low
-    if high is not None:
-        inside &= a.data < high
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate_grad(grad * inside)
-
-    return _make(out_data, (a,), backward, op="clip",
-                 meta={"low": low, "high": high})
-
-
-def where(condition: np.ndarray, a, b) -> Tensor:
-    """Select ``a`` where ``condition`` (a constant boolean array) else ``b``."""
-    a, b = as_tensor(a), as_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-    out_data = np.where(condition, a.data, b.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(grad * condition, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(grad * ~condition, b.shape))
-
-    return _make(out_data, (a, b), backward, op="where",
-                 meta={"condition": condition})
 
 
 # ----------------------------------------------------------------------
@@ -252,30 +193,6 @@ def log(a) -> Tensor:
     return _make(np.log(a.data), (a,), backward, op="log")
 
 
-def sqrt(a) -> Tensor:
-    """Elementwise square root."""
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate_grad(grad * 0.5 / out_data)
-
-    return _make(out_data, (a,), backward, op="sqrt")
-
-
-def tanh(a) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate_grad(grad * (1.0 - out_data ** 2))
-
-    return _make(out_data, (a,), backward, op="tanh")
-
-
 def sigmoid(a) -> Tensor:
     """Elementwise logistic sigmoid."""
     a = as_tensor(a)
@@ -298,20 +215,6 @@ def relu(a) -> Tensor:
             a.accumulate_grad(grad * mask)
 
     return _make(a.data * mask, (a,), backward, op="relu")
-
-
-def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
-    """Rectifier with a small negative-side slope."""
-    a = as_tensor(a)
-    mask = a.data > 0
-    scale = np.where(mask, 1.0, negative_slope)
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate_grad(grad * scale)
-
-    return _make(a.data * scale, (a,), backward, op="leaky_relu",
-                 meta={"negative_slope": negative_slope})
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -396,21 +299,6 @@ def transpose(a, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
                  meta={"axes": tuple(axes)})
 
 
-def getitem(a, index) -> Tensor:
-    """Indexing / slicing with gradient scatter-add on the way back."""
-    a = as_tensor(a)
-    out_data = a.data[index]
-
-    def backward(grad):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, index, grad)
-            a.accumulate_grad(full)
-
-    return _make(np.array(out_data, copy=True), (a,), backward, op="getitem",
-                 meta={"index": index})
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along an axis."""
     tensors = [as_tensor(t) for t in tensors]
@@ -427,38 +315,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     return _make(out_data, tuple(tensors), backward, op="concat",
                  meta={"axis": axis})
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad):
-        pieces = np.moveaxis(grad, axis, 0)
-        for tensor, piece in zip(tensors, pieces):
-            if tensor.requires_grad:
-                tensor.accumulate_grad(piece)
-
-    return _make(out_data, tuple(tensors), backward, op="stack",
-                 meta={"axis": axis})
-
-
-def pad2d(a, pad: Tuple[int, int, int, int], value: float = 0.0) -> Tensor:
-    """Pad the last two (spatial) dims: pad = (top, bottom, left, right)."""
-    a = as_tensor(a)
-    top, bottom, left, right = pad
-    width = [(0, 0)] * (a.ndim - 2) + [(top, bottom), (left, right)]
-    out_data = np.pad(a.data, width, constant_values=value)
-    h, w = a.shape[-2], a.shape[-1]
-
-    def backward(grad):
-        if a.requires_grad:
-            slicer = (Ellipsis, slice(top, top + h), slice(left, left + w))
-            a.accumulate_grad(grad[slicer])
-
-    return _make(out_data, (a,), backward, op="pad2d",
-                 meta={"pad": tuple(pad), "value": value})
 
 
 # ----------------------------------------------------------------------
@@ -504,32 +360,6 @@ def mean(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
                  meta={"axis": axis, "keepdims": keepdims})
 
 
-def _extremum(a, axis: Axis, keepdims: bool, reducer, name: str) -> Tensor:
-    a = as_tensor(a)
-    out_data = reducer(a.data, axis=axis, keepdims=keepdims)
-    reference = reducer(a.data, axis=axis, keepdims=True)
-    mask = a.data == reference
-    counts = mask.sum(axis=axis, keepdims=True)
-
-    def backward(grad):
-        if a.requires_grad:
-            expanded = _expand_reduced(grad, a.shape, axis, keepdims)
-            a.accumulate_grad(expanded * mask / counts)
-
-    return _make(out_data, (a,), backward, op=name,
-                 meta={"axis": axis, "keepdims": keepdims})
-
-
-def max(a, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    """Maximum over an axis; ties share the gradient."""
-    return _extremum(a, axis, keepdims, np.max, "max")
-
-
-def min(a, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    """Minimum over an axis; ties share the gradient."""
-    return _extremum(a, axis, keepdims, np.min, "min")
-
-
 # ----------------------------------------------------------------------
 # Softmax family
 # ----------------------------------------------------------------------
@@ -546,21 +376,6 @@ def softmax(a, axis: int = -1) -> Tensor:
             a.accumulate_grad(out_data * (grad - inner))
 
     return _make(out_data, (a,), backward, op="softmax", meta={"axis": axis})
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along an axis."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_norm
-    soft = np.exp(out_data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate_grad(grad - soft * grad.sum(axis=axis, keepdims=True))
-
-    return _make(out_data, (a,), backward, op="log_softmax", meta={"axis": axis})
 
 
 # ----------------------------------------------------------------------
@@ -596,18 +411,13 @@ def _im2col_into(x: np.ndarray, kh: int, kw: int, stride: int,
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int,
             out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Scatter-add column patches back onto the (pre-zeroed) image grid.
-
-    ``cols`` may arrive either flat ``(n, c·kh·kw, oh·ow)`` or already
-    shaped ``(n, c, kh, kw, oh, ow)`` — the 6-D form lets callers pass a
-    broadcast view without materialising it (see ``avg_pool2d``'s
-    backward).  ``out`` must be zero-filled by the caller when provided.
+    """Scatter-add flat ``(n, c·kh·kw, oh·ow)`` column patches back onto
+    the image grid; ``out``, when given, must be zero-filled by the caller.
     """
     n, c, h, w = x_shape
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    if cols.ndim != 6:
-        cols = cols.reshape(n, c, kh, kw, oh, ow)
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
     x = np.zeros(x_shape, dtype=cols.dtype) if out is None else out
     for i in range(kh):
         row_end = i + stride * oh
@@ -744,16 +554,6 @@ def conv_transpose2d(
                        "output_padding": output_padding})
 
 
-def _pool_windows(x: np.ndarray, kernel_size: int, stride: int):
-    """Strided (n, c, oh, ow, kh, kw) pooling-window view (no copy)."""
-    n, c, h, w = x.shape
-    kh = kw = kernel_size
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return windows[:, :, ::stride, ::stride, :, :], oh, ow
-
-
 def max_pool2d_kernel(x: np.ndarray, kernel_size: int,
                       stride: Optional[int] = None,
                       out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -789,8 +589,10 @@ def max_pool2d(x, kernel_size: int, stride: Optional[int] = None) -> Tensor:
     stride = stride or kernel_size
     n, c, h, w = x.shape
     kh = kw = kernel_size
-    windows, oh, ow = _pool_windows(x.data, kernel_size, stride)
-    windows = windows.reshape(n, c, oh, ow, kh * kw)
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride, :, :].reshape(n, c, oh, ow, kh * kw)
     flat_idx = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, flat_idx[..., None], axis=-1)[..., 0]
 
@@ -805,71 +607,6 @@ def max_pool2d(x, kernel_size: int, stride: Optional[int] = None) -> Tensor:
 
     return _make(np.ascontiguousarray(out), (x,), backward, op="max_pool2d",
                  meta={"kernel_size": kernel_size, "stride": stride})
-
-
-def avg_pool2d_kernel(x: np.ndarray, kernel_size: int,
-                      stride: Optional[int] = None,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Pure-ndarray average pooling (bit-identical to the autograd op)."""
-    stride = stride or kernel_size
-    windows, _, _ = _pool_windows(x, kernel_size, stride)
-    if out is None:
-        return windows.mean(axis=(-1, -2))
-    np.mean(windows, axis=(-1, -2), out=out)
-    return out
-
-
-def avg_pool2d(x, kernel_size: int, stride: Optional[int] = None) -> Tensor:
-    """Average pooling over (N, C, H, W)."""
-    x = as_tensor(x)
-    stride = stride or kernel_size
-    n, c, h, w = x.shape
-    kh = kw = kernel_size
-    _, oh, ow = _pool_windows(x.data, kernel_size, stride)
-    out = avg_pool2d_kernel(x.data, kernel_size, stride)
-
-    def backward(grad):
-        if x.requires_grad:
-            share = grad / (kh * kw)
-            # every window slot receives the same share: a broadcast 6-D
-            # view scattered back through _col2im, no kh*kw temporaries
-            cols = np.broadcast_to(share[:, :, None, None, :, :],
-                                   (n, c, kh, kw, oh, ow))
-            x.accumulate_grad(_col2im(cols, x.shape, kh, kw, stride))
-
-    return _make(np.ascontiguousarray(out), (x,), backward, op="avg_pool2d",
-                 meta={"kernel_size": kernel_size, "stride": stride})
-
-
-def upsample_nearest2d_kernel(x: np.ndarray, scale: int = 2,
-                              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Nearest-neighbour upsampling via one broadcast-reshape copy.
-
-    Bit-identical to the old double ``.repeat`` but with a single output
-    materialisation instead of two full temporaries.
-    """
-    n, c, h, w = x.shape
-    expanded = np.broadcast_to(x[:, :, :, None, :, None],
-                               (n, c, h, scale, w, scale))
-    if out is None:
-        return expanded.reshape(n, c, h * scale, w * scale)
-    np.copyto(out.reshape(n, c, h, scale, w, scale), expanded)
-    return out
-
-
-def upsample_nearest2d(x, scale: int = 2) -> Tensor:
-    """Nearest-neighbour spatial upsampling by an integer factor."""
-    x = as_tensor(x)
-    n, c, h, w = x.shape
-    out = upsample_nearest2d_kernel(x.data, scale)
-
-    def backward(grad):
-        if x.requires_grad:
-            folded = grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-            x.accumulate_grad(folded)
-
-    return _make(out, (x,), backward, op="upsample_nearest2d",
-                 meta={"scale": scale})
 
 
 # ----------------------------------------------------------------------
@@ -937,38 +674,3 @@ def softmax_kernel(x: np.ndarray, axis: int = -1,
     np.sum(out, axis=axis, keepdims=True, out=reduce_buf)
     np.divide(out, reduce_buf, out=out)
     return out
-
-
-# ----------------------------------------------------------------------
-# Lookup / regularisation
-# ----------------------------------------------------------------------
-def embedding(weight, indices: np.ndarray) -> Tensor:
-    """Row lookup ``weight[indices]`` with scatter-add gradient."""
-    weight = as_tensor(weight)
-    indices = np.asarray(indices, dtype=np.int64)
-    out_data = weight.data[indices]
-
-    def backward(grad):
-        if weight.requires_grad:
-            dw = np.zeros_like(weight.data)
-            np.add.at(dw, indices, grad)
-            weight.accumulate_grad(dw)
-
-    return _make(out_data, (weight,), backward, op="embedding",
-                 meta={"indices": indices})
-
-
-def dropout(x, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity in eval mode or at p=0."""
-    x = as_tensor(x)
-    if not training or p <= 0.0:
-        return x
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep) / keep
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate_grad(grad * mask)
-
-    return _make(x.data * mask, (x,), backward, op="dropout",
-                 meta={"p": p})

@@ -1,8 +1,8 @@
 """Weight initialisers with a seedable module-level generator.
 
-All layers draw their initial weights from :data:`_GLOBAL_RNG` unless an
-explicit generator is passed, so :func:`seed` makes whole-model construction
-reproducible (the reproduction's experiments rely on this).
+All layers draw their initial weights from :data:`_GLOBAL_RNG`, so
+:func:`seed` makes whole-model construction reproducible (the
+reproduction's experiments rely on this).
 """
 
 from __future__ import annotations
@@ -11,24 +11,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["seed", "default_rng", "kaiming_uniform", "normal", "zeros", "ones"]
+__all__ = ["seed", "kaiming_uniform", "zeros", "ones"]
 
 _GLOBAL_RNG = np.random.default_rng(0)
 
 
 def seed(value: int) -> None:
-    """Re-seed the generator used for all default weight initialisation."""
+    """Re-seed the generator used for all weight initialisation."""
     global _GLOBAL_RNG
     _GLOBAL_RNG = np.random.default_rng(value)
-
-
-def default_rng() -> np.random.Generator:
-    """The generator used by default weight initialisation."""
-    return _GLOBAL_RNG
-
-
-def _rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
-    return rng if rng is not None else _GLOBAL_RNG
 
 
 def _fan_in(shape: Sequence[int]) -> int:
@@ -39,18 +30,11 @@ def _fan_in(shape: Sequence[int]) -> int:
     return int(np.prod(shape[1:]))
 
 
-def kaiming_uniform(shape, fan_in: Optional[int] = None,
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def kaiming_uniform(shape, fan_in: Optional[int] = None) -> np.ndarray:
     """He-uniform init, bound sqrt(6 / fan_in)."""
     fan_in = fan_in if fan_in is not None else _fan_in(shape)
     bound = np.sqrt(6.0 / fan_in)
-    return _rng(rng).uniform(-bound, bound, size=shape)
-
-
-def normal(shape, mean: float = 0.0, std: float = 0.02,
-           rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Gaussian init with the given mean/std."""
-    return _rng(rng).normal(mean, std, size=shape)
+    return _GLOBAL_RNG.uniform(-bound, bound, size=shape)
 
 
 def zeros(shape) -> np.ndarray:

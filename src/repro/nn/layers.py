@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -12,9 +12,8 @@ from repro.nn.module import Module
 from repro.nn.tensor import Parameter, Tensor
 
 __all__ = [
-    "Linear", "Conv2d", "ConvTranspose2d", "MaxPool2d", "AvgPool2d",
-    "BatchNorm1d", "BatchNorm2d", "LayerNorm", "Dropout", "Embedding",
-    "UpsampleNearest2d", "Flatten", "Identity",
+    "Linear", "Conv2d", "ConvTranspose2d", "MaxPool2d", "BatchNorm2d",
+    "LayerNorm",
 ]
 
 
@@ -104,19 +103,8 @@ class MaxPool2d(Module):
         return F.max_pool2d(x, self.kernel_size, self.stride)
 
 
-class AvgPool2d(Module):
-    """Average-pooling layer (kernel defaults stride)."""
-    def __init__(self, kernel_size: int, stride: Optional[int] = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
-class _BatchNorm(Module):
-    """Shared batch-norm implementation; subclasses fix the reduce axes."""
+class BatchNorm2d(Module):
+    """Batch normalisation over (N, C, H, W) inputs."""
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -128,7 +116,11 @@ class _BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def _normalize(self, x: Tensor, axes: Tuple[int, ...], param_shape) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
+        if x.ndim != 4:
+            raise ValueError(f"BatchNorm2d expects 4-D input, got {x.shape}")
+        axes = (0, 2, 3)
+        param_shape = (1, self.num_features, 1, 1)
         gamma = F.reshape(self.weight, param_shape)
         beta = F.reshape(self.bias, param_shape)
         if self.training:
@@ -157,26 +149,6 @@ class _BatchNorm(Module):
         return F.add(F.mul(normalized, gamma), beta)
 
 
-class BatchNorm2d(_BatchNorm):
-    """Batch normalisation over (N, C, H, W) inputs."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError(f"BatchNorm2d expects 4-D input, got {x.shape}")
-        return self._normalize(x, axes=(0, 2, 3), param_shape=(1, self.num_features, 1, 1))
-
-
-class BatchNorm1d(_BatchNorm):
-    """Batch normalisation over (N, C) or (N, C, L) inputs."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim == 2:
-            return self._normalize(x, axes=(0,), param_shape=(1, self.num_features))
-        if x.ndim == 3:
-            return self._normalize(x, axes=(0, 2), param_shape=(1, self.num_features, 1))
-        raise ValueError(f"BatchNorm1d expects 2-D or 3-D input, got {x.shape}")
-
-
 class LayerNorm(Module):
     """Layer normalisation over the trailing dimension(s)."""
 
@@ -197,52 +169,3 @@ class LayerNorm(Module):
         inv_std = F.pow(F.add(var, self.eps), -0.5)
         normalized = F.mul(centered, inv_std)
         return F.add(F.mul(normalized, self.weight), self.bias)
-
-
-class Dropout(Module):
-    """Inverted-dropout layer; active only in train mode."""
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng if rng is not None else init.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self._rng)
-
-
-class Embedding(Module):
-    """Integer-index lookup table."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int):
-        super().__init__()
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(init.normal((num_embeddings, embedding_dim)))
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        return F.embedding(self.weight, indices)
-
-
-class UpsampleNearest2d(Module):
-    """Nearest-neighbour upsampling layer."""
-    def __init__(self, scale: int = 2):
-        super().__init__()
-        self.scale = scale
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.upsample_nearest2d(x, self.scale)
-
-
-class Flatten(Module):
-    """Flatten all dimensions after the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.reshape(x, (x.shape[0], -1))
-
-
-class Identity(Module):
-    """Pass-through layer (ablation placeholder)."""
-    def forward(self, x: Tensor) -> Tensor:
-        return x

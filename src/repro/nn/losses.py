@@ -10,7 +10,7 @@ from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = ["MSELoss", "L1Loss", "HuberLoss", "BCEWithLogitsLoss", "masked_mse"]
+__all__ = ["MSELoss", "masked_mse"]
 
 
 class MSELoss(Module):
@@ -19,41 +19,6 @@ class MSELoss(Module):
     def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
         diff = F.sub(prediction, target)
         return F.mean(F.mul(diff, diff))
-
-
-class L1Loss(Module):
-    """Mean absolute error (the contest's MAE metric, as a training loss)."""
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        return F.mean(F.abs(F.sub(prediction, target)))
-
-
-class HuberLoss(Module):
-    """Smooth L1: quadratic below ``delta``, linear above."""
-
-    def __init__(self, delta: float = 1.0):
-        super().__init__()
-        self.delta = delta
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        diff = F.sub(prediction, target)
-        abs_diff = F.abs(diff)
-        quadratic = F.mul(F.mul(diff, diff), 0.5)
-        linear = F.sub(F.mul(abs_diff, self.delta), 0.5 * self.delta ** 2)
-        small = abs_diff.data <= self.delta
-        return F.mean(F.where(small, quadratic, linear))
-
-
-class BCEWithLogitsLoss(Module):
-    """Numerically stable binary cross-entropy on logits."""
-
-    def forward(self, logits: Tensor, target: Tensor) -> Tensor:
-        # log(1 + exp(-|x|)) + max(x, 0) - x * y
-        neg_abs = F.neg(F.abs(logits))
-        softplus = F.log(F.add(F.exp(neg_abs), 1.0))
-        relu_part = F.relu(logits)
-        return F.mean(F.add(F.sub(F.add(softplus, relu_part),
-                                  F.mul(logits, target)), 0.0))
 
 
 def masked_mse(prediction: Tensor, target: Tensor,

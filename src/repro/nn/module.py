@@ -125,31 +125,44 @@ class Module:
             state[name] = np.array(buf, copy=True)
         return state
 
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        own_params = dict(self.named_parameters())
-        own_buffers = {name: None for name, _ in self.named_buffers()}
-        missing = (set(own_params) | set(own_buffers)) - set(state)
-        unexpected = set(state) - (set(own_params) | set(own_buffers))
+    def check_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Raise unless ``state`` holds exactly this module's parameter and
+        buffer keys, each with the shape it has now.
+
+        Raises :class:`KeyError` for missing or unexpected keys and
+        :class:`ValueError` for a shape mismatch; changes nothing.
+        """
+        own = {name: param.data for name, param in self.named_parameters()}
+        own.update(self.named_buffers())
+        missing = set(own) - set(state)
+        unexpected = set(state) - set(own)
         if missing or unexpected:
             raise KeyError(
                 f"state dict mismatch; missing={sorted(missing)} "
                 f"unexpected={sorted(unexpected)}"
             )
-        for name, param in own_params.items():
-            value = np.asarray(state[name], dtype=param.data.dtype)
-            if value.shape != param.data.shape:
+        for name, current in own.items():
+            shape = np.shape(state[name])
+            if shape != np.shape(current):
                 raise ValueError(
-                    f"shape mismatch for {name}: {value.shape} vs {param.data.shape}"
+                    f"shape mismatch for {name}: {shape} vs {np.shape(current)}"
                 )
-            param.data = value.copy()
+
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Load every parameter and buffer from ``state`` and bump
+        :attr:`state_version`; a state that fails
+        :meth:`check_state_dict` raises before anything is written."""
+        self.check_state_dict(state)
+        loaded = [(param, np.asarray(state[name], dtype=param.data.dtype).copy())
+                  for name, param in self.named_parameters()]
+        for param, value in loaded:
+            param.data = value
         self._load_buffers(state, prefix="")
         self.bump_state_version()
 
     def _load_buffers(self, state: Dict[str, np.ndarray], prefix: str) -> None:
         for name in list(self._buffers):
-            key = prefix + name
-            if key in state:
-                self._set_buffer(name, np.array(state[key], copy=True))
+            self._set_buffer(name, np.array(state[prefix + name], copy=True))
         for name, module in self._modules.items():
             module._load_buffers(state, prefix + name + ".")
 

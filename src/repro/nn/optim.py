@@ -8,13 +8,17 @@ import numpy as np
 
 from repro.nn.tensor import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
-class Optimizer:
-    """Base class holding the parameter list and shared bookkeeping."""
+class Adam:
+    """Adam with bias correction (Kingma & Ba), no weight decay."""
 
-    def __init__(self, parameters: Iterable[Parameter], lr: float):
+    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3):
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer got an empty parameter list")
@@ -22,87 +26,27 @@ class Optimizer:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
         self.state: Dict[int, Dict[str, np.ndarray]] = {}
+        self._step_count = 0
 
     def zero_grad(self) -> None:
         for param in self.parameters:
             param.zero_grad()
 
     def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0,
-                 nesterov: bool = False):
-        super().__init__(parameters, lr)
-        if nesterov and momentum <= 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-
-    def step(self) -> None:
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                state = self.state.setdefault(index, {"velocity": np.zeros_like(param.data)})
-                velocity = self.momentum * state["velocity"] + grad
-                state["velocity"] = velocity
-                grad = grad + self.momentum * velocity if self.nesterov else velocity
-            param.data = param.data - self.lr * grad
-
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba)."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step_count = 0
-
-    def _update(self, param: Parameter, grad: np.ndarray, index: int) -> np.ndarray:
-        state = self.state.setdefault(index, {
-            "m": np.zeros_like(param.data),
-            "v": np.zeros_like(param.data),
-        })
-        state["m"] = self.beta1 * state["m"] + (1 - self.beta1) * grad
-        state["v"] = self.beta2 * state["v"] + (1 - self.beta2) * grad ** 2
-        m_hat = state["m"] / (1 - self.beta1 ** self._step_count)
-        v_hat = state["v"] / (1 - self.beta2 ** self._step_count)
-        return m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def step(self) -> None:
         self._step_count += 1
         for index, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            param.data = param.data - self.lr * self._update(param, grad, index)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (decay applied to weights directly)."""
-
-    def step(self) -> None:
-        self._step_count += 1
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            update = self._update(param, param.grad, index)
-            param.data = param.data - self.lr * (update + self.weight_decay * param.data)
+            state = self.state.setdefault(index, {
+                "m": np.zeros_like(param.data),
+                "v": np.zeros_like(param.data),
+            })
+            state["m"] = BETA1 * state["m"] + (1 - BETA1) * grad
+            state["v"] = BETA2 * state["v"] + (1 - BETA2) * grad ** 2
+            m_hat = state["m"] / (1 - BETA1 ** self._step_count)
+            v_hat = state["v"] / (1 - BETA2 ** self._step_count)
+            param.data = param.data - self.lr * (m_hat / (np.sqrt(v_hat) + EPS))
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:

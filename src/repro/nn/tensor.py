@@ -206,11 +206,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        from repro.nn import functional as F
-
-        return F.neg(self)
-
     def __sub__(self, other):
         from repro.nn import functional as F
 
@@ -247,11 +242,6 @@ class Tensor:
         from repro.nn import functional as F
 
         return F.matmul(self, other)
-
-    def __getitem__(self, index):
-        from repro.nn import functional as F
-
-        return F.getitem(self, index)
 
     # Named method forms -------------------------------------------------
     def reshape(self, *shape):

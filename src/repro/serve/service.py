@@ -310,7 +310,9 @@ class PredictionService:
         complete on the old weights, and every request dispatched after
         it is served by the new ones.  Raises
         :class:`~repro.serve.queue.ServeError` when the swap cannot
-        finish within ``timeout`` seconds, on either worker kind.
+        finish within ``timeout`` seconds, on either worker kind, and
+        ``KeyError``/``ValueError`` before anything changes when ``state``
+        does not match the model's keys and shapes.
         ``load_state_dict`` bumps ``Module.state_version``, so each
         worker's compiled engine invalidates its plans automatically.
         """

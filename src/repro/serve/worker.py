@@ -23,7 +23,9 @@ transport keeps only mechanism:
   ``retries`` times, then failed with
   :class:`~repro.serve.queue.WorkerDiedError`.
 
-A hot-swap pauses dispatch, waits until no batch is outstanding (raising
+A hot-swap first checks the new state's keys and shapes against the
+spec's model (a bad state raises and changes nothing), then pauses
+dispatch, waits until no batch is outstanding (raising
 :class:`~repro.serve.queue.ServeError` past its ``timeout``), loads the
 weights, then resumes: in-flight requests finish on the old weights, and
 nothing ages against the watchdog during the swap.
@@ -712,12 +714,18 @@ class WorkerPool:
         :class:`~repro.serve.queue.ServeError` when the swap cannot
         finish within ``timeout`` seconds (None waits forever).
 
-        Dispatch pauses first, so batches already handed out finish on
-        the old weights and nothing new starts until the swap is over;
-        on a timeout dispatch resumes.  A timeout before the weights
-        were sent leaves the old ones loaded; a process worker that
-        only missed the ack deadline still applies the queued swap.
+        ``state`` is checked against the spec's model first
+        (:meth:`~repro.nn.module.Module.check_state_dict`): a missing or
+        unexpected key (:class:`KeyError`) or a mis-shaped parameter or
+        buffer (:class:`ValueError`) raises before dispatch pauses, and
+        the old weights keep serving.  Dispatch then pauses, so batches
+        already handed out finish on the old weights and nothing new
+        starts until the swap is over; on a timeout dispatch resumes.  A
+        timeout before the weights were sent leaves the old ones loaded;
+        a process worker that only missed the ack deadline still applies
+        the queued swap.
         """
+        self.spec.model.check_state_dict(state)
         deadline = None if timeout is None else time.perf_counter() + timeout
         with self._lock:
             if not self._lock.wait_for(lambda: not self._swapping,

@@ -215,10 +215,6 @@ class MultigridPreconditioner:
             coords = np.column_stack([coarse_x, coarse_y])
             self.levels.append(_Level(coarse_matrix, prolong=None))
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
     def level_sizes(self) -> Tuple[int, ...]:
         return tuple(level.matrix.shape[0] for level in self.levels)
 

@@ -54,10 +54,6 @@ class TestLNT:
         tokens = lnt(t(2, 40, 11))
         assert tokens.shape == (2, 40, 16)
 
-    def test_global_embedding(self):
-        lnt = LargeNetlistTransformer(in_features=11, dim=16, depth=1)
-        assert lnt.global_embedding(t(2, 10, 11)).shape == (2, 16)
-
     def test_rejects_wrong_rank(self):
         lnt = LargeNetlistTransformer()
         with pytest.raises(ValueError):

@@ -225,26 +225,37 @@ class TestFailureModes:
 
     def test_meta_baking_ops_refuse_compilation(self):
         """Ops whose array arguments the trace cannot prove constant must
-        not compile — baking them would replay the first batch's data."""
+        not compile — baking them would replay the first batch's data.
+
+        ``lookup`` is a test-local traced op with no engine builder: its
+        only parent is a constant table, but its rows are picked by an
+        index array read from the input's values, which only its meta
+        carries.  Folding it as a constant would compile; it must refuse.
+        """
+        from repro.nn import functional as F
+
+        def lookup(table, indices):
+            return F._make(table.data[indices], (table,), None, op="lookup",
+                           meta={"indices": indices})
+
         class Lookup(nn.Module):
             def __init__(self):
                 super().__init__()
-                self.table = nn.Embedding(8, 4)
+                self.table = nn.Parameter(np.arange(8.0).reshape(8, 1))
 
             def forward(self, x):
-                indices = np.arange(x.shape[0]) % 8
-                return self.table(indices)
+                indices = (np.abs(x.data[:, 0]) * 8).astype(int) % 8
+                return F.add(x, lookup(self.table, indices))
 
         engine = InferenceEngine(Lookup().eval())
         with pytest.raises(InferenceUnsupportedError):
             engine.run(np.zeros((3, 2)))
 
-        class Where(nn.Module):
+        class Negate(nn.Module):
             def forward(self, x):
-                from repro.nn import functional as F
-                return F.where(np.ones(x.shape, dtype=bool), x, F.neg(x))
+                return F._make(-x.data, (x,), None, op="negate")
 
-        engine = InferenceEngine(Where().eval())
+        engine = InferenceEngine(Negate().eval())
         with pytest.raises(InferenceUnsupportedError):
             engine.run(np.zeros((3, 2)))
 

@@ -166,19 +166,6 @@ class TestKernelContracts:
                               F.max_pool2d_kernel(x, 2))
         assert np.array_equal(F.max_pool2d(nn.Tensor(x), 3, stride=2).data,
                               F.max_pool2d_kernel(x, 3, stride=2))
-        assert np.array_equal(F.avg_pool2d(nn.Tensor(x), 2).data,
-                              F.avg_pool2d_kernel(x, 2))
-
-    def test_upsample_kernel_matches_repeat(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3, 4, 5))
-        expected = x.repeat(3, axis=2).repeat(3, axis=3)
-        assert np.array_equal(F.upsample_nearest2d_kernel(x, 3), expected)
-        assert np.array_equal(F.upsample_nearest2d(nn.Tensor(x), 3).data,
-                              expected)
-        out = np.empty_like(expected)
-        assert np.array_equal(F.upsample_nearest2d_kernel(x, 3, out=out),
-                              expected)
 
     def test_activation_kernels_match_ops(self):
         rng = np.random.default_rng(4)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.attention import sinusoidal_positions
 
 RNG = np.random.default_rng(13)
 
@@ -95,17 +94,3 @@ class TestAttentionGate:
         gate = nn.AttentionGate(4, 4)
         with pytest.raises(ValueError):
             gate(t(1, 4, 4, 4), t(1, 4, 8, 8))
-
-
-class TestPositionalEncoding:
-    def test_shape_and_range(self):
-        table = sinusoidal_positions(20, 16)
-        assert table.shape == (20, 16)
-        assert np.all(np.abs(table) <= 1.0)
-
-    def test_rows_distinct(self):
-        table = sinusoidal_positions(50, 32)
-        # no two positions share an encoding
-        diffs = np.abs(table[None] - table[:, None]).sum(axis=-1)
-        np.fill_diagonal(diffs, 1.0)
-        assert diffs.min() > 1e-6

@@ -30,22 +30,6 @@ class TestElementwise:
         a, b = t(4), nn.Tensor(RNG.uniform(0.5, 2.0, size=4))
         assert np.allclose(F.div(a, b).data, a.data / b.data)
 
-    def test_clip_values(self):
-        a = nn.Tensor([-2.0, 0.0, 2.0])
-        assert np.allclose(F.clip(a, -1.0, 1.0).data, [-1.0, 0.0, 1.0])
-
-    def test_clip_one_sided(self):
-        a = nn.Tensor([-2.0, 2.0])
-        assert np.allclose(F.clip(a, 0.0, None).data, [0.0, 2.0])
-        assert np.allclose(F.clip(a, None, 0.0).data, [-2.0, 0.0])
-
-    def test_where_selects(self):
-        cond = np.array([True, False])
-        out = F.where(cond, nn.Tensor([1.0, 1.0]), nn.Tensor([9.0, 9.0]))
-        assert np.allclose(out.data, [1.0, 9.0])
-
-    def test_abs(self):
-        assert np.allclose(F.abs(nn.Tensor([-1.0, 2.0])).data, [1.0, 2.0])
 
 
 class TestActivations:
@@ -53,19 +37,11 @@ class TestActivations:
         out = F.relu(nn.Tensor([-1.0, 0.5]))
         assert np.allclose(out.data, [0.0, 0.5])
 
-    def test_leaky_relu_slope(self):
-        out = F.leaky_relu(nn.Tensor([-2.0, 2.0]), negative_slope=0.1)
-        assert np.allclose(out.data, [-0.2, 2.0])
-
     def test_sigmoid_range_and_symmetry(self):
         x = t(100)
         y = F.sigmoid(x).data
         assert np.all((y > 0) & (y < 1))
         assert np.allclose(F.sigmoid(nn.Tensor(0.0)).data, 0.5)
-
-    def test_tanh_matches_numpy(self):
-        x = t(10)
-        assert np.allclose(F.tanh(x).data, np.tanh(x.data))
 
     def test_gelu_limits(self):
         # GELU(x) ~ x for large positive x, ~0 for large negative x
@@ -75,7 +51,7 @@ class TestActivations:
     def test_exp_log_sqrt_roundtrip(self):
         x = nn.Tensor(RNG.uniform(0.1, 3.0, size=7))
         assert np.allclose(F.log(F.exp(x)).data, x.data)
-        assert np.allclose(F.sqrt(x).data ** 2, x.data)
+        assert np.allclose(F.pow(x, 0.5).data ** 2, x.data)
 
 
 class TestShapeOps:
@@ -92,29 +68,10 @@ class TestShapeOps:
         x = t(2, 3, 4)
         assert F.transpose(x, (0, 2, 1)).shape == (2, 4, 3)
 
-    def test_getitem_slice(self):
-        x = t(4, 5)
-        out = F.getitem(x, (slice(1, 3), slice(None)))
-        assert out.shape == (2, 5)
-        assert np.allclose(out.data, x.data[1:3])
-
-    def test_getitem_integer_array(self):
-        x = t(6, 2)
-        idx = np.array([0, 0, 5])
-        assert np.allclose(F.getitem(x, idx).data, x.data[idx])
-
     def test_concat_and_stack(self):
         a, b = t(2, 3), t(2, 3)
         assert F.concat([a, b], axis=0).shape == (4, 3)
         assert F.concat([a, b], axis=1).shape == (2, 6)
-        assert F.stack([a, b], axis=0).shape == (2, 2, 3)
-
-    def test_pad2d_shape_and_value(self):
-        x = t(1, 1, 2, 2)
-        out = F.pad2d(x, (1, 2, 3, 4), value=7.0)
-        assert out.shape == (1, 1, 5, 9)
-        assert out.data[0, 0, 0, 0] == 7.0
-        assert np.allclose(out.data[0, 0, 1:3, 3:5], x.data[0, 0])
 
 
 class TestReductions:
@@ -130,11 +87,6 @@ class TestReductions:
     def test_mean_matches_numpy(self):
         x = t(5, 6)
         assert np.allclose(F.mean(x, axis=1).data, x.data.mean(axis=1))
-
-    def test_max_min(self):
-        x = t(4, 4)
-        assert np.allclose(F.max(x, axis=0).data, x.data.max(axis=0))
-        assert np.allclose(F.min(x, axis=1).data, x.data.min(axis=1))
 
     def test_negative_axis(self):
         x = t(2, 3)
@@ -158,10 +110,6 @@ class TestSoftmax:
         y = F.softmax(x).data
         assert np.isfinite(y).all()
         assert np.isclose(y.sum(), 1.0)
-
-    def test_log_softmax_is_log_of_softmax(self):
-        x = t(4, 6)
-        assert np.allclose(F.log_softmax(x).data, np.log(F.softmax(x).data))
 
 
 class TestMatmul:
@@ -239,41 +187,7 @@ class TestPooling:
         assert out.shape == (1, 1, 2, 2)
         assert np.allclose(out.data[0, 0], [[5, 7], [13, 15]])
 
-    def test_avg_pool_values(self):
-        x = nn.Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = F.avg_pool2d(x, 2)
-        assert np.allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
     def test_overlapping_max_pool(self):
         x = t(1, 2, 6, 6)
         out = F.max_pool2d(x, 3, stride=1)
         assert out.shape == (1, 2, 4, 4)
-
-    def test_upsample_nearest(self):
-        x = nn.Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = F.upsample_nearest2d(x, 2)
-        assert out.shape == (1, 1, 4, 4)
-        assert np.allclose(out.data[0, 0, :2, :2], 1.0)
-
-
-class TestEmbeddingDropout:
-    def test_embedding_lookup(self):
-        w = nn.Tensor(np.arange(12.0).reshape(4, 3))
-        idx = np.array([[0, 3], [1, 1]])
-        out = F.embedding(w, idx)
-        assert out.shape == (2, 2, 3)
-        assert np.allclose(out.data[0, 1], w.data[3])
-
-    def test_dropout_eval_is_identity(self):
-        x = t(10, 10)
-        out = F.dropout(x, 0.5, training=False, rng=np.random.default_rng(0))
-        assert out is x
-
-    def test_dropout_preserves_expectation(self):
-        x = nn.Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.3, training=True, rng=np.random.default_rng(0))
-        assert np.isclose(out.data.mean(), 1.0, atol=0.02)
-
-    def test_dropout_zero_p_is_identity(self):
-        x = t(3, 3)
-        assert F.dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x

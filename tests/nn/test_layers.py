@@ -49,10 +49,6 @@ class TestConvLayers:
 
     def test_pool_layers(self):
         assert nn.MaxPool2d(2)(t(1, 3, 8, 8)).shape == (1, 3, 4, 4)
-        assert nn.AvgPool2d(4)(t(1, 3, 8, 8)).shape == (1, 3, 2, 2)
-
-    def test_upsample_layer(self):
-        assert nn.UpsampleNearest2d(2)(t(1, 3, 4, 4)).shape == (1, 3, 8, 8)
 
 
 class TestBatchNorm:
@@ -84,16 +80,9 @@ class TestBatchNorm:
         bn(nn.Tensor(RNG.normal(10.0, 1.0, size=(4, 2, 3, 3))))
         assert np.allclose(bn.running_mean, before)
 
-    def test_batchnorm1d_2d_and_3d_input(self):
-        bn = nn.BatchNorm1d(4)
-        assert bn(t(8, 4)).shape == (8, 4)
-        assert bn(t(8, 4, 6)).shape == (8, 4, 6)
-
     def test_wrong_rank_raises(self):
         with pytest.raises(ValueError):
             nn.BatchNorm2d(3)(t(2, 3, 4))
-        with pytest.raises(ValueError):
-            nn.BatchNorm1d(3)(t(2, 3, 4, 4))
 
     def test_affine_params_change_output(self):
         bn = nn.BatchNorm2d(1)
@@ -117,39 +106,7 @@ class TestLayerNorm:
         assert np.allclose(out.mean(axis=(-1, -2)), 0.0, atol=1e-6)
 
 
-class TestDropout:
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
-        with pytest.raises(ValueError):
-            nn.Dropout(-0.1)
-
-    def test_eval_identity(self):
-        drop = nn.Dropout(0.9)
-        drop.eval()
-        x = t(5, 5)
-        assert np.allclose(drop(x).data, x.data)
-
-    def test_train_zeroes_some(self):
-        drop = nn.Dropout(0.5, rng=np.random.default_rng(3))
-        out = drop(nn.Tensor(np.ones((100, 100)))).data
-        assert (out == 0).any()
-
-
-class TestEmbedding:
-    def test_lookup_shape(self):
-        emb = nn.Embedding(10, 4)
-        assert emb(np.array([[1, 2, 3]])).shape == (1, 3, 4)
-
-
 class TestMisc:
-    def test_flatten(self):
-        assert nn.Flatten()(t(2, 3, 4, 5)).shape == (2, 60)
-
-    def test_identity(self):
-        x = t(3, 3)
-        assert nn.Identity()(x) is x
-
     def test_sequential_chains_and_indexes(self):
         seq = nn.Sequential(nn.Linear(4, 8), nn.ReLU(), nn.Linear(8, 2))
         assert seq(t(5, 4)).shape == (5, 2)

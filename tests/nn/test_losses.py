@@ -1,4 +1,4 @@
-"""Tests for losses (the paper trains with MSE; MAE is its eval metric)."""
+"""Tests for losses (the paper trains with MSE)."""
 
 import numpy as np
 import pytest
@@ -20,48 +20,6 @@ def test_mse_zero_at_perfect_prediction():
     assert nn.MSELoss()(x, nn.Tensor(x.data.copy())).item() == 0.0
 
 
-def test_l1_matches_numpy():
-    pred, target = RNG.normal(size=(6,)), RNG.normal(size=(6,))
-    loss = nn.L1Loss()(nn.Tensor(pred), nn.Tensor(target))
-    assert np.isclose(loss.item(), np.abs(pred - target).mean())
-
-
-def test_huber_quadratic_region():
-    pred = nn.Tensor([0.5])
-    target = nn.Tensor([0.0])
-    loss = nn.HuberLoss(delta=1.0)(pred, target)
-    assert np.isclose(loss.item(), 0.5 * 0.25)
-
-
-def test_huber_linear_region():
-    loss = nn.HuberLoss(delta=1.0)(nn.Tensor([3.0]), nn.Tensor([0.0]))
-    assert np.isclose(loss.item(), 3.0 - 0.5)
-
-
-def test_huber_continuous_at_delta():
-    delta = 1.0
-    eps = 1e-6
-    below = nn.HuberLoss(delta)(nn.Tensor([delta - eps]), nn.Tensor([0.0])).item()
-    above = nn.HuberLoss(delta)(nn.Tensor([delta + eps]), nn.Tensor([0.0])).item()
-    assert np.isclose(below, above, atol=1e-4)
-
-
-def test_bce_with_logits_matches_reference():
-    logits = RNG.normal(size=(10,))
-    target = (RNG.random(10) > 0.5).astype(float)
-    loss = nn.BCEWithLogitsLoss()(nn.Tensor(logits), nn.Tensor(target))
-    p = 1 / (1 + np.exp(-logits))
-    reference = -(target * np.log(p) + (1 - target) * np.log(1 - p)).mean()
-    assert np.isclose(loss.item(), reference)
-
-
-def test_bce_stable_for_extreme_logits():
-    loss = nn.BCEWithLogitsLoss()(nn.Tensor([1000.0, -1000.0]),
-                                  nn.Tensor([1.0, 0.0]))
-    assert np.isfinite(loss.item())
-    assert loss.item() < 1e-6
-
-
 def test_masked_mse_ignores_masked_pixels():
     pred = nn.Tensor([[1.0, 100.0]])
     target = nn.Tensor([[0.0, 0.0]])
@@ -81,9 +39,8 @@ def test_masked_mse_all_masked_raises():
 
 
 def test_losses_backprop():
-    for loss_fn in [nn.MSELoss(), nn.L1Loss(), nn.HuberLoss(), nn.BCEWithLogitsLoss()]:
-        pred = nn.Tensor(RNG.normal(size=(4,)), requires_grad=True)
-        target = nn.Tensor((RNG.random(4) > 0.5).astype(float))
-        loss_fn(pred, target).backward()
-        assert pred.grad is not None
-        assert np.isfinite(pred.grad).all()
+    pred = nn.Tensor(RNG.normal(size=(4,)), requires_grad=True)
+    target = nn.Tensor((RNG.random(4) > 0.5).astype(float))
+    nn.MSELoss()(pred, target).backward()
+    assert pred.grad is not None
+    assert np.isfinite(pred.grad).all()

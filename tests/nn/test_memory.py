@@ -78,27 +78,3 @@ class TestConvColsRetention:
             out = F.conv2d(x, weight, None, padding=1)
         # no graph at all under no_grad
         assert out._backward_fn is None
-
-
-class TestAvgPoolBackwardCol2im:
-    """The vectorised avg_pool2d backward (via _col2im on a broadcast
-    view) is bit-compatible with the loop it replaced."""
-
-    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (2, 1)])
-    def test_matches_reference_loop(self, kernel, stride):
-        rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(2, 3, 7, 7)), requires_grad=True)
-        out = F.avg_pool2d(x, kernel, stride=stride)
-        upstream = rng.normal(size=out.shape)
-        out.backward(upstream)
-
-        # reference: the old explicit python loop
-        n, c, h, w = x.shape
-        oh, ow = out.shape[2], out.shape[3]
-        dx = np.zeros(x.shape)
-        share = upstream / (kernel * kernel)
-        for i in range(kernel):
-            for j in range(kernel):
-                dx[:, :, i:i + stride * oh:stride,
-                   j:j + stride * ow:stride] += share
-        assert np.array_equal(x.grad, dx)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn import functional as F
 
 
 class Small(nn.Module):
@@ -11,10 +12,12 @@ class Small(nn.Module):
         super().__init__()
         self.fc1 = nn.Linear(4, 8)
         self.fc2 = nn.Linear(8, 2)
-        self.bn = nn.BatchNorm1d(8)
+        self.bn = nn.BatchNorm2d(8)
 
     def forward(self, x):
-        return self.fc2(self.bn(self.fc1(x)))
+        # the hidden features as (N, 8, 1, 1) maps, which BatchNorm2d takes
+        hidden = F.reshape(self.fc1(x), (x.shape[0], 8, 1, 1))
+        return self.fc2(F.reshape(self.bn(hidden), (x.shape[0], 8)))
 
 
 def test_named_parameters_hierarchical_names():
@@ -95,18 +98,28 @@ def test_load_state_dict_unexpected_key_raises():
 
 
 def test_load_state_dict_shape_mismatch_raises():
+    """A mis-shaped parameter or buffer, first or last in load order,
+    raises before anything is written: the state and its version stay."""
     model = Small()
-    state = model.state_dict()
-    state["fc1.weight"] = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        model.load_state_dict(state)
+    before = model.state_dict()
+    version = model.state_version
+    for key in ["fc1.weight", "fc2.bias", "bn.running_var"]:
+        state = {name: value + 1.0 for name, value in before.items()}
+        state[key] = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        assert list(after) == list(before)
+        for name in before:
+            assert np.array_equal(after[name], before[name]), (key, name)
+        assert model.state_version == version
 
 
 def test_modules_iterates_tree():
     model = Small()
     kinds = [type(m).__name__ for m in model.modules()]
     assert kinds.count("Linear") == 2
-    assert "BatchNorm1d" in kinds
+    assert "BatchNorm2d" in kinds
 
 
 def test_forward_not_implemented():

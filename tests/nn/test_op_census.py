@@ -1,21 +1,26 @@
-"""Op census: every op and engine builder is reached by a model that runs.
+"""Op census: every op, engine builder and ``repro.nn`` export is reached
+by a model that runs.
 
 The census builds every registered model and every Fig. 4 ablation
-architecture, runs one ``masked_mse`` + ``Adam`` training step on each
-(the trainer's arithmetic) and one compiled ``InferenceEngine`` forward
-(the serving arithmetic), and records which functions ran.
+architecture, runs one ``masked_mse`` + ``clip_grad_norm`` + ``Adam``
+training step on each (the trainer's arithmetic) and one compiled
+``InferenceEngine`` forward (the serving arithmetic), and records which
+functions ran.
 
 * Every key of ``infer.steps.BUILDERS`` must be reached: a builder no
   model compiles is dead code.
 * Every name in ``nn.functional.__all__`` must be reached, except the
-  trace-hook infrastructure and the autograd ops in ``UNREACHED``.  Those
-  are ops no model runs whose unit tests have not been retired yet.  The
-  list must match the census exactly, so it can only shrink: deleting an
-  op means dropping it here, and a model that starts using one (or a new
-  op nothing uses) fails until the list is updated.
+  trace-hook infrastructure.
+* Every name in ``repro.nn.__all__`` must be reached (a class counts when
+  any function it defines ran; a submodule when any function of its
+  ``__all__`` ran), or be on ``KEPT_UNREACHED`` with the reason it stays.
+  That list must match the census exactly, so it can only shrink: an
+  export no model runs fails until it is deleted or listed with a reason.
 """
 
+import inspect
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -33,11 +38,11 @@ POINTS = 24
 
 INFRASTRUCTURE = {"set_trace_hook"}
 
-UNREACHED = {
-    "neg", "abs", "clip", "sqrt", "tanh", "leaky_relu", "getitem", "stack",
-    "pad2d", "max", "min", "log_softmax", "avg_pool2d", "upsample_nearest2d",
-    "embedding", "dropout", "where",
-    "avg_pool2d_kernel", "upsample_nearest2d_kernel",
+#: ``repro.nn`` exports no census run reaches, each with why it stays
+KEPT_UNREACHED = {
+    "check_gradients": "gradient oracle of the autograd unit tests",
+    "numerical_gradient": "gradient oracle of the autograd unit tests",
+    "MSELoss": "the training loss of benchmarks/bench_fig4_ablation.py",
 }
 
 
@@ -49,6 +54,17 @@ def _census_models():
         seed_everything(0)
         yield (f"ablation:{name}", build_ablation_model(ablation),
                len(ALL_CHANNELS), ablation.use_lnt)
+
+
+def _codes(obj):
+    """Code objects whose running means ``obj`` was reached."""
+    if isinstance(obj, types.ModuleType):
+        return set().union(*(_codes(getattr(obj, name))
+                             for name in obj.__all__))
+    if inspect.isclass(obj):
+        return {member.__code__ for member in vars(obj).values()
+                if inspect.isfunction(member)}
+    return {inspect.unwrap(obj).__code__}
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +101,7 @@ def census():
                                  np.ones(prediction.shape))
             optimizer.zero_grad()
             loss.backward()
+            nn.clip_grad_norm(model.parameters(), 5.0)
             optimizer.step()
             model.eval()
             InferenceEngine(model).run(*args)
@@ -93,20 +110,28 @@ def census():
         steps.BUILDERS.update(builders)
     unreached_ops = {name for name in F.__all__
                      if getattr(F, name).__code__ not in called}
-    return unreached_ops, set(builders) - reached_builders
+    unreached_exports = {name for name in nn.__all__
+                         if not _codes(getattr(nn, name)) & called}
+    return unreached_ops, set(builders) - reached_builders, unreached_exports
 
 
 def test_every_engine_builder_is_reached(census):
-    _, unreached_builders = census
+    _, unreached_builders, _ = census
     assert not unreached_builders, (
         f"builders no model compiles: {sorted(unreached_builders)}")
 
 
 def test_only_listed_functional_ops_are_unreached(census):
-    unreached_ops, _ = census
-    unreached_ops -= INFRASTRUCTURE
-    assert not unreached_ops - UNREACHED, (
-        f"ops no model runs: {sorted(unreached_ops - UNREACHED)}")
-    assert not UNREACHED - unreached_ops, (
-        f"listed as unreached but reached or gone: "
-        f"{sorted(UNREACHED - unreached_ops)}")
+    unreached_ops, _, _ = census
+    assert not unreached_ops - INFRASTRUCTURE, (
+        f"ops no model runs: {sorted(unreached_ops - INFRASTRUCTURE)}")
+
+
+def test_every_nn_export_is_reached_or_kept(census):
+    _, _, unreached_exports = census
+    assert not unreached_exports - set(KEPT_UNREACHED), (
+        f"repro.nn exports no model runs: "
+        f"{sorted(unreached_exports - set(KEPT_UNREACHED))}")
+    assert not set(KEPT_UNREACHED) - unreached_exports, (
+        f"kept as unreached but reached or gone: "
+        f"{sorted(set(KEPT_UNREACHED) - unreached_exports)}")

@@ -24,13 +24,6 @@ def test_add_commutative(data):
 
 @given(FLOATS)
 @settings(max_examples=40, deadline=None)
-def test_double_negation_identity(data):
-    t = nn.Tensor(data)
-    assert np.allclose(F.neg(F.neg(t)).data, data)
-
-
-@given(FLOATS)
-@settings(max_examples=40, deadline=None)
 def test_relu_idempotent(data):
     t = nn.Tensor(data)
     once = F.relu(t).data
@@ -98,15 +91,6 @@ def test_conv_output_shape_formula(batch, channels, size):
     out = F.conv2d(x, w, stride=s, padding=p)
     expected = (h + 2 * p - k) // s + 1
     assert out.shape == (batch, 2, expected, expected)
-
-
-@given(st.integers(2, 6))
-@settings(max_examples=10, deadline=None)
-def test_upsample_then_avgpool_is_identity(size):
-    rng = np.random.default_rng(1)
-    x = nn.Tensor(rng.normal(size=(1, 2, size, size)))
-    roundtrip = F.avg_pool2d(F.upsample_nearest2d(x, 2), 2)
-    assert np.allclose(roundtrip.data, x.data)
 
 
 @given(hnp.arrays(dtype=np.float64, shape=(4, 6),

@@ -116,6 +116,40 @@ class TestHotSwap:
         assert np.array_equal(after.prediction,
                               reference.predict_case(serve_cases[0])[0])
 
+    @pytest.mark.parametrize("kind", ["parameter", "buffer"])
+    def test_mis_shaped_swap_changes_nothing(self, serve_spec, serve_cases,
+                                             kind):
+        """A state whose last parameter, or a BatchNorm ``running_var``
+        buffer, has the wrong shape makes ``swap`` raise before any
+        weight is written: later predictions, at b1 and at a batch size
+        first compiled after the failed swap, stay bit-identical to the
+        old weights' and report the old model version."""
+        model = serve_spec.model
+        if kind == "parameter":
+            key = [name for name, _ in model.named_parameters()][-1]
+        else:
+            key = [name for name, _ in model.named_buffers()
+                   if name.endswith("running_var")][-1]
+        bad = perturbed_state(model)
+        bad[key] = np.zeros(np.shape(bad[key]) + (2,))
+        direct = serve_spec.build()
+        references = [direct.predict_case(case)[0] for case in serve_cases]
+        config = _config(max_batch=4, batch_window_s=0.25)
+        with PredictionService(serve_spec, config) as service:
+            before = service.predict(serve_cases[0], timeout=60)
+            with pytest.raises(ValueError):
+                service.swap(bad)
+            after = service.predict(serve_cases[0], timeout=60)
+            tickets = [service.submit(case) for case in serve_cases]
+            batched = [ticket.result(timeout=60) for ticket in tickets]
+        assert before.batch_size == after.batch_size == 1
+        assert max(result.batch_size for result in batched) > 1
+        for result in [before, after] + batched:
+            assert result.model_version == 0
+        assert np.array_equal(after.prediction, references[0])
+        for reference, result in zip(references, batched):
+            assert np.array_equal(result.prediction, reference)
+
     def test_swap_under_load_completes_every_in_flight_request(
             self, serve_spec, serve_cases):
         """Nothing is dropped by a swap, and every served prediction is
