@@ -4,16 +4,17 @@ PR 5's tentpole: prediction is the product (the paper's pitch is that the
 NN replaces the golden solver because inference is cheap), so the hot
 path gets an engine of its own — compiled kernel plans, BatchNorm/bias/
 ReLU fusion, a fixed buffer layout in one workspace slab per lane, and
-an opt-in float32 serving mode — instead of the autograd graph run with
-its gradients thrown away.
+float32 serving (the default; float64 is the bit-exact oracle) — instead
+of the autograd graph run with its gradients thrown away.
 
 Tests split into two CI tiers, following ``bench_solver_scaling.py``:
 
-* **numeric parity** (unmarked, *gating*) — the float64 engine output is
-  bit-exact against ``model.forward`` for LMMIR and every registered
-  baseline, float32 stays within 1e-4 relative, and the engine replays
-  a warm shape without allocating (asserted via an allocation-frozen
-  arena).
+* **numeric parity** (unmarked, *gating*) — the float64 engine output
+  (named explicitly: float32 is the default) is bit-exact against
+  ``model.forward`` for LMMIR and every registered baseline, through
+  ``IRPredictor`` too, float32 stays within 1e-4 relative, and the
+  engine replays a warm shape without allocating (asserted via an
+  allocation-frozen arena).
 * **wall-clock** (``@pytest.mark.perf``) — speedup floors for the
   serving configuration (engine + float32 + BN folding + batched
   ``predict_many`` + prepared-case cache) against the autograd paths,
@@ -109,7 +110,7 @@ def test_engine_bit_exact_all_models():
     bit-for-bit for LMMIR and every baseline, across batch shapes."""
     for name in MODEL_REGISTRY:
         spec, model = _build_model(name)
-        engine = InferenceEngine(model)
+        engine = InferenceEngine(model, dtype="float64")
         for batch in (1, 3):
             args = _raw_inputs(spec, batch, seed=batch)
             reference = _autograd_forward(model, args)
@@ -130,10 +131,11 @@ def test_engine_reduced_precision_within_tolerance():
 
 
 def test_engine_predictions_identical_through_pipeline(bench_suite):
-    """Engine on vs off, end to end through IRPredictor.predict_many."""
+    """Engine (float64) on vs off, end to end through
+    IRPredictor.predict_many."""
     cases = list(bench_suite.hidden_cases)[:3]
     for name in ("LMM-IR (Ours)", "IREDGe"):
-        on = _predictor(name, bench_suite, engine=True)
+        on = _predictor(name, bench_suite, engine=True, infer_dtype="float64")
         off = _predictor(name, bench_suite, engine=False)
         for (pred_on, _), (pred_off, _) in zip(on.predict_many(cases),
                                                off.predict_many(cases)):

@@ -5,7 +5,7 @@ in a long-lived daemon: bounded admission, micro-batching within a
 latency budget, hot-swappable weights, and thread/process workers.  The
 gate (unmarked, the ``serving.parity`` registry entry) checks that every
 prediction served through the full daemon path (queue -> scheduler ->
-micro-batch -> worker) is bit-identical (float64) to a direct
+micro-batch -> worker) is bit-identical, at the default float32, to a direct
 ``IRPredictor.predict_case`` on the same weights; over-budget submits
 reject deterministically with the documented reason; a drained shutdown
 serves everything it admitted.
@@ -56,7 +56,8 @@ def _spec(bench_suite, **kwargs):
 # Request parity (gating in CI)
 # ----------------------------------------------------------------------
 def test_served_predictions_bit_identical_to_direct(bench_suite):
-    """The acceptance gate: the daemon path changes no bits (float64)."""
+    """The acceptance gate: the daemon path changes no bits (float32,
+    the served default)."""
     cases = list(bench_suite.hidden_cases)
     spec = _spec(bench_suite)
     config = ServeConfig(workers=1, worker_kind="thread",

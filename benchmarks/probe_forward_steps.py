@@ -2,7 +2,9 @@
 
 A measurement, not a benchmark workload.  It compiles the served model
 (LMM-IR, 48 x 48 feature maps, 192 netlist points) at batch 1 and batch
-4 and times every step of ``Plan.run``, printing per batch size:
+4, in the engine's default dtype (float32; ``REPRO_INFER_DTYPE=float64``
+probes the bit-exact oracle), and times every step of ``Plan.run``,
+printing per batch size:
 
 * self time per op kind;
 * the top 20 steps by self time;
@@ -16,9 +18,11 @@ way perfbench's replay wraps layers; a second, unwrapped engine gives the
 untimed wall time.  Each round runs both plans once on the calling thread
 (the batch-4 plan unsharded, so its steps are not split over lanes), and
 every figure is a median over rounds.  The probe exits non-zero unless both
-plans' outputs equal ``model.forward`` bit for bit::
+plans' outputs equal each other bit for bit and match ``model.forward``:
+bit for bit in float64, to the engine's 1e-4 relative in float32::
 
     python benchmarks/probe_forward_steps.py --rounds 40
+    REPRO_INFER_DTYPE=float64 python benchmarks/probe_forward_steps.py
 
 It uses only names every recent commit has, so ``PYTHONPATH=<checkout>/src``
 measures that commit.
@@ -99,6 +103,7 @@ def probe(model, spec, batch: int, rounds: int) -> bool:
     timed_engine, plain_engine = InferenceEngine(model), InferenceEngine(model)
     timed_plan, records = _compile_timed(timed_engine, args)
     plain_plan = plain_engine.compile(*args)
+    oracle = plain_engine.dtype == np.float64
     walls, outside, exact = [], [], True
     for round_index in range(rounds + 1):   # round 0 warms up
         start = time.perf_counter()
@@ -107,8 +112,10 @@ def probe(model, spec, batch: int, rounds: int) -> bool:
         start = time.perf_counter()
         timed = timed_plan.run(args, timed_engine.arena)
         timed_wall = time.perf_counter() - start
-        exact &= (np.array_equal(plain, reference)
-                  and np.array_equal(timed, reference))
+        exact &= np.array_equal(plain, timed) and (
+            np.array_equal(plain, reference) if oracle else
+            np.max(np.abs(plain - reference))
+            <= 1e-4 * np.max(np.abs(reference)))
         if round_index:
             walls.append(wall)
             outside.append(timed_wall - sum(seconds[-1] for _, _, seconds
@@ -123,7 +130,8 @@ def probe(model, spec, batch: int, rounds: int) -> bool:
     outside_ms = 1e3 * float(np.median(outside))
     timer_ms = 1e3 * _timer_cost(len(records), rounds)
 
-    print(f"== {MODEL} b{batch}: {len(records)} steps, {rounds} rounds")
+    print(f"== {MODEL} b{batch} {plain_engine.dtype}: {len(records)} steps, "
+          f"{rounds} rounds")
     print(f"{'op kind':<18} {'steps':>5} {'self ms':>9} {'share':>6}")
     for op, (count, seconds) in sorted(by_kind.items(),
                                        key=lambda item: -item[1][1]):
@@ -140,7 +148,8 @@ def probe(model, spec, batch: int, rounds: int) -> bool:
           f"(timed run's wall minus its steps)")
     print(f"  of which step timers   {timer_ms:>8.3f} ms")
     print(f"  bookkeeping            {outside_ms - timer_ms:>8.3f} ms")
-    print(f"bit-exact vs model.forward: {exact}")
+    print(f"{'bit-exact vs' if oracle else 'within 1e-4 of'} "
+          f"model.forward: {exact}")
     return exact
 
 
@@ -157,7 +166,7 @@ def main(argv=None) -> None:
     exact = [probe(model, spec, batch, options.rounds)
              for batch in options.batch or (1, 4)]
     if not all(exact):
-        raise SystemExit("compiled forward differs from model.forward")
+        raise SystemExit("compiled forward does not match model.forward")
 
 
 if __name__ == "__main__":

@@ -121,8 +121,3 @@ class LMMIR(nn.Module):
         if head == "recon":
             return self.recon_head(features)
         raise ValueError(f"unknown head {head!r}; expected 'ir' or 'recon'")
-
-    # ------------------------------------------------------------------
-    @property
-    def is_multimodal(self) -> bool:
-        return self.lnt is not None

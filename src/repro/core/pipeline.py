@@ -22,11 +22,11 @@ Three serving levers, all on by default:
   grad-free :class:`~repro.infer.engine.InferenceEngine` plan instead of
   the autograd graph: no Tensor wrapping, BatchNorm/bias/ReLU fusion, and
   a buffer layout fixed at compile time in one workspace per lane, so
-  steady-state serving allocates nothing.  At the
-  default ``infer_dtype="float64"`` the engine is bit-exact against the
-  autograd forward; ``infer_dtype="float32"`` (or ``REPRO_INFER_DTYPE``)
-  selects the reduced-precision serving mode (~1e-5 relative agreement,
-  roughly half the memory traffic and BLAS time).
+  steady-state serving allocates nothing.  The engine runs float32 by
+  default (~1e-5 relative agreement with the autograd forward, roughly
+  half the memory traffic and BLAS time); ``infer_dtype="float64"`` (or
+  ``REPRO_INFER_DTYPE=float64``) makes it bit-exact against the autograd
+  forward.
 
 Every layer is sample-independent in eval mode (convolutions are per-item
 GEMMs, batch norm uses running statistics), so the batched paths agree
@@ -132,12 +132,13 @@ class IRPredictor:
     to the autograd forward if compilation fails, ``True`` requires the
     engine (compile errors propagate), ``False`` forces the autograd
     path.  ``infer_dtype`` picks the engine precision (``None`` honours
-    ``REPRO_INFER_DTYPE``, defaulting to bit-exact float64).  The engine
-    snapshots weights at first use; ``load_state_dict`` bumps the model's
-    ``state_version`` so compiled plans are invalidated automatically on
-    the next prediction (a serving hot-swap never serves stale folded
-    weights).  Direct ``param.data`` mutation is invisible to the version
-    counter — call :meth:`refresh_engine` after hand-editing weights.
+    ``REPRO_INFER_DTYPE``, defaulting to float32; ``"float64"`` is
+    bit-exact against autograd).  The engine snapshots weights at first
+    use; ``load_state_dict`` bumps the model's ``state_version`` so
+    compiled plans are invalidated automatically on the next prediction
+    (a serving hot-swap never serves stale folded weights).  Direct
+    ``param.data`` mutation is invisible to the version counter — call
+    :meth:`refresh_engine` after hand-editing weights.
     """
 
     def __init__(self, model: Module, preprocessor: CasePreprocessor,

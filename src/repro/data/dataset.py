@@ -76,16 +76,6 @@ class IRDropDataset:
     def __iter__(self):
         return iter(self._cases)
 
-    def unique_cases(self) -> List[CaseBundle]:
-        """Distinct underlying bundles, in first-appearance order."""
-        seen = set()
-        unique = []
-        for case in self._cases:
-            if id(case) not in seen:
-                seen.add(id(case))
-                unique.append(case)
-        return unique
-
     def kind_counts(self) -> dict:
         counts: dict = {}
         for case in self._cases:

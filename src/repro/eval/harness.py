@@ -66,9 +66,9 @@ class EvalConfig:
     autograd forward."""
     infer_dtype: Optional[str] = knobs.field("REPRO_INFER_DTYPE")
     """Inference-engine precision: ``None`` honours ``REPRO_INFER_DTYPE``
-    and defaults to float64, which is bit-exact against the autograd
-    forward (scores cannot change); ``"float32"`` opts into the
-    reduced-precision serving mode."""
+    and defaults to float32, the served precision; ``"float64"`` is
+    bit-exact against the autograd forward.  Table III prints the same
+    F1 and MAE in both (``benchmarks/probe_infer_dtype.py`` checks)."""
 
     @classmethod
     def from_env(cls, **overrides) -> "EvalConfig":

@@ -8,10 +8,11 @@ autograd ops use — see the kernels in :mod:`repro.nn.functional`).
 Every buffer a plan needs sits at a fixed offset of one workspace laid
 out at compile time, and each lane's :class:`BufferArena` holds one slab
 that workspace is bound to, so steady-state serving allocates nothing
-and makes no per-step arena call.  Float64 plans are bit-exact against
-``model.forward``; ``dtype="float32"`` (or ``REPRO_INFER_DTYPE``) trades
-~1e-5 relative agreement for roughly half the memory traffic and BLAS
-time, with BatchNorm weights folded into the convolutions.
+and makes no per-step arena call.  Plans run float32 by default, with
+BatchNorm weights folded into the convolutions: ~1e-5 relative agreement
+with ``model.forward`` for roughly half the memory traffic and BLAS time.
+``dtype="float64"`` (or ``REPRO_INFER_DTYPE=float64``) gives plans that
+are bit-exact against ``model.forward``.
 """
 
 from repro.infer.arena import ArenaFrozenError, BufferArena

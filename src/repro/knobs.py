@@ -127,7 +127,8 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "`auto` compiles the inference engine and falls back to "
          "autograd; on requires it; off forces autograd"),
     Knob("REPRO_INFER_DTYPE", "choice", "",
-         "engine precision; unset: float64, bit-exact against autograd",
+         "engine precision; unset: float32 with BatchNorm folded; "
+         "float64 is bit-exact against autograd",
          ("float64", "float32")),
     # suite size
     Knob("REPRO_BENCH_FAKE", "int", "",

@@ -5,7 +5,7 @@ from repro.metrics.classification import (
     confusion_counts,
     f1_at_hotspot_threshold,
 )
-from repro.metrics.regression import correlation, mae, max_error, rmse
+from repro.metrics.regression import correlation, mae, max_error
 from repro.metrics.report import (
     CaseMetrics,
     average_metrics,
@@ -16,7 +16,7 @@ from repro.metrics.timing import Timer, measure_tat
 
 __all__ = [
     "F1Result", "f1_at_hotspot_threshold", "confusion_counts",
-    "mae", "rmse", "max_error", "correlation",
+    "mae", "max_error", "correlation",
     "Timer", "measure_tat",
     "CaseMetrics", "score_case", "average_metrics", "metric_ratios",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mae", "rmse", "max_error", "correlation"]
+__all__ = ["mae", "max_error", "correlation"]
 
 
 def _validate(predicted: np.ndarray, truth: np.ndarray) -> None:
@@ -18,12 +18,6 @@ def mae(predicted: np.ndarray, truth: np.ndarray) -> float:
     """Mean absolute voltage error (the contest reports it in 1e-4 V)."""
     _validate(predicted, truth)
     return float(np.mean(np.abs(predicted - truth)))
-
-
-def rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
-    """Root-mean-square voltage error."""
-    _validate(predicted, truth)
-    return float(np.sqrt(np.mean((predicted - truth) ** 2)))
 
 
 def max_error(predicted: np.ndarray, truth: np.ndarray) -> float:

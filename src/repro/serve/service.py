@@ -11,7 +11,7 @@ grouping to a *continuous* stream: it pops the next request, then waits
 up to ``batch_window_s`` (the latency budget) for companions, dispatching
 at most ``max_batch`` cases as one micro-batch.  Workers route the batch
 through ``predict_many``, which re-groups by prepared shape internally,
-so a coalesced batch is bit-identical (float64 engine) to serial
+so a coalesced batch is bit-identical (in either engine dtype) to serial
 ``predict_case`` calls — the parity property the serving benchmark gates
 on.
 

@@ -70,12 +70,6 @@ class TrainHistory:
     pretrain_losses: List[float] = field(default_factory=list)
     finetune_losses: List[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        if not self.finetune_losses:
-            raise ValueError("no fine-tune epochs recorded")
-        return self.finetune_losses[-1]
-
 
 class Trainer:
     """Drives the two-stage optimisation of one model."""

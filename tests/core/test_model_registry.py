@@ -46,7 +46,7 @@ class TestLMMIR:
 
     def test_unimodal_ablation_ignores_points(self):
         model = LMMIR(tiny_config(use_lnt=False))
-        assert not model.is_multimodal
+        assert model.lnt is None
         out = model(t(1, 6, 16, 16))
         assert out.shape == (1, 1, 16, 16)
 
@@ -130,7 +130,7 @@ class TestRegistry:
     def test_ours_is_multimodal(self):
         model = build_model(OURS)
         assert isinstance(model, LMMIR)
-        assert model.is_multimodal
+        assert model.lnt is not None
 
     def test_build_unknown_raises(self):
         with pytest.raises(KeyError):

@@ -2,9 +2,9 @@
 
 Pins the PR-3 inference guarantees: TTA noise is a pure function of
 (predictor seed, case name) so prediction order cannot leak between
-cases; batched TTA and batched ``predict_many`` agree with the
-sequential execution to <= 1e-10; and per-case TAT accounting survives
-batching.
+cases; batched TTA agrees with the sequential execution to <= 1e-10 on
+the float64 engine, and batched ``predict_many`` with ``predict_case``
+in both engine dtypes; and per-case TAT accounting survives batching.
 """
 
 import numpy as np
@@ -69,23 +69,27 @@ class TestTTADeterminism:
 
 class TestBatchedParity:
     def test_batched_tta_matches_sequential(self, model, preprocessor, cases):
-        batched = IRPredictor(model, preprocessor, tta_samples=6, batched=True)
+        batched = IRPredictor(model, preprocessor, tta_samples=6, batched=True,
+                              infer_dtype="float64")
         sequential = IRPredictor(model, preprocessor, tta_samples=6,
-                                 batched=False)
+                                 batched=False, infer_dtype="float64")
         for case in cases:
             fast, _ = batched.predict_case(case)
             slow, _ = sequential.predict_case(case)
             assert np.allclose(fast, slow, rtol=0.0, atol=PARITY_ATOL)
 
     def test_predict_many_matches_predict_case(self, model, preprocessor, cases):
-        predictor = IRPredictor(model, preprocessor, group_size=2)
-        grouped = predictor.predict_many(cases)
-        assert len(grouped) == len(cases)
-        for case, (prediction, tat) in zip(cases, grouped):
-            single, _ = predictor.predict_case(case)
-            assert np.allclose(prediction, single, rtol=0.0, atol=PARITY_ATOL)
-            assert prediction.shape == case.shape
-            assert tat > 0.0
+        for dtype in ("float64", "float32"):
+            predictor = IRPredictor(model, preprocessor, group_size=2,
+                                    infer_dtype=dtype)
+            grouped = predictor.predict_many(cases)
+            assert len(grouped) == len(cases)
+            for case, (prediction, tat) in zip(cases, grouped):
+                single, _ = predictor.predict_case(case)
+                assert np.allclose(prediction, single, rtol=0.0,
+                                   atol=PARITY_ATOL), dtype
+                assert prediction.shape == case.shape
+                assert tat > 0.0
 
     def test_predict_many_tat_accounts_per_case(self, model, preprocessor, cases):
         predictor = IRPredictor(model, preprocessor, group_size=len(cases))

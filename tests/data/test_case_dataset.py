@@ -76,7 +76,7 @@ class TestIRDropDataset:
         ds = IRDropDataset.with_oversampling([fake_case], fake_times=3,
                                              real_times=1)
         assert ds[0] is ds[1] is ds[2]
-        assert len(ds.unique_cases()) == 1
+        assert len({id(case) for case in ds}) == 1
 
     def test_invalid_multiplier(self, fake_case):
         with pytest.raises(ValueError):

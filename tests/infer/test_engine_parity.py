@@ -1,9 +1,10 @@
 """Engine-vs-autograd parity for LMMIR and every registered baseline.
 
 The contract under test: a float64 plan replays the autograd forward's
-exact arithmetic (bit-exact, fusion included); the float32 serving mode
-agrees to 1e-4 relative; BatchNorm weight folding agrees to 1e-10 at
-float64.
+exact arithmetic (bit-exact, fusion included); the float32 serving mode,
+the unset default, agrees to 1e-4 relative; BatchNorm weight folding
+agrees to 1e-10 at float64.  Every bit-exact check against autograd
+names float64: it is the oracle, not the default.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from repro import nn
 from repro.core.pipeline import IRPredictor
 from repro.core.registry import MODEL_REGISTRY
-from repro.infer import InferenceEngine, InferenceUnsupportedError
+from repro.infer import (InferenceEngine, InferenceUnsupportedError,
+                         resolve_infer_dtype)
 from repro.train.seed import seed_everything
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
@@ -45,12 +47,29 @@ def _rel_error(a, b):
 
 
 class TestEngineParity:
+    def test_unset_dtype_serves_float32_with_bn_folded(self, monkeypatch):
+        monkeypatch.delenv("REPRO_INFER_DTYPE", raising=False)
+        assert resolve_infer_dtype() == np.dtype("float32")
+        _, model = _build("LMM-IR (Ours)")
+        engine = InferenceEngine(model)
+        assert engine.dtype == np.dtype("float32")
+        assert engine.fold_bn
+
+    def test_env_float64_restores_bit_exact_parity(self, monkeypatch):
+        monkeypatch.setenv("REPRO_INFER_DTYPE", "float64")
+        spec, model = _build("LMM-IR (Ours)")
+        args = _inputs(spec)
+        engine = InferenceEngine(model)
+        assert engine.dtype == np.dtype("float64")
+        assert not engine.fold_bn
+        assert np.array_equal(_autograd(model, args), engine.run(*args))
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_float64_bit_exact(self, name):
         spec, model = _build(name)
         args = _inputs(spec)
         reference = _autograd(model, args)
-        engine = InferenceEngine(model)  # float64, fuse on, fold off
+        engine = InferenceEngine(model, dtype="float64")
         assert engine.dtype == np.dtype("float64")
         assert not engine.fold_bn
         output = engine.run(*args)
@@ -60,7 +79,7 @@ class TestEngineParity:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_float64_bit_exact_repeated_and_new_shapes(self, name):
         spec, model = _build(name)
-        engine = InferenceEngine(model)
+        engine = InferenceEngine(model, dtype="float64")
         for batch in (1, 3, 1):
             args = _inputs(spec, batch=batch, seed=batch)
             assert np.array_equal(_autograd(model, args), engine.run(*args))
@@ -80,10 +99,13 @@ class TestEngineParity:
     def test_fused_vs_unfused_float64(self, name):
         spec, model = _build(name)
         args = _inputs(spec)
-        unfused = InferenceEngine(model, fuse=False, fold_bn=False).run(*args)
-        folded = InferenceEngine(model, fold_bn=True).run(*args)
+        unfused = InferenceEngine(model, dtype="float64", fuse=False,
+                                  fold_bn=False).run(*args)
+        folded = InferenceEngine(model, dtype="float64",
+                                 fold_bn=True).run(*args)
         # epilogue fusion alone is arithmetic-identical...
-        fused = InferenceEngine(model, fuse=True, fold_bn=False).run(*args)
+        fused = InferenceEngine(model, dtype="float64", fuse=True,
+                                fold_bn=False).run(*args)
         assert np.array_equal(unfused, fused)
         # ...BatchNorm weight folding reassociates, at ~1 ulp
         assert _rel_error(folded, unfused) <= 1e-10
@@ -100,7 +122,8 @@ class TestPredictorIntegration:
             use_pointcloud=spec.uses_pointcloud)
         preprocessor.fit(list(suite.training_cases))
         on = IRPredictor(model, preprocessor, engine=True,
-                         tta_samples=tta_samples, **kwargs)
+                         tta_samples=tta_samples, infer_dtype="float64",
+                         **kwargs)
         off = IRPredictor(model, preprocessor, engine=False,
                           tta_samples=tta_samples, **kwargs)
         return on, off, list(suite.hidden_cases)
@@ -298,7 +321,7 @@ class TestFailureModes:
         spec, model = _build("IREDGe")
         args = _inputs(spec)   # two rows: one per lane
         reference = _autograd(model, args)
-        engine = InferenceEngine(model)
+        engine = InferenceEngine(model, dtype="float64")
         assert np.array_equal(engine.run(*args), reference)
         for failing_lane in (0, 1):
             armed.update(lane=failing_lane, steps=0, failed_on=None)
@@ -348,7 +371,7 @@ class TestFailureModes:
     def test_refresh_engine_after_weight_mutation(self):
         spec, model = _build("IREDGe")
         args = _inputs(spec)
-        engine = InferenceEngine(model)
+        engine = InferenceEngine(model, dtype="float64")
         before = engine.run(*args)
         state = {key: value * 1.5 for key, value in model.state_dict().items()}
         model.load_state_dict(state)

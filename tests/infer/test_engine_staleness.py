@@ -104,7 +104,8 @@ class TestEngineInvalidation:
         pre = CasePreprocessor(target_edge=16, num_points=32)
         pre.fit(cases)
         model = _model()
-        engine_on = IRPredictor(model, pre, tta_samples=1, engine=True)
+        engine_on = IRPredictor(model, pre, tta_samples=1, engine=True,
+                                infer_dtype="float64")
         engine_off = IRPredictor(model, pre, tta_samples=1, engine=False)
         for case in cases:
             engine_on.predict_case(case)  # warm the plans on v0

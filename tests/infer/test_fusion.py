@@ -30,7 +30,7 @@ class _Call(nn.Module):
 
 def _compiled(fn, x):
     """``fn(x)`` replayed by a compiled float64 plan."""
-    return InferenceEngine(_Call(fn).eval()).run(x)
+    return InferenceEngine(_Call(fn).eval(), dtype="float64").run(x)
 
 
 class _ConvBNReLU(nn.Module):
@@ -82,7 +82,7 @@ class TestBatchNormFolding:
         model = _randomized_bn(_ConvBNReLU()).eval()
         x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
         reference = _autograd(model, x)
-        folded = InferenceEngine(model, fold_bn=True).run(x)
+        folded = InferenceEngine(model, dtype="float64", fold_bn=True).run(x)
         scale = max(float(np.max(np.abs(reference))), 1e-12)
         assert np.max(np.abs(folded - reference)) / scale <= 1e-12
 
@@ -104,7 +104,7 @@ class TestBatchNormFolding:
         model.bn._set_buffer("running_var", rng.uniform(0.5, 2.0, size=5))
         x = rng.normal(size=(2, 3, 8, 8))
         reference = _autograd(model, x)
-        folded = InferenceEngine(model, fold_bn=True).run(x)
+        folded = InferenceEngine(model, dtype="float64", fold_bn=True).run(x)
         scale = max(float(np.max(np.abs(reference))), 1e-12)
         assert np.max(np.abs(folded - reference)) / scale <= 1e-12
 
@@ -115,8 +115,8 @@ class TestEpilogueFusion:
         model = _LinearBiasReLU().eval()
         x = np.random.default_rng(2).normal(size=(5, 6))
         reference = _autograd(model, x)
-        fused = InferenceEngine(model)       # fuse=True, bit-exact mode
-        unfused = InferenceEngine(model, fuse=False)
+        fused = InferenceEngine(model, dtype="float64")   # fuse=True
+        unfused = InferenceEngine(model, dtype="float64", fuse=False)
         assert np.array_equal(fused.run(x), reference)
         # matmul + bias add + relu become a single step
         assert len(_plan(fused, x).steps) == 1
@@ -191,4 +191,5 @@ class TestKernelContracts:
         layer.eval()
         x = rng.normal(size=(2, 4, 6, 6))
         expected = layer(nn.Tensor(x)).data
-        assert np.array_equal(expected, InferenceEngine(layer).run(x))
+        assert np.array_equal(
+            expected, InferenceEngine(layer, dtype="float64").run(x))

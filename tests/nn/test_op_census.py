@@ -4,8 +4,8 @@ by a model that runs.
 The census builds every registered model and every Fig. 4 ablation
 architecture, runs one ``masked_mse`` + ``clip_grad_norm`` + ``Adam``
 training step on each (the trainer's arithmetic) and one compiled
-``InferenceEngine`` forward (the serving arithmetic), and records which
-functions ran.
+``InferenceEngine`` forward per dtype (the float32 serving arithmetic and
+the float64 oracle), and records which functions ran.
 
 * Every key of ``infer.steps.BUILDERS`` must be reached: a builder no
   model compiles is dead code.
@@ -104,7 +104,8 @@ def census():
             nn.clip_grad_norm(model.parameters(), 5.0)
             optimizer.step()
             model.eval()
-            InferenceEngine(model).run(*args)
+            for dtype in ("float32", "float64"):
+                InferenceEngine(model, dtype=dtype).run(*args)
     finally:
         sys.setprofile(None)
         steps.BUILDERS.update(builders)

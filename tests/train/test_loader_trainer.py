@@ -105,7 +105,6 @@ class TestTrainer:
         history = trainer.fit(cases)
         assert len(history.pretrain_losses) == 2
         assert len(history.finetune_losses) == 2
-        assert history.final_loss == history.finetune_losses[-1]
 
     def test_pretrain_skipped_without_recon_head(self, cases):
         from repro.baselines import IREDGe
