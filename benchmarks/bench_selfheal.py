@@ -8,10 +8,11 @@ tier.  Three properties gate, all deterministic:
   heartbeats, immune to SIGTERM semantics) is force-killed by the
   watchdog within the configured ``watchdog_s`` budget plus one sweep
   interval of slack;
-* **batch-mates recover bit-identically** — both requests coalesced
-  into the micro-batch behind the hang are re-dispatched to the
-  respawned worker and return exactly the bytes a fault-free run
-  returns (``attempts == 2``);
+* **batch-mates recover bit-identically** — both requests, queued
+  while the scheduler cannot dispatch and so coalesced into the
+  micro-batch behind the hang, are re-dispatched to the respawned
+  worker and return exactly the bytes a fault-free run returns
+  (``attempts == 2``);
 * **zero integrity escapes** — across a seeded corruption soak
   (``serve.guard`` bit flips on the fulfilment path), every fulfilled
   prediction is bit-identical to direct inference and every corrupted
@@ -105,7 +106,12 @@ def test_selfheal_watchdog_detects_hung_worker_within_budget(
         pool = service.pool
         hung = next(iter(pool._workers.values()))
         hung.inbox.put(("sleep", 600.0))
-        tickets = [(case, service.submit(case)) for case in cases]
+        # the pool still sees the hung worker as idle, so the scheduler
+        # would dispatch a lone head at once; holding the pool lock keeps
+        # it from dispatching (or even asking) until both requests are
+        # queued, and it then takes both into one batch
+        with pool._lock:
+            tickets = [(case, service.submit(case)) for case in cases]
         dispatch_deadline = time.perf_counter() + 30.0
         while True:  # the batch lands behind the hang
             with pool._lock:

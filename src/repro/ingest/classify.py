@@ -47,10 +47,6 @@ class DeckClassification:
     grid_nodes: int          # non-ground nodes with contest coordinates
     foreign_nodes: int       # non-ground nodes without
 
-    @property
-    def is_pdn(self) -> bool:
-        return self.category in ("pdn-grid", "pdn-coordinate-free")
-
     def to_dict(self) -> dict:
         return {
             "category": self.category,

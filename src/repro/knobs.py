@@ -152,7 +152,8 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_SERVE_MAX_BATCH", "int >= 1", "8",
          "micro-batch ceiling handed to one worker"),
     Knob("REPRO_SERVE_WINDOW_MS", "ms >= 0", "2",
-         "wait for companions after the first request of a batch"),
+         "wait for companions after the first request of a batch "
+         "while every worker is busy (an idle pool dispatches at once)"),
     Knob("REPRO_SERVE_RETRIES", "int >= 0", "1",
          "re-dispatches after a worker death before `WorkerDiedError`"),
     # faults and deadlines

@@ -115,7 +115,9 @@ def main(argv=None) -> int:
                         help="admission queue capacity")
     parser.add_argument("--max-batch", type=int, default=None)
     parser.add_argument("--window-ms", type=float, default=None,
-                        help="micro-batch latency budget (ms)")
+                        help="micro-batch latency budget (ms) while "
+                             "every worker is busy; an idle pool "
+                             "dispatches at once")
     parser.add_argument("--retries", type=int, default=None)
     parser.add_argument("--registry", default=None, metavar="DIR",
                         help="checkpoint registry; the active checkpoint "

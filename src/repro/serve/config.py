@@ -21,12 +21,14 @@ WORKER_KINDS = knobs.KNOBS["REPRO_SERVE_WORKER_KIND"].choices
 class ServeConfig:
     """Knobs of one :class:`~repro.serve.service.PredictionService`.
 
-    ``batch_window_s`` is the *latency budget* of the micro-batcher: once
-    the first request of a batch is picked up, the scheduler waits at
-    most this long for companions before dispatching, so an idle service
-    adds no more than the window to a lone request's latency while a
-    loaded one coalesces up to ``max_batch`` cases into one forward
-    (the continuous form of ``predict_many``'s same-shape grouping).
+    ``batch_window_s`` is the *latency budget* of the micro-batcher
+    while the pool is busy: once the first request of a batch is picked
+    up and no worker could start it anyway, the scheduler waits at most
+    this long for companions, so a loaded service coalesces up to
+    ``max_batch`` cases into one forward (the continuous form of
+    ``predict_many``'s same-shape grouping).  An idle pool waits for
+    nothing: the request is dispatched at once with whatever has already
+    queued behind it.
     ``queue_capacity`` bounds admission: a submit against a full queue is
     rejected loudly (:class:`~repro.serve.queue.BackpressureError`),
     never silently dropped.

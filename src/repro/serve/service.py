@@ -7,9 +7,12 @@ dispatch, and hot-swap.
       (admission)   (bounded)    (micro-batches)     (predict_many)
 
 The scheduler generalises ``IRPredictor.predict_many``'s same-shape
-grouping to a *continuous* stream: it pops the next request, then waits
-up to ``batch_window_s`` (the latency budget) for companions, dispatching
-at most ``max_batch`` cases as one micro-batch.  Workers route the batch
+grouping to a *continuous* stream: it pops the next request and, when a
+worker is idle with nothing pending, dispatches it at once together with
+whatever has already queued behind it.  While every worker is busy it
+waits up to ``batch_window_s`` (the latency budget) for companions, then
+also takes whatever else has queued; either way a micro-batch holds at
+most ``max_batch`` cases.  Workers route the batch
 through ``predict_many``, which re-groups by prepared shape internally,
 so a coalesced batch is bit-identical (in either engine dtype) to serial
 ``predict_case`` calls — the parity property the serving benchmark gates
@@ -234,12 +237,15 @@ class PredictionService:
             if self._expire_if_late(head):
                 continue
             batch = [head]
-            deadline = time.perf_counter() + self.config.batch_window_s
+            # an idle pool gets what has already arrived at once; a busy
+            # one could not start the batch yet, so it waits out the
+            # window for companions, then takes what else has arrived
+            window = (0.0 if self.pool.dispatches_at_once()
+                      else self.config.batch_window_s)
+            deadline = time.perf_counter() + window
             while len(batch) < self.config.max_batch:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                companion = self.queue.pop(timeout=remaining)
+                companion = self.queue.pop(
+                    timeout=max(0.0, deadline - time.perf_counter()))
                 if companion is None:
                     break
                 if self._expire_if_late(companion):

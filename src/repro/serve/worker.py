@@ -413,6 +413,14 @@ class WorkerPool:
         with self._lock:
             return len(self._workers)
 
+    def dispatches_at_once(self) -> bool:
+        """True when a batch submitted now would start on a worker at
+        once: one is idle, no batch waits ahead of it and no hot-swap
+        holds dispatch."""
+        with self._lock:
+            return bool(self._idle) and not self._pending \
+                and not self._swapping
+
     # ------------------------------------------------------------------
     def start(self, ready_timeout: float = 120.0) -> None:
         with self._lock:

@@ -28,7 +28,7 @@ from repro.solver.multigrid import (
     block_cg,
     node_coordinates,
 )
-from repro.solver.rasterize import node_positions_px, rasterize_ir_map
+from repro.solver.rasterize import rasterize_ir_map
 from repro.solver.static import IRSolveResult, solve_static_ir
 from repro.solver.store import STORE_FORMAT, FactorizationStore
 
@@ -42,6 +42,6 @@ __all__ = [
     "SolverStalledError", "node_coordinates",
     "solver_iteration_cap", "solver_wall_budget",
     "FactorizationStore", "STORE_FORMAT",
-    "rasterize_ir_map", "node_positions_px",
+    "rasterize_ir_map",
     "audit_solution", "SolutionAudit",
 ]

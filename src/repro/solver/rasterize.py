@@ -17,17 +17,7 @@ from repro.solver.static import IRSolveResult
 from repro.spice.netlist import Netlist
 from repro.spice.nodes import GROUND, NodeColumns, parse_node, parse_nodes
 
-__all__ = ["rasterize_ir_map", "node_positions_px"]
-
-
-def node_positions_px(netlist: Netlist, layer: Optional[int] = None) -> np.ndarray:
-    """Integer (row, col) pixel positions of nodes (optionally one layer)."""
-    table = netlist.node_table()
-    table.require_grid()
-    columns = table.columns
-    if layer is not None:
-        columns = columns.take(np.flatnonzero(columns.layer == layer))
-    return np.stack(columns.pixels(), axis=1).astype(int)
+__all__ = ["rasterize_ir_map"]
 
 
 def _columns_of(netlist: Netlist, names: List[str]) -> NodeColumns:

@@ -31,7 +31,7 @@ from repro.ingest.classify import classify_deck
 from repro.pdn.generator import prune_unreachable
 from repro.pointcloud.encode import POINT_FEATURES, encode_netlist
 from repro.solver.multigrid import node_coordinates
-from repro.solver.rasterize import node_positions_px, rasterize_ir_map
+from repro.solver.rasterize import rasterize_ir_map
 from repro.solver.static import IRSolveResult
 from repro.spice.elements import CurrentSource
 from repro.spice.netlist import Netlist
@@ -160,16 +160,6 @@ def oracle_pad_positions_px(netlist):
     if not positions:
         raise ValueError("netlist has no voltage sources for a distance map")
     return np.array(positions)
-
-
-def oracle_node_positions_px(netlist, layer=None):
-    positions = []
-    for name in netlist.node_index():
-        node = parse_node(name)
-        if node is None or (layer is not None and node.layer != layer):
-            continue
-        positions.append((int(round(node.y_um)), int(round(node.x_um))))
-    return np.array(positions, dtype=int) if positions else np.empty((0, 2), dtype=int)
 
 
 def oracle_rasterize_ir_map(drops, shape, layer, smooth_sigma):
@@ -393,9 +383,6 @@ def test_netlist_geometry_matches_loops(netlist):
     assert_same(lambda n: n.layers(), oracle_layers, netlist)
     assert_same(lambda n: n.vias(), oracle_vias, netlist)
     assert_same(lambda n: n.parsed_nodes(), oracle_parsed_nodes, netlist)
-    assert_same(node_positions_px, oracle_node_positions_px, netlist)
-    assert_same(lambda n: node_positions_px(n, 2),
-                lambda n: oracle_node_positions_px(n, 2), netlist)
     verdict = classify_deck(netlist)
     assert (verdict.grid_nodes, verdict.foreign_nodes) == oracle_classify_counts(netlist)
     names = list(netlist.node_index())

@@ -29,14 +29,12 @@ class TestCategories:
     def test_contest_grid(self):
         verdict = _classify(GRID)
         assert verdict.category == "pdn-grid"
-        assert verdict.is_pdn
         assert verdict.foreign_nodes == 0
         assert verdict.grid_nodes == 2
 
     def test_coordinate_free(self):
         verdict = _classify(FOREIGN)
         assert verdict.category == "pdn-coordinate-free"
-        assert verdict.is_pdn
         assert verdict.foreign_nodes > 0
 
     def test_mixed_names_count_both(self):
@@ -48,7 +46,6 @@ class TestCategories:
     def test_transistor_cards_mark_analog(self):
         verdict = _classify(GRID + "M1 d g s b nch w=1u l=0.1u\n")
         assert verdict.category == "analog"
-        assert not verdict.is_pdn
         assert verdict.transistor_cards == 1
         assert "transistor" in verdict.reason or "analog" in verdict.reason
 
@@ -64,7 +61,6 @@ class TestCategories:
     def test_empty_deck(self):
         verdict = _classify("* nothing\n.end\n")
         assert verdict.category == "empty"
-        assert not verdict.is_pdn
         assert verdict.supported_elements == 0
 
     def test_passive_skips_do_not_make_analog(self):

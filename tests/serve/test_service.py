@@ -6,7 +6,9 @@ The acceptance criteria pinned here, all deterministic:
   ``IRPredictor.predict_case`` on the same weights;
 * **micro-batching** — requests queued together coalesce into one
   forward (pre-filling the queue before ``start()`` makes the batch
-  composition deterministic);
+  composition deterministic); a lone request on an idle pool is
+  dispatched at once, and requests arriving one at a time behind a busy
+  worker still coalesce;
 * **backpressure** — submits over the queue bound fail with the
   documented :class:`BackpressureError` and the accepted requests are
   unaffected;
@@ -14,6 +16,8 @@ The acceptance criteria pinned here, all deterministic:
   request completes, and every result matches the reference prediction
   of the model version that served it.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -68,6 +72,52 @@ class TestParityAndBatching:
             sizes = [ticket.result(timeout=60).batch_size
                      for ticket in tickets]
         assert sizes == [3, 3, 3, 1]
+
+    def test_lone_request_on_idle_pool_skips_the_window(self, serve_spec,
+                                                        serve_cases):
+        config = _config(batch_window_s=0.25)
+        with PredictionService(serve_spec, config) as service:
+            result = service.predict(serve_cases[0], timeout=60)
+        assert result.batch_size == 1
+        assert result.queue_seconds < 0.1
+
+    def test_busy_pool_coalesces_requests_submitted_one_at_a_time(
+            self, serve_spec, serve_cases):
+        service = PredictionService(
+            serve_spec, _config(max_batch=2, batch_window_s=60.0))
+        # the scheduler "parks" when it blocks on an empty queue; record
+        # how many requests it had taken by then, so each submit below
+        # lands only after every earlier one was dispatched or is
+        # waiting in the window for companions
+        parked = threading.Condition()
+        taken, parked_after = [0], [-1]
+        real_pop = service.queue.pop
+
+        def pop(timeout=None):
+            if timeout and not len(service.queue):
+                with parked:
+                    parked_after[0] = taken[0]
+                    parked.notify_all()
+            request = real_pop(timeout)
+            if request is not None:
+                taken[0] += 1
+            return request
+
+        service.queue.pop = pop
+        tickets = []
+        with service:
+            worker = next(iter(service.pool._workers.values()))
+            worker.inbox.put(("sleep", 0.5))  # hold the one worker busy
+            for case in serve_cases[:3]:
+                with parked:
+                    assert parked.wait_for(
+                        lambda: parked_after[0] == len(tickets), 30)
+                tickets.append(service.submit(case))
+            sizes = [ticket.result(timeout=60).batch_size
+                     for ticket in tickets]
+        # the first reached an idle pool and went alone; the next two
+        # arrived one at a time behind it and shared one forward
+        assert sizes == [1, 2, 2]
 
 
 class TestBackpressure:

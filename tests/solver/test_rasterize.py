@@ -6,7 +6,7 @@ import pytest
 from repro.pdn.generator import PDNConfig, generate_pdn
 from repro.pdn.templates import small_stack
 from repro.solver.checks import SolutionAudit, audit_solution
-from repro.solver.rasterize import node_positions_px, rasterize_ir_map
+from repro.solver.rasterize import rasterize_ir_map
 from repro.solver.static import IRSolveResult, solve_static_ir
 from repro.spice.netlist import Netlist
 
@@ -17,11 +17,6 @@ def chain_netlist():
     net.add_voltage_source("n1_m1_0_0", 1.0)
     net.add_current_source("n1_m1_4000_0", 0.02)
     return net
-
-
-def test_node_positions():
-    positions = node_positions_px(chain_netlist(), layer=1)
-    assert sorted(map(tuple, positions)) == [(0, 0), (0, 4)]
 
 
 def test_rasterize_places_and_fills():
