@@ -1,10 +1,11 @@
 """Per-step probe of the compiled forward on the served configuration.
 
 A measurement, not a benchmark workload.  It compiles the served model
-(LMM-IR, 48 x 48 feature maps, 192 netlist points) at batch 1 and batch
-4, in the engine's default dtype (float32; ``REPRO_INFER_DTYPE=float64``
-probes the bit-exact oracle), and times every step of ``Plan.run``,
-printing per batch size:
+(LMM-IR, 48 x 48 feature maps, 192 netlist points; ``--model NAME``,
+repeatable, probes other registered models instead) at batch 1 and
+batch 4, in the engine's default dtype (float32;
+``REPRO_INFER_DTYPE=float64`` probes the bit-exact oracle), and times
+every step of ``Plan.run``, printing per model and batch size:
 
 * self time per op kind;
 * the top 20 steps by self time;
@@ -23,6 +24,7 @@ bit for bit in float64, to the engine's 1e-4 relative in float32::
 
     python benchmarks/probe_forward_steps.py --rounds 40
     REPRO_INFER_DTYPE=float64 python benchmarks/probe_forward_steps.py
+    python benchmarks/probe_forward_steps.py --rounds 1 --model IRPnet
 
 It uses only names every recent commit has, so ``PYTHONPATH=<checkout>/src``
 measures that commit.
@@ -37,12 +39,12 @@ from collections import defaultdict
 import numpy as np
 
 from repro import nn
-from repro.core.registry import MODEL_REGISTRY
+from repro.core.registry import MODEL_REGISTRY, OURS
 from repro.infer import InferenceEngine
 from repro.infer import plan as plan_module
 from repro.train.seed import seed_everything
 
-MODEL, EDGE, POINTS = "LMM-IR (Ours)", 48, 192
+EDGE, POINTS = 48, 192
 TOP = 20
 
 
@@ -96,8 +98,9 @@ def _timer_cost(steps: int, rounds: int) -> float:
 
 def probe(model, spec, batch: int, rounds: int) -> bool:
     rng = np.random.default_rng(batch)
-    args = (rng.normal(size=(batch, len(spec.channels), EDGE, EDGE)),
-            rng.normal(size=(batch, POINTS, 11)))
+    maps = rng.normal(size=(batch, len(spec.channels), EDGE, EDGE))
+    args = ((maps, rng.normal(size=(batch, POINTS, 11)))
+            if spec.uses_pointcloud else (maps,))
     with nn.no_grad():
         reference = model(*[nn.Tensor(a) for a in args]).data
     timed_engine, plain_engine = InferenceEngine(model), InferenceEngine(model)
@@ -130,8 +133,8 @@ def probe(model, spec, batch: int, rounds: int) -> bool:
     outside_ms = 1e3 * float(np.median(outside))
     timer_ms = 1e3 * _timer_cost(len(records), rounds)
 
-    print(f"== {MODEL} b{batch} {plain_engine.dtype}: {len(records)} steps, "
-          f"{rounds} rounds")
+    print(f"== {spec.name} b{batch} {plain_engine.dtype}: "
+          f"{len(records)} steps, {rounds} rounds")
     print(f"{'op kind':<18} {'steps':>5} {'self ms':>9} {'share':>6}")
     for op, (count, seconds) in sorted(by_kind.items(),
                                        key=lambda item: -item[1][1]):
@@ -159,12 +162,18 @@ def main(argv=None) -> None:
     parser.add_argument("--batch", type=int, action="append",
                         help="batch size to probe (repeatable; default 1 "
                              "and 4)")
+    parser.add_argument("--model", action="append",
+                        choices=sorted(MODEL_REGISTRY),
+                        help="registered model to probe (repeatable; "
+                             f"default {OURS!r}, the served one)")
     options = parser.parse_args(argv)
-    seed_everything(0)
-    spec = MODEL_REGISTRY[MODEL]
-    model = spec.build().eval()
-    exact = [probe(model, spec, batch, options.rounds)
-             for batch in options.batch or (1, 4)]
+    exact = []
+    for name in options.model or (OURS,):
+        seed_everything(0)
+        spec = MODEL_REGISTRY[name]
+        model = spec.build().eval()
+        exact += [probe(model, spec, batch, options.rounds)
+                  for batch in options.batch or (1, 4)]
     if not all(exact):
         raise SystemExit("compiled forward does not match model.forward")
 

@@ -2,11 +2,20 @@
 
 Each traced op is lowered to a :class:`Step` — a closure over constant
 operands and op parameters that reads its inputs from the runtime value
-environment and writes into buffers of the plan's workspace.  Builders
-reproduce the autograd ops' arithmetic exactly (same ufunc sequences,
-same matmul operands), which is what keeps float64 plans bit-exact
-against ``model.forward``; the only opt-in deviation is BatchNorm weight
-folding (see :mod:`repro.infer.plan`).
+environment and writes into buffers of the plan's workspace.  float64
+builders reproduce the autograd ops' arithmetic exactly (same ufunc
+sequences, same matmul operands), which is what keeps float64 plans
+bit-exact against ``model.forward``.  float32 plans, the served dtype,
+deviate where it pays, each within the engine's 1e-4 relative:
+
+* BatchNorm weight folding (see :mod:`repro.infer.plan`; opt-in at
+  float64);
+* ReLU, standalone or as a conv/matmul epilogue, is one ``maximum``
+  pass;
+* stride-1 conv2d with a kernel larger than 1x1 runs as kh row-GEMMs
+  over one kw-wide im2col (:func:`_conv2d_row_gemms`);
+* softmax over the last axis sums its rows with a GEMV against ones and
+  multiplies by their reciprocals.
 
 There are builders only for the ops the registered models run.  A traced
 op without one raises :class:`InferenceUnsupportedError` at compile
@@ -22,6 +31,7 @@ Output kinds:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -232,11 +242,29 @@ def _build_softmax(index, node, ctx):
     reduced[axis % len(reduced)] = 1
     reduce_spec = (tuple(reduced), ctx.dtype)
     target = ctx.try_inplace(node, 0)
+    if ctx.dtype == np.float32 and axis % len(reduced) == len(reduced) - 1:
+        # serving mode: each image's row sums as one GEMV against ones,
+        # and a multiply by their reciprocals instead of a divide
+        n, length = node.shape[0], node.shape[-1]
+        ones = np.ones(length, dtype=ctx.dtype)
 
-    def run(env, out, scratch):
-        buf = env[target] if target is not None else out
-        return F.softmax_kernel(_val(a, env), axis, out=buf,
-                                reduce_buf=scratch[0])
+        def run(env, out, scratch):
+            x = _val(a, env)
+            buf = env[target] if target is not None else out
+            sums = scratch[0]
+            np.amax(x, axis=-1, keepdims=True, out=sums)
+            np.subtract(x, sums, out=buf)
+            np.exp(buf, out=buf)
+            np.matmul(buf.reshape(n, -1, length), ones,
+                      out=sums.reshape(n, -1))
+            np.reciprocal(sums, out=sums)
+            np.multiply(buf, sums, out=buf)
+            return buf
+    else:
+        def run(env, out, scratch):
+            buf = env[target] if target is not None else out
+            return F.softmax_kernel(_val(a, env), axis, out=buf,
+                                    reduce_buf=scratch[0])
     if target is not None:
         return Step(index, None, [reduce_spec], run, kind="alias",
                     source=target)
@@ -248,9 +276,12 @@ def _build_mean(index, node, ctx):
     a = ctx.resolve(node.inputs[0])
     axis = node.meta["axis"]
     keepdims = node.meta["keepdims"]
+    count = math.prod(ctx.shape_of(node.inputs[0])) // math.prod(node.shape)
 
     def run(env, out, scratch):
-        np.mean(_val(a, env), axis=axis, keepdims=keepdims, out=out)
+        # np.mean's own arithmetic without its Python wrapper
+        np.add.reduce(_val(a, env), axis=axis, keepdims=keepdims, out=out)
+        np.true_divide(out, count, out=out)
         return out
     return Step(index, ctx.spec(node), [], run)
 
@@ -346,6 +377,9 @@ def _build_conv2d(index, node, ctx):
 
     n, _, height, width = ctx.shape_of(xref)
     oh, ow = node.shape[2], node.shape[3]
+    if ctx.dtype == np.float32 and stride == 1 and kh * kw > 1:
+        return _conv2d_row_gemms(index, node, ctx, x_src, weight, bias4,
+                                 ep_biases)
     fast_1x1 = (kh == 1 and kw == 1 and stride == 1 and padding == 0
                 and ctx.is_contiguous(xref))
 
@@ -388,6 +422,69 @@ def _build_conv2d(index, node, ctx):
             np.add(out, extra, out=out)
         if ep_relu:
             apply_relu(out, scratch, mask_slot)
+        return out
+    return Step(index, ctx.spec(node), scratch_specs, run)
+
+
+def _conv2d_row_gemms(index, node, ctx, x_src, weight, bias4, ep_biases):
+    """float32 stride-1 conv2d as kh row-GEMMs over one kw-wide im2col.
+
+    One strided copy builds ``rows[(c, j), q] = padded_flat[c, q + j]``
+    for ``q < hp·wp``.  Kernel row ``i`` multiplies ``W[:, :, i, :]`` by
+    the window ``rows[:, i·wp : i·wp + oh·wp]``, a contiguous column range
+    of each image's matrix (no copy), and the kh products accumulate in a
+    wide ``(f, oh·wp)`` buffer: output pixel ``(y, x)`` sits in column
+    ``y·wp + x``, and the ``wp - ow`` wrap-around columns of each output
+    row are cropped by the epilogue's read.  The padded scratch carries
+    one spare zero row, so the shifted rows of the last kernel row stay
+    inside it.  Splitting the K sum by kernel row rounds differently from
+    one im2col GEMM, so float64 plans keep im2col.
+    """
+    padding = node.meta["padding"]
+    f, c, kh, kw = weight.shape
+    n, _, height, width = ctx.shape_of(node.inputs[0])
+    oh, ow = node.shape[2], node.shape[3]
+    hp, wp = height + 2 * padding, width + 2 * padding
+    span = oh * wp
+    w_rows = np.ascontiguousarray(
+        weight.transpose(2, 0, 1, 3)).reshape(kh, f, c * kw)
+    windows = [slice(i * wp, i * wp + span) for i in range(kh)]
+    itemsize = ctx.dtype.itemsize
+    rows_shape = (n, c, kw, hp * wp)
+    # rows_shape read off the padded scratch: each (c, j) row starts j
+    # elements into channel c's flat plane
+    shift_strides = ((c * (hp + 1) * wp) * itemsize, (hp + 1) * wp * itemsize,
+                     itemsize, itemsize)
+    ep_relu = node.ep_relu
+    # padded input, rows, the wide accumulator and one kernel row's product
+    scratch_specs = [((n, c, hp + 1, wp), ctx.dtype),
+                     ((n, c * kw, hp * wp), ctx.dtype),
+                     ((n, f, span), ctx.dtype), ((n, f, span), ctx.dtype)]
+
+    def run(env, out, scratch):
+        padded, rows, acc, part = scratch
+        padded[:, :, :padding] = 0.0
+        padded[:, :, padding + height:] = 0.0
+        interior = padded[:, :, padding:padding + height]
+        interior[..., :padding] = 0.0
+        interior[..., padding + width:] = 0.0
+        interior[..., padding:padding + width] = _val(x_src, env)
+        np.copyto(rows.reshape(rows_shape),
+                  np.ndarray(rows_shape, padded.dtype, padded, 0,
+                             shift_strides))
+        np.matmul(w_rows[0], rows[:, :, windows[0]], out=acc)
+        for i in range(1, kh):
+            np.matmul(w_rows[i], rows[:, :, windows[i]], out=part)
+            np.add(acc, part, out=acc)
+        cropped = acc.reshape(n, f, oh, wp)[..., :ow]
+        if bias4 is not None:
+            np.add(cropped, bias4, out=out)
+        else:
+            np.copyto(out, cropped)
+        for extra in ep_biases:
+            np.add(out, extra, out=out)
+        if ep_relu:
+            np.maximum(out, 0.0, out=out)   # float32's ReLU epilogue
         return out
     return Step(index, ctx.spec(node), scratch_specs, run)
 

@@ -13,8 +13,10 @@ Two extra surfaces exist for the grad-free inference engine
   outside a conv/matmul step is a plain ndarray-in/ndarray-out function
   (``max_pool2d_kernel``, ``sigmoid_kernel``, ...) reusable without any
   Tensor wrapping; the autograd ops and the inference engine share this
-  arithmetic (the engine's conv steps reuse ``_im2col_into`` and
-  ``_col2im``), which is what keeps the engine bit-exact at float64;
+  arithmetic (the engine's float64 conv steps reuse ``_im2col_into``,
+  its conv-transpose steps ``_col2im``), which is what keeps the engine
+  bit-exact at float64; float32 plans lower conv2d and softmax their own
+  way (see :mod:`repro.infer.steps`);
 * **trace hook** — :func:`set_trace_hook` installs a callback that
   observes every op (name, output, parents, params) as a model runs, so
   the engine can compile a module's forward into a flat kernel plan.
