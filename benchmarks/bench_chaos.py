@@ -441,8 +441,7 @@ def test_chaos_selfheal_gauntlet(bench_suite, artifact_dir):
                          batch_window_s=0.0, watchdog_s=0.75,
                          heartbeat_s=0.02, stale_after_s=30.0,
                          breaker_enabled=True, breaker_window=16,
-                         breaker_threshold=0.5, breaker_min_requests=4,
-                         breaker_cooldown_s=2.0, breaker_probes=1)
+                         breaker_min_requests=4, breaker_cooldown_s=2.0)
     outcomes = []
     service = PredictionService(spec, config).start()
     try:

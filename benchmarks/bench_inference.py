@@ -53,7 +53,7 @@ perf = pytest.mark.perf
 
 EDGE = knobs.read("REPRO_EVAL_EDGE")
 POINTS = knobs.read("REPRO_EVAL_POINTS")
-ROUNDS = knobs.read("REPRO_BENCH_INFER_ROUNDS")
+ROUNDS = 7  # timed rounds per measurement
 
 REC = recorder("inference", "perf")
 

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import knobs, nn
+from repro import nn
 from repro.data.case import CaseBundle
 from repro.faults import degrade
 from repro.features.resize import restore_map
@@ -55,22 +55,7 @@ from repro.train.loader import (
     _resolve_cache,
 )
 
-__all__ = ["IRPredictor", "ForwardGroupStats",
-           "resolve_engine_mode", "split_forward_time"]
-
-
-def resolve_engine_mode(engine: Union[bool, str, None] = "auto") -> Union[bool, str]:
-    """Resolve the engine knob: explicit bool/string > ``REPRO_INFER_ENGINE``
-    > ``"auto"`` (use the engine, fall back to autograd if a model cannot
-    be compiled).  Unrecognised values raise — both as an argument and
-    from the environment — so a typo can never silently enable the mode
-    it meant to disable."""
-    if engine is None or engine == "auto":
-        return knobs.read("REPRO_INFER_ENGINE")
-    if engine in (True, False):
-        return engine
-    return knobs.KNOBS["REPRO_INFER_ENGINE"].parse(str(engine).strip(),
-                                                   source="engine")
+__all__ = ["IRPredictor", "ForwardGroupStats", "split_forward_time"]
 
 
 def split_forward_time(total_seconds: float,
@@ -131,12 +116,13 @@ class IRPredictor:
     the model with the grad-free inference engine and silently falls back
     to the autograd forward if compilation fails, ``True`` requires the
     engine (compile errors propagate), ``False`` forces the autograd
-    path.  ``infer_dtype`` picks the engine precision (``None`` honours
-    ``REPRO_INFER_DTYPE``, defaulting to float32; ``"float64"`` is
-    bit-exact against autograd).  The engine snapshots weights at first
-    use; ``load_state_dict`` bumps the model's ``state_version`` so
-    compiled plans are invalidated automatically on the next prediction
-    (a serving hot-swap never serves stale folded weights).  Direct
+    path; any other value raises ``ValueError``.  ``infer_dtype`` picks
+    the engine precision (``None`` honours ``REPRO_INFER_DTYPE``,
+    defaulting to float32; ``"float64"`` is bit-exact against autograd).
+    The engine snapshots weights at first use; ``load_state_dict`` bumps
+    the model's ``state_version`` so compiled plans are invalidated
+    automatically on the next prediction (a serving hot-swap never serves
+    stale folded weights).  Direct
     ``param.data`` mutation is invisible to the version counter — call
     :meth:`refresh_engine` after hand-editing weights.
     """
@@ -160,7 +146,10 @@ class IRPredictor:
         self.tta_seed = tta_seed
         self.batched = batched
         self.group_size = group_size
-        self.engine_mode = resolve_engine_mode(engine)
+        if engine != "auto" and engine is not True and engine is not False:
+            raise ValueError(
+                f"engine= must be \"auto\", True or False, got {engine!r}")
+        self.engine_mode = engine
         self.infer_dtype = infer_dtype
         self.prep_cache = _resolve_cache(prep_cache)
         """Optional :class:`PreparedCaseCache`: steady-state serving of a

@@ -24,7 +24,13 @@ from repro.core.pipeline import IRPredictor
 from repro.core.registry import MODEL_REGISTRY, OURS
 from repro.data.dataset import IRDropDataset
 from repro.data.synthesis import BenchmarkSuite
-from repro.eval.harness import EvalConfig, evaluate_predictor
+from repro.eval.harness import (
+    FAKE_OVERSAMPLE,
+    HOTSPOT_WEIGHT,
+    REAL_OVERSAMPLE,
+    EvalConfig,
+    evaluate_predictor,
+)
 from repro.features.stack import ALL_CHANNELS
 from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
@@ -94,16 +100,15 @@ def run_ablation(suite: BenchmarkSuite,
         preprocessor.fit(suite.training_cases)
         dataset = IRDropDataset.with_oversampling(
             suite.training_cases,
-            fake_times=config.fake_oversample,
-            real_times=config.real_oversample,
+            fake_times=FAKE_OVERSAMPLE,
+            real_times=REAL_OVERSAMPLE,
         )
         trainer = Trainer(model, preprocessor, TrainConfig(
             epochs=max(1, int(round(config.epochs * spec.epoch_fraction))),
             pretrain_epochs=config.pretrain_epochs if ablation.use_lnt else 0,
             batch_size=config.batch_size,
-            lr=config.lr,
             augment=ablation.augment,
-            hotspot_weight=config.hotspot_weight,
+            hotspot_weight=HOTSPOT_WEIGHT,
             seed=config.seed,
         ))
         start = time.perf_counter()

@@ -37,6 +37,13 @@ from repro.train.trainer import TrainConfig, Trainer
 __all__ = ["EvalConfig", "ComparisonResult", "SuiteSource",
            "train_predictor", "evaluate_predictor", "run_comparison"]
 
+#: fake- and real-case oversampling per epoch (before a model's own
+#: augmentation multiplier)
+FAKE_OVERSAMPLE, REAL_OVERSAMPLE = 1, 3
+#: loss weight of hotspot pixels (see ``TrainConfig.hotspot_weight``);
+#: the learning rate is ``TrainConfig``'s, the paper's Adam 1e-3
+HOTSPOT_WEIGHT = 6.0
+
 SuiteSource = Union[BenchmarkSuite, ShardedSuiteDataset]
 """What the harness evaluates against: an in-memory suite or a lazy
 sharded dataset.  Both expose ``fake_cases`` / ``real_cases`` /
@@ -46,24 +53,18 @@ sharded dataset.  Both expose ``fake_cases`` / ``real_cases`` /
 @dataclass
 class EvalConfig:
     """Harness-level knobs; their CPU-scale defaults are declared with
-    their ``REPRO_EVAL_*`` / ``REPRO_INFER_*`` variables in
-    :mod:`repro.knobs`."""
+    their ``REPRO_EVAL_*`` / ``REPRO_INFER_DTYPE`` variables in
+    :mod:`repro.knobs`.  The training recipe's fixed parts (learning
+    rate, oversampling, hotspot weight) are module constants, and every
+    predictor compiles the inference engine, falling back to autograd
+    when a model cannot be compiled."""
 
     target_edge: int = knobs.field("REPRO_EVAL_EDGE")
     num_points: int = knobs.field("REPRO_EVAL_POINTS")
     epochs: int = knobs.field("REPRO_EVAL_EPOCHS")
     pretrain_epochs: int = knobs.field("REPRO_EVAL_PRETRAIN")
     batch_size: int = knobs.field("REPRO_EVAL_BATCH")
-    lr: float = knobs.field("REPRO_EVAL_LR")
-    fake_oversample: int = knobs.field("REPRO_EVAL_FAKE_OVERSAMPLE")
-    real_oversample: int = knobs.field("REPRO_EVAL_REAL_OVERSAMPLE")
-    hotspot_weight: float = knobs.field("REPRO_EVAL_HOTSPOT_WEIGHT")
     seed: int = knobs.field("REPRO_EVAL_SEED")
-    infer_engine: Union[bool, str] = knobs.field("REPRO_INFER_ENGINE")
-    """Forward executor for evaluation predictors: ``"auto"`` compiles
-    the grad-free inference engine (falling back to autograd when a model
-    cannot be compiled), ``True`` requires it, ``False`` forces the
-    autograd forward."""
     infer_dtype: Optional[str] = knobs.field("REPRO_INFER_DTYPE")
     """Inference-engine precision: ``None`` honours ``REPRO_INFER_DTYPE``
     and defaults to float32, the served precision; ``"float64"`` is
@@ -72,8 +73,8 @@ class EvalConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "EvalConfig":
-        """Build a config honouring ``REPRO_EVAL_*`` and ``REPRO_INFER_*``
-        environment variables; keyword overrides win."""
+        """Build a config honouring ``REPRO_EVAL_*`` and
+        ``REPRO_INFER_DTYPE``; keyword overrides win."""
         return knobs.build(cls, overrides)
 
 
@@ -144,8 +145,8 @@ def train_predictor(spec_name: str, suite: SuiteSource,
 
     dataset = IRDropDataset.with_oversampling(
         cases,
-        fake_times=config.fake_oversample * spec.augment_multiplier,
-        real_times=config.real_oversample * spec.augment_multiplier,
+        fake_times=FAKE_OVERSAMPLE * spec.augment_multiplier,
+        real_times=REAL_OVERSAMPLE * spec.augment_multiplier,
     )
     epochs = max(1, int(round(config.epochs * spec.epoch_fraction)))
     pretrain = config.pretrain_epochs if spec.uses_pointcloud else 0
@@ -153,8 +154,7 @@ def train_predictor(spec_name: str, suite: SuiteSource,
         epochs=epochs,
         pretrain_epochs=pretrain,
         batch_size=config.batch_size,
-        lr=config.lr,
-        hotspot_weight=config.hotspot_weight,
+        hotspot_weight=HOTSPOT_WEIGHT,
         seed=config.seed,
     ))
     start = time.perf_counter()
@@ -162,7 +162,6 @@ def train_predictor(spec_name: str, suite: SuiteSource,
     elapsed = time.perf_counter() - start
     predictor = IRPredictor(model, preprocessor, name=spec_name,
                             tta_samples=spec.tta_samples,
-                            engine=config.infer_engine,
                             infer_dtype=config.infer_dtype)
     return predictor, elapsed
 

@@ -27,11 +27,13 @@ one per lane (see :mod:`repro.infer.lanes`).  The caller runs shard 0;
 the module's lane pool runs the others, each over its own lane of the
 engine's arena, i.e. its own slab.  Plans are compiled (and validated,
 on lane 0's slab) per shard shape on the calling thread, so a batch of 8
-on two lanes compiles the batch-4 plan.  This relies on the forward
-treating rows independently, which every eval-mode model here does; the
-parity tests check it at batch >= 2 against ``model.forward`` on the
-whole batch.  Batch 1 runs on the
-caller exactly as without lanes.
+on two lanes compiles the batch-4 plan.  Sharding is only correct when
+the forward treats rows independently, which every eval-mode model here
+does; each plan records whether its trace shows that
+(``Plan.rows_independent``, decided once at compile time), and a batch
+whose shard plans do not is run whole on the caller instead.  The parity
+tests check sharded batches against ``model.forward`` on the whole
+batch.  Batch 1 runs on the caller exactly as without lanes.
 
 The engine snapshots weights at compile time: call :meth:`refresh` after
 mutating parameters (e.g. ``load_state_dict``) to drop stale plans.
@@ -71,14 +73,11 @@ def resolve_infer_dtype(dtype=None) -> np.dtype:
 class InferenceEngine:
     """Compile-and-replay executor for a fixed-weight model."""
 
-    def __init__(self, model, dtype=None, fold_bn: Optional[bool] = None,
-                 fuse: bool = True, validate: bool = True):
+    def __init__(self, model, dtype=None, fold_bn: Optional[bool] = None):
         self.model = model
         self.dtype = resolve_infer_dtype(dtype)
         self.fold_bn = (bool(fold_bn) if fold_bn is not None
                         else self.dtype == np.dtype("float32"))
-        self.fuse = bool(fuse)
-        self.validate = bool(validate)
         self.arena = BufferArena()
         self._plans: Dict[tuple, Plan] = {}
         self._const_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -124,13 +123,13 @@ class InferenceEngine:
     def compile(self, *args) -> Plan:
         """Trace and compile a plan for this input signature (cached).
 
-        With ``validate`` (the default) the fresh plan is replayed on a
-        *perturbed* copy of the inputs and checked against the autograd
-        forward before being accepted.  The trace cannot see raw-numpy
-        computation a forward performs on ``.data`` between traced ops —
-        such values would be silently baked into the plan as the first
-        batch's constants — so any input dependence the plan fails to
-        reproduce is caught here and surfaces as
+        The fresh plan is replayed on a *perturbed* copy of the inputs
+        and checked against the autograd forward before being accepted.
+        The trace cannot see raw-numpy computation a forward performs on
+        ``.data`` between traced ops — such values would be silently
+        baked into the plan as the first batch's constants — so any input
+        dependence the plan fails to reproduce is caught here and
+        surfaces as
         :class:`InferenceUnsupportedError` (an ``"auto"`` predictor then
         falls back to autograd instead of serving corrupt outputs).
         """
@@ -142,10 +141,9 @@ class InferenceEngine:
             trace = trace_module(self.model, arrays)
             arg_contiguous = {index: arrays[index].flags.c_contiguous
                               for index in range(len(arrays))}
-            plan = compile_plan(trace, self.dtype, self.fold_bn, self.fuse,
+            plan = compile_plan(trace, self.dtype, self.fold_bn,
                                 self._const, arg_contiguous)
-            if self.validate:
-                self._validate_plan(plan, arrays)
+            self._validate_plan(plan, arrays)
             self._plans[signature] = plan
         return plan
 
@@ -180,9 +178,10 @@ class InferenceEngine:
     def run(self, *args) -> np.ndarray:
         """One forward; returns a fresh array in the engine dtype.
 
-        A batch of several rows is sharded over the lanes (see the
-        module docstring); an error raised in any lane reaches the
-        caller once every lane has finished.
+        A batch of several rows is sharded over the lanes when its plans
+        keep rows independent (see the module docstring); an error
+        raised in any lane reaches the caller once every lane has
+        finished.
         """
         if getattr(self.model, "training", False):
             raise InferenceUnsupportedError(
@@ -190,11 +189,17 @@ class InferenceEngine:
         self._drop_stale_plans()
         arrays = tuple(np.asarray(arg) for arg in args)
         bounds = self._shards(arrays)
-        if len(bounds) == 1:
-            return self._plan_for(arrays).run(arrays, self.arena)
-        shards = [tuple(array[start:stop] for array in arrays)
-                  for start, stop in bounds]
-        plans = [self._plan_for(shard) for shard in shards]
+        if len(bounds) > 1:
+            shards = [tuple(array[start:stop] for array in arrays)
+                      for start, stop in bounds]
+            plans = [self._plan_for(shard) for shard in shards]
+            if all(plan.rows_independent for plan in plans):
+                return self._run_lanes(plans, shards)
+        return self._plan_for(arrays).run(arrays, self.arena)
+
+    def _run_lanes(self, plans, shards) -> np.ndarray:
+        """Run shard ``i`` with ``plans[i]`` on lane ``i``; the caller
+        runs lane 0."""
         arenas = [self.arena.lane(index) for index in range(len(shards))]
         pool = lanes.executor()
         futures = [pool.submit(plan.run, shard, arena) for plan, shard, arena

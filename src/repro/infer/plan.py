@@ -10,10 +10,10 @@
    ConvTranspose2d / Linear-matmul is folded into the producer's weights
    and bias.  This changes summation order (≈1 ulp at float64), so it is
    off in the bit-exact default and on in reduced-precision mode;
-3. **epilogue fusion** (``fuse``) — a constant bias-add and/or ReLU that
-   solely consumes a conv/matmul output becomes an in-place epilogue of
-   that step.  Both rewrites are arithmetic-identical to the unfused op
-   sequence, so they stay on in the bit-exact default;
+3. **epilogue fusion** — a constant bias-add and/or ReLU that solely
+   consumes a conv/matmul output becomes an in-place epilogue of that
+   step.  Both rewrites are arithmetic-identical to the unfused op
+   sequence, so they run in the bit-exact float64 plans too;
 4. **dead-code elimination** and **in-place planning** — single-consumer
    elementwise ops write into their dying input's buffer;
 5. **liveness and layout** — every owned buffer lives from the step that
@@ -22,6 +22,11 @@
    of one workspace, packed greedily by size.  A run binds those offsets
    to its lane's slab (see :mod:`repro.infer.arena`) and makes no
    per-step allocation or arena call.
+
+Alongside, :func:`_rows_independent` reads the trace once to decide
+whether the forward keeps batch rows apart, which is what lets
+:meth:`~repro.infer.engine.InferenceEngine.run` split a batch over
+lanes (``Plan.rows_independent``).
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ __all__ = ["Plan", "compile_plan"]
 
 _FOLDABLE_PRODUCERS = ("conv2d", "conv_transpose2d", "matmul")
 _AFFINE_OPS = ("add", "sub", "mul")
+_ELEMENTWISE_OPS = ("add", "sub", "mul", "pow", "exp", "log", "sigmoid",
+                    "relu", "gelu")
+_NCHW_OPS = ("conv2d", "conv_transpose2d", "max_pool2d")
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +308,118 @@ def _fuse_epilogues(nodes, const_of, dead, ctx, out_ref):
 
 
 # ----------------------------------------------------------------------
+# Row independence
+# ----------------------------------------------------------------------
+def _constant_varies(inputs, out: int, ndim: int) -> bool:
+    """Whether a constant input, right-aligned with an ``ndim``-axis
+    output as broadcasting does, differs along output axis ``out``."""
+    return any(axis is None and 0 <= out - ndim + len(shape)
+               and shape[out - ndim + len(shape)] != 1
+               for axis, shape in inputs)
+
+
+def _batch_axis(node: TraceNode, inputs) -> Optional[int]:
+    """The batch axis of ``node``'s output, given ``(axis, shape)`` per
+    input (axis ``None`` for a constant), or ``None`` when the op mixes
+    batch rows or its rows cannot be followed."""
+    op, meta, ndim = node.op, node.meta, len(node.shape)
+    carried = [axis for axis, _ in inputs if axis is not None]
+    if op in _ELEMENTWISE_OPS:
+        # broadcasting right-aligns every input with the output
+        aligned = {axis + ndim - len(shape) for axis, shape in inputs
+                   if axis is not None}
+        if len(aligned) != 1:
+            return None
+        out = aligned.pop()
+        return None if _constant_varies(inputs, out, ndim) else out
+    if op in _NCHW_OPS:  # weights and bias are constants
+        return 0 if carried == [0] and inputs[0][0] == 0 else None
+    if op == "concat":
+        axis = meta["axis"] % ndim
+        if len(carried) != len(inputs) or len(set(carried)) != 1 \
+                or carried[0] == axis:
+            return None
+        return carried[0]
+    if op == "matmul":
+        (a, a_shape), (b, b_shape) = inputs
+        if len(a_shape) < 2 or len(b_shape) < 2:
+            return None
+        outs = set()
+        for axis, shape, contracted in ((a, a_shape, len(a_shape) - 1),
+                                        (b, b_shape, len(b_shape) - 2)):
+            if axis is not None:
+                if axis == contracted:
+                    return None
+                outs.add(axis + ndim - len(shape))
+        if len(outs) != 1:
+            return None
+        out = outs.pop()
+        # on a stacked axis a constant operand must broadcast
+        if out < ndim - 2 and _constant_varies(inputs, out, ndim):
+            return None
+        return out
+    if len(carried) != 1:
+        return None
+    axis = carried[0]
+    if op == "softmax":
+        return None if meta["axis"] % ndim == axis else axis
+    if op == "mean":
+        reduced = meta["axis"]
+        if reduced is None:
+            return None
+        in_ndim = len(inputs[0][1])
+        reduced = {r % in_ndim for r in (
+            reduced if isinstance(reduced, (tuple, list)) else (reduced,))}
+        if axis in reduced:
+            return None
+        return axis if meta["keepdims"] else axis - sum(
+            r < axis for r in reduced)
+    if op == "transpose":
+        axes = meta["axes"]
+        return (ndim - 1 - axis) if axes is None else list(axes).index(axis)
+    if op == "reshape":
+        # the rows stay whole where the output has an axis of the batch
+        # size with the same product of sizes before it; at one row per
+        # shard any size-1 axis qualifies, so an ambiguous reshape that
+        # moves the axis counts as mixing
+        shape = inputs[0][1]
+        before, rows = math.prod(shape[:axis]), shape[axis]
+        fits = [at for at in range(ndim) if node.shape[at] == rows
+                and math.prod(node.shape[:at]) == before]
+        if axis in fits:
+            return axis
+        return fits[0] if len(fits) == 1 else None
+    return None
+
+
+def _rows_independent(trace: Trace) -> bool:
+    """Whether the traced forward keeps batch rows apart: axis 0 of the
+    inputs can be followed through every op to axis 0 of the output,
+    and no op reduces, normalises, concatenates or contracts over it or
+    meets a constant that differs along it.  Only such a forward may be
+    split row-wise over lanes; anything this cannot follow counts as
+    mixing rows."""
+    nodes = trace.nodes
+    axes: List[Optional[int]] = [None] * len(nodes)
+    for i, node in enumerate(nodes):
+        if node.op == "arg":
+            if not node.shape:
+                return False
+            axes[i] = 0
+            continue
+        inputs = [(None, ref[1].shape) if ref[0] == "const"
+                  else (axes[ref[1]], nodes[ref[1]].shape)
+                  for ref in node.inputs]
+        if all(axis is None for axis, _ in inputs):
+            continue  # computed from constants only
+        axes[i] = _batch_axis(node, inputs)
+        if axes[i] is None:
+            return False
+    kind, payload = trace.out_ref
+    return kind == "node" and axes[payload] == 0
+
+
+# ----------------------------------------------------------------------
 # Plan
 # ----------------------------------------------------------------------
 class Plan:
@@ -308,18 +428,20 @@ class Plan:
     ``buffers`` holds ``(offset, shape, dtype)`` per owned buffer, in the
     order a run first needs them; ``workspace_nbytes`` is the workspace
     they pack into.  Arg casts name their buffer in ``arg_plan``, steps
-    in ``out_slot`` and ``scratch_slots``.
+    in ``out_slot`` and ``scratch_slots``.  ``rows_independent`` says
+    whether a batch may be split row-wise into shards run by separate
+    plans (see :func:`_rows_independent`).
     """
 
     __slots__ = ("steps", "n_nodes", "n_args", "arg_plan", "out_index",
                  "out_const", "dtype", "buffers", "workspace_nbytes",
-                 "__weakref__")
+                 "rows_independent", "__weakref__")
 
     def __init__(self, steps: List[Step], n_nodes: int, n_args: int,
                  arg_plan, out_index: Optional[int],
                  out_const: Optional[np.ndarray], dtype,
                  buffers: List[Tuple[int, tuple, np.dtype]],
-                 workspace_nbytes: int):
+                 workspace_nbytes: int, rows_independent: bool):
         self.steps = steps
         self.n_nodes = n_nodes
         self.n_args = n_args
@@ -329,6 +451,7 @@ class Plan:
         self.dtype = np.dtype(dtype)
         self.buffers = buffers
         self.workspace_nbytes = workspace_nbytes
+        self.rows_independent = rows_independent
 
     def bind(self, slab: np.ndarray):
         """The plan's buffers as views of ``slab`` (at least
@@ -396,9 +519,10 @@ def _pack(sizes: List[int], lifetimes: List[Tuple[int, int]]):
 # ----------------------------------------------------------------------
 # Compiler
 # ----------------------------------------------------------------------
-def compile_plan(trace: Trace, dtype, fold_bn: bool, fuse: bool,
-                 const_fn, arg_contiguous: Dict[int, bool]) -> Plan:
+def compile_plan(trace: Trace, dtype, fold_bn: bool, const_fn,
+                 arg_contiguous: Dict[int, bool]) -> Plan:
     nodes = trace.nodes
+    rows_independent = _rows_independent(trace)
     const_of: List[Optional[np.ndarray]] = [None] * len(nodes)
     dead: set = set()
     ctx = _BuildContext(nodes, const_of, {}, dtype, const_fn, arg_contiguous)
@@ -418,8 +542,7 @@ def compile_plan(trace: Trace, dtype, fold_bn: bool, fuse: bool,
     # 2./3. graph rewrites
     if fold_bn:
         _fold_batchnorm(nodes, const_of, dead, ctx, trace.out_ref)
-    if fuse:
-        _fuse_epilogues(nodes, const_of, dead, ctx, trace.out_ref)
+    _fuse_epilogues(nodes, const_of, dead, ctx, trace.out_ref)
 
     # 4. reachability from the output
     out_kind, out_payload = ctx.resolve_ref(trace.out_ref)
@@ -540,4 +663,5 @@ def compile_plan(trace: Trace, dtype, fold_bn: bool, fuse: bool,
     out_index = out_payload if out_kind == "node" else None
     out_const = out_payload if out_kind == "const" else None
     return Plan(steps, len(nodes), trace.n_args, arg_plan, out_index,
-                out_const, plan_dtype, buffers, workspace_nbytes)
+                out_const, plan_dtype, buffers, workspace_nbytes,
+                rows_independent)

@@ -25,11 +25,9 @@ _FLAGS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _flag(text: str, allowed: Tuple[str, ...] = ()):
-    if text.lower() in allowed:
-        return text.lower()
+def _flag(text: str) -> bool:
     if text.lower() not in _FLAGS:
-        raise ValueError(f"expected one of {allowed + tuple(_FLAGS)}")
+        raise ValueError(f"expected one of {tuple(_FLAGS)}")
     return _FLAGS[text.lower()]
 
 
@@ -40,7 +38,6 @@ RULES = {
     "ms": lambda text: float(text) / 1000.0,
     "ms/off": lambda text: float(text) / 1000.0 or None,
     "flag": _flag,
-    "auto/flag": lambda text: _flag(text, ("auto",)),
     "choice": str.lower,
 }
 
@@ -49,7 +46,6 @@ BOUNDS = {
     ">= 0": lambda value: value >= 0,
     ">= 1": lambda value: value >= 1,
     "> 0": lambda value: value > 0,
-    "in (0, 1]": lambda value: 0 < value <= 1,
 }
 
 
@@ -115,17 +111,7 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_EVAL_PRETRAIN", "int", "3",
          "pre-train epochs on fake cases (`python -m repro.ingest` 0)"),
     Knob("REPRO_EVAL_BATCH", "int", "4", "training batch size"),
-    Knob("REPRO_EVAL_LR", "float", "1e-3", "learning rate"),
-    Knob("REPRO_EVAL_FAKE_OVERSAMPLE", "int", "1",
-         "fake-case oversampling per epoch"),
-    Knob("REPRO_EVAL_REAL_OVERSAMPLE", "int", "3",
-         "real-case oversampling per epoch"),
-    Knob("REPRO_EVAL_HOTSPOT_WEIGHT", "float", "6.0",
-         "loss weight of hotspot pixels"),
     Knob("REPRO_EVAL_SEED", "int", "0", "training RNG seed"),
-    Knob("REPRO_INFER_ENGINE", "auto/flag", "auto",
-         "`auto` compiles the inference engine and falls back to "
-         "autograd; on requires it; off forces autograd"),
     Knob("REPRO_INFER_DTYPE", "choice", "",
          "engine precision; unset: float32 with BatchNorm folded; "
          "float64 is bit-exact against autograd",
@@ -139,8 +125,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "hidden testcases" + _SUITE.format(10, 6, 1)),
     Knob("REPRO_BENCH_SEED", "int", "",
          "suite RNG seed" + _SUITE.format(3, 3, 0)),
-    Knob("REPRO_BENCH_INFER_ROUNDS", "int", "7",
-         "timed rounds of `benchmarks/bench_inference.py`"),
     # serving (ServeConfig)
     Knob("REPRO_SERVE_WORKERS", "int >= 1", "1",
          "worker count (threads or processes)"),
@@ -163,8 +147,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "first re-dispatch delay after a worker death"),
     Knob("REPRO_SERVE_BACKOFF_CAP_MS", "ms", "500",
          "re-dispatch delay ceiling"),
-    Knob("REPRO_SERVE_MAX_RESPAWNS", "int >= 0", "8",
-         "worker respawns before the pool declares itself failed"),
     Knob("REPRO_CHAOS_SEED", "int", "1337",
          "pinned `FaultPlan` seed of the chaos and self-heal benches"),
     # self-healing
@@ -177,24 +159,12 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_SERVE_BREAKER", "flag", "on", "circuit breaker on/off"),
     Knob("REPRO_SERVE_BREAKER_WINDOW", "int >= 1", "32",
          "sliding outcome window, requests"),
-    Knob("REPRO_SERVE_BREAKER_THRESHOLD", "float in (0, 1]", "0.5",
-         "failure rate in (0, 1] that opens the circuit"),
     Knob("REPRO_SERVE_BREAKER_MIN", "int >= 1", "8",
          "outcomes in the window before the breaker may trip"),
     Knob("REPRO_SERVE_BREAKER_COOLDOWN_MS", "ms >= 0", "1000",
          "open -> half-open delay"),
-    Knob("REPRO_SERVE_BREAKER_PROBES", "int >= 1", "1",
-         "concurrent half-open probes"),
-    Knob("REPRO_SERVE_GUARD_MIN_V", "float", "0.0",
-         "lowest plausible served IR drop, V"),
-    Knob("REPRO_SERVE_GUARD_MAX_V", "float", "10.0",
-         "highest plausible served IR drop, V"),
     Knob("REPRO_SERVE_AUDIT_EVERY", "int >= 0", "0",
          "golden re-solve of ~1/N fulfilled results; 0 = off"),
-    Knob("REPRO_SERVE_AUDIT_DIVERGENCE_V", "float > 0", "0.5",
-         "worst-pixel served-vs-golden gap, V, that trips the breaker"),
-    Knob("REPRO_SERVE_DRAIN_MS", "ms > 0", "30000",
-         "drain deadline of the SIGTERM/SIGINT shutdown handlers"),
 )}
 
 _TABLE_DEFAULT = object()

@@ -6,9 +6,8 @@ minimal reverse-mode autodiff engine on top of numpy (see EXPERIMENTS.md,
 node in a dynamic DAG; :meth:`Tensor.backward` walks the DAG in reverse
 topological order and accumulates gradients.
 
-Only the plumbing lives here; the actual operators are defined in
-:mod:`repro.nn.functional` and attached to :class:`Tensor` as thin method
-wrappers.
+Only the plumbing lives here; the operators are the functions of
+:mod:`repro.nn.functional`, which the models call directly.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ class Tensor:
         _backward_fn: Optional[Callable[[np.ndarray], None]] = None,
     ):
         if isinstance(data, Tensor):
-            raise TypeError("wrap raw arrays, not Tensors; use tensor.detach()")
+            raise TypeError("wrap raw arrays, not Tensors; use Tensor(t.data)")
         array = np.asarray(data)
         if array.dtype != DEFAULT_DTYPE:
             array = array.astype(DEFAULT_DTYPE)
@@ -107,26 +106,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_item(self)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
-        return out
-
-    def clone(self) -> "Tensor":
-        """Return a detached copy of this tensor's data."""
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         grad_note = ", requires_grad=True" if self.requires_grad else ""
@@ -195,98 +176,6 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         return reversed(order)
-
-    # ------------------------------------------------------------------
-    # Operator sugar (implementations live in repro.nn.functional)
-    # ------------------------------------------------------------------
-    def __add__(self, other):
-        from repro.nn import functional as F
-
-        return F.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from repro.nn import functional as F
-
-        return F.sub(self, other)
-
-    def __rsub__(self, other):
-        from repro.nn import functional as F
-
-        return F.sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        from repro.nn import functional as F
-
-        return F.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        from repro.nn import functional as F
-
-        return F.div(self, other)
-
-    def __rtruediv__(self, other):
-        from repro.nn import functional as F
-
-        return F.div(as_tensor(other), self)
-
-    def __pow__(self, exponent):
-        from repro.nn import functional as F
-
-        return F.pow(self, exponent)
-
-    def __matmul__(self, other):
-        from repro.nn import functional as F
-
-        return F.matmul(self, other)
-
-    # Named method forms -------------------------------------------------
-    def reshape(self, *shape):
-        from repro.nn import functional as F
-
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return F.reshape(self, shape)
-
-    def transpose(self, *axes):
-        from repro.nn import functional as F
-
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return F.transpose(self, axes or None)
-
-    def sum(self, axis=None, keepdims=False):
-        from repro.nn import functional as F
-
-        return F.sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        from repro.nn import functional as F
-
-        return F.mean(self, axis=axis, keepdims=keepdims)
-
-    def exp(self):
-        from repro.nn import functional as F
-
-        return F.exp(self)
-
-    def log(self):
-        from repro.nn import functional as F
-
-        return F.log(self)
-
-    def relu(self):
-        from repro.nn import functional as F
-
-        return F.relu(self)
-
-    def sigmoid(self):
-        from repro.nn import functional as F
-
-        return F.sigmoid(self)
 
 
 class Parameter(Tensor):

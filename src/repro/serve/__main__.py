@@ -32,6 +32,9 @@ from repro.serve.worker import PredictorSpec
 from repro.train.loader import CasePreprocessor
 from repro.train.seed import seed_everything
 
+#: drain deadline of the SIGTERM/SIGINT shutdown, seconds
+DRAIN_S = 30.0
+
 
 class GracefulShutdown(SystemExit):
     """Raised by the signal handler on the interrupted (main) thread.
@@ -47,7 +50,6 @@ class GracefulShutdown(SystemExit):
 
 
 def install_signal_handlers(service: PredictionService,
-                            drain_timeout_s: float,
                             signals=(signal.SIGTERM, signal.SIGINT)):
     """Graceful shutdown on SIGTERM/SIGINT: request a drain-with-deadline.
 
@@ -60,7 +62,7 @@ def install_signal_handlers(service: PredictionService,
     ``SystemExit``): the interrupted frame unwinds — releasing whatever
     locks it held — and normal control flow (``except GracefulShutdown``
     in :func:`main`, mirrored by the shutdown tests) runs
-    ``service.stop(drain=True, timeout=drain_timeout_s)`` on a clean
+    ``service.stop(drain=True, timeout=DRAIN_S)`` on a clean
     stack, resolving every admitted ticket.  Repeat signals during the
     drain are ignored, not re-entered.  Returns the previous handlers so
     callers can restore them (must run on the main thread — a CPython
@@ -71,7 +73,7 @@ def install_signal_handlers(service: PredictionService,
     def _handler(signum, frame):
         name = signal.Signals(signum).name
         print(f"{name}: draining admitted requests "
-              f"(deadline {drain_timeout_s:g}s) ...",
+              f"(deadline {DRAIN_S:g}s) ...",
               file=sys.stderr, flush=True)
         for sig in previous:
             signal.signal(sig, signal.SIG_IGN)
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
           f"max_batch={config.max_batch}, "
           f"window={config.batch_window_s * 1e3:g}ms", flush=True)
     service = PredictionService(spec, config)
-    previous = install_signal_handlers(service, config.drain_s)
+    previous = install_signal_handlers(service)
     try:
         service.start()
         try:
@@ -196,13 +198,13 @@ def main(argv=None) -> int:
         except GracefulShutdown:
             # the handler only unwound the interrupted frame (lock-free
             # by design); the drain itself runs here, on a clean stack
-            service.stop(drain=True, timeout=config.drain_s)
+            service.stop(drain=True, timeout=DRAIN_S)
             stats = service.stats()
             print(f"drained: served={stats['served']} "
                   f"failed={stats['failed']}",
                   file=sys.stderr, flush=True)
             return 0
-        service.stop(drain=True, timeout=config.drain_s)
+        service.stop(drain=True, timeout=DRAIN_S)
     finally:
         service.stop()
         for sig, old in previous.items():

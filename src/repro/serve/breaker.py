@@ -4,17 +4,18 @@ When the pool starts failing most of what it touches — a crash-looping
 spec, a poisoned hot-swap, a dependency melting down — queueing more
 work just converts every new request into a slow failure.  The breaker
 watches a sliding window of per-request outcomes and, once the failure
-rate over at least ``min_requests`` observations reaches ``threshold``,
-*trips open*: new submits are shed immediately with a typed
-:class:`CircuitOpenError` instead of being admitted to a doomed queue.
+rate over at least ``min_requests`` observations reaches
+:data:`THRESHOLD`, *trips open*: new submits are shed immediately with a
+typed :class:`CircuitOpenError` instead of being admitted to a doomed
+queue.
 
-After ``cooldown_s`` the breaker *half-opens* and lets up to ``probes``
-requests through; one probe success closes it (window cleared — old
-failures don't instantly re-trip), one probe failure re-opens it for
-another cooldown.  A probe admission that resolves through a
+After ``cooldown_s`` the breaker *half-opens* and lets up to
+:data:`PROBES` requests through; one probe success closes it (window
+cleared — old failures don't instantly re-trip), one probe failure
+re-opens it for another cooldown.  A probe admission that resolves through a
 breaker-exempt path (shed at the queue, deadline-expired before
 dispatch, shutdown) never records an outcome — callers give the slot
-back via :meth:`CircuitBreaker.release`, and a ``probe_timeout_s``
+back via :meth:`CircuitBreaker.release`, and a probe-timeout
 backstop re-arms slots whose outcome never landed at all, so the
 breaker can never wedge in half-open with every probe "in flight"
 forever.  Every transition is recorded on the process-wide
@@ -41,6 +42,15 @@ __all__ = ["BREAKER_STATES", "CircuitOpenError", "CircuitBreaker"]
 
 BREAKER_STATES = ("closed", "open", "half_open")
 
+#: failure rate over the window that opens the circuit
+THRESHOLD = 0.5
+#: concurrent half-open probes
+PROBES = 1
+#: floor of the leaked-probe backstop, seconds: generous, because a real
+#: probe resolves within a request lifetime, so only a slot whose
+#: outcome was lost ever ages this long (see ``release()``)
+PROBE_TIMEOUT_S = 30.0
+
 
 class CircuitOpenError(ServeError):
     """The circuit breaker is open; the request was shed, not queued."""
@@ -59,37 +69,19 @@ class CircuitOpenError(ServeError):
 class CircuitBreaker:
     """Thread-safe closed / open / half-open failure-rate breaker."""
 
-    def __init__(self, window: int = 32, threshold: float = 0.5,
-                 min_requests: int = 8, cooldown_s: float = 1.0,
-                 probes: int = 1, probe_timeout_s: Optional[float] = None,
-                 name: str = "serve.breaker"):
+    def __init__(self, window: int = 32, min_requests: int = 8,
+                 cooldown_s: float = 1.0, name: str = "serve.breaker"):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(
-                f"threshold must be in (0, 1], got {threshold}")
         if min_requests < 1:
             raise ValueError(
                 f"min_requests must be >= 1, got {min_requests}")
         if cooldown_s < 0:
             raise ValueError(f"cooldown_s must be >= 0, got {cooldown_s}")
-        if probes < 1:
-            raise ValueError(f"probes must be >= 1, got {probes}")
-        if probe_timeout_s is not None and probe_timeout_s <= 0:
-            raise ValueError(
-                f"probe_timeout_s must be positive or None, "
-                f"got {probe_timeout_s}")
         self.window = int(window)
-        self.threshold = float(threshold)
         self.min_requests = int(min_requests)
         self.cooldown_s = float(cooldown_s)
-        self.probes = int(probes)
-        # backstop against leaked probe slots (see release()): generous
-        # by default — a real probe resolves within a request lifetime,
-        # so only a slot whose outcome was lost ever ages this long
-        self.probe_timeout_s = (float(probe_timeout_s)
-                                if probe_timeout_s is not None
-                                else max(30.0, 4.0 * self.cooldown_s))
+        self.probe_timeout_s = max(PROBE_TIMEOUT_S, 4.0 * self.cooldown_s)
         self.name = name
         self._lock = threading.Lock()
         self._outcomes: Deque[bool] = deque(maxlen=self.window)
@@ -139,7 +131,7 @@ class CircuitBreaker:
             if self._state == "closed":
                 return
             if self._state == "half_open" \
-                    and self._probes_inflight < self.probes:
+                    and self._probes_inflight < PROBES:
                 self._probes_inflight += 1
                 self._probe_granted_at = now
                 return
@@ -166,10 +158,10 @@ class CircuitBreaker:
                 return
             if self._state == "closed" \
                     and len(self._outcomes) >= self.min_requests \
-                    and self._rate_locked() >= self.threshold:
+                    and self._rate_locked() >= THRESHOLD:
                 self._open_locked(
                     f"failure rate {self._rate_locked():.0%} >= "
-                    f"{self.threshold:.0%} over {len(self._outcomes)} "
+                    f"{THRESHOLD:.0%} over {len(self._outcomes)} "
                     f"requests (last: {why})")
 
     def release(self) -> None:

@@ -3,7 +3,13 @@
 Every field has a ``REPRO_SERVE_*`` environment variable, declared with
 its default in :mod:`repro.knobs` (EXPERIMENTS.md "Knobs" lists them), so
 a deployed daemon is tuned without code changes;
-:meth:`ServeConfig.from_env` reads them.
+:meth:`ServeConfig.from_env` reads them.  Policies nothing tunes are
+module constants of the layer that applies them: the guard's volt
+bounds and the audit's divergence threshold (:mod:`repro.serve.guard`),
+the breaker's trip threshold and probe count
+(:mod:`repro.serve.breaker`), the respawn budget
+(:mod:`repro.serve.worker`) and the shutdown drain deadline
+(:mod:`repro.serve.__main__`).
 """
 
 from __future__ import annotations
@@ -43,21 +49,14 @@ class ServeConfig:
     deadline_s: "float | None" = knobs.field("REPRO_SERVE_DEADLINE_MS")
     backoff_base_s: float = knobs.field("REPRO_SERVE_BACKOFF_BASE_MS")
     backoff_cap_s: float = knobs.field("REPRO_SERVE_BACKOFF_CAP_MS")
-    max_respawns: int = knobs.field("REPRO_SERVE_MAX_RESPAWNS")
     watchdog_s: "float | None" = knobs.field("REPRO_SERVE_WATCHDOG_MS")
     heartbeat_s: float = knobs.field("REPRO_SERVE_HEARTBEAT_MS")
     stale_after_s: float = knobs.field("REPRO_SERVE_STALE_MS")
     breaker_enabled: bool = knobs.field("REPRO_SERVE_BREAKER")
     breaker_window: int = knobs.field("REPRO_SERVE_BREAKER_WINDOW")
-    breaker_threshold: float = knobs.field("REPRO_SERVE_BREAKER_THRESHOLD")
     breaker_min_requests: int = knobs.field("REPRO_SERVE_BREAKER_MIN")
     breaker_cooldown_s: float = knobs.field("REPRO_SERVE_BREAKER_COOLDOWN_MS")
-    breaker_probes: int = knobs.field("REPRO_SERVE_BREAKER_PROBES")
-    guard_min_v: float = knobs.field("REPRO_SERVE_GUARD_MIN_V")
-    guard_max_v: float = knobs.field("REPRO_SERVE_GUARD_MAX_V")
     audit_every: int = knobs.field("REPRO_SERVE_AUDIT_EVERY")
-    audit_divergence_v: float = knobs.field("REPRO_SERVE_AUDIT_DIVERGENCE_V")
-    drain_s: float = knobs.field("REPRO_SERVE_DRAIN_MS")
 
     def __post_init__(self) -> None:
         knobs.check(self)
@@ -65,10 +64,6 @@ class ServeConfig:
             raise ValueError(
                 f"backoff_cap_s must be >= backoff_base_s, "
                 f"got {self.backoff_cap_s} < {self.backoff_base_s}")
-        if not self.guard_max_v > self.guard_min_v:
-            raise ValueError(
-                f"guard_max_v must be > guard_min_v, "
-                f"got {self.guard_min_v} .. {self.guard_max_v}")
 
     @classmethod
     def from_env(cls, **overrides) -> "ServeConfig":

@@ -18,7 +18,7 @@ ticket is fulfilled:
 * :class:`OnlineAuditor` — asynchronous, sampled.  Roughly one in
   ``every`` *fulfilled* results is re-solved against the golden
   :class:`~repro.solver.factorized.FactorizedPDN` on a background
-  thread; a worst-pixel divergence beyond ``divergence_v`` means the
+  thread; a worst-pixel divergence beyond :data:`DIVERGENCE_V` means the
   model itself has gone wrong (bad hot-swap, poisoned weights), and the
   auditor records the degradation and trips the service's circuit
   breaker via its callback.  The audit is detection, not protection —
@@ -45,6 +45,16 @@ __all__ = ["INTEGRITY_CODES", "IntegrityError", "prediction_digest",
 
 #: The closed set of refusal reasons an :class:`IntegrityError` carries.
 INTEGRITY_CODES = ("checksum", "shape", "nan", "inf", "range")
+
+#: physically plausible served IR drop, volts: the predictor clamps its
+#: output non-negative, and a static drop cannot exceed the rail it is
+#: measured against, so the bounds are generous — the guard exists to
+#: catch *impossible* maps, not to second-guess marginal ones
+V_MIN, V_MAX = 0.0, 10.0
+#: worst-pixel served-vs-golden gap, volts, that trips the breaker
+DIVERGENCE_V = 0.5
+#: audit samples waiting for the solver; the oldest drops past this
+AUDIT_QUEUE_CAP = 8
 
 
 class IntegrityError(ServeError):
@@ -77,21 +87,10 @@ def prediction_digest(prediction: np.ndarray) -> str:
 
 
 class OutputGuard:
-    """Synchronous pre-fulfilment checks on every served prediction.
+    """Synchronous pre-fulfilment checks on every served prediction,
+    the range check against [:data:`V_MIN`, :data:`V_MAX`]."""
 
-    ``v_min``/``v_max`` bound the physically plausible IR drop in volts:
-    the predictor clamps its output non-negative, and a static drop
-    cannot exceed the rail it is measured against, so the defaults
-    (0 .. 10 V) are generous — the guard exists to catch *impossible*
-    maps, not to second-guess marginal ones.
-    """
-
-    def __init__(self, v_min: float = 0.0, v_max: float = 10.0):
-        if not v_max > v_min:
-            raise ValueError(
-                f"v_max must be > v_min, got {v_min} .. {v_max}")
-        self.v_min = float(v_min)
-        self.v_max = float(v_max)
+    def __init__(self):
         self._lock = threading.Lock()
         self._checked = 0
         self._refused: Dict[str, int] = {code: 0 for code in INTEGRITY_CODES}
@@ -131,11 +130,11 @@ class OutputGuard:
                              f"prediction contains Inf{suffix}")
             lo = float(prediction.min()) if prediction.size else 0.0
             hi = float(prediction.max()) if prediction.size else 0.0
-        if lo < self.v_min or hi > self.v_max:
+        if lo < V_MIN or hi > V_MAX:
             self._refuse("range",
                          f"prediction range [{lo:.6g}, {hi:.6g}] V outside "
-                         f"physical bounds [{self.v_min:g}, "
-                         f"{self.v_max:g}] V{suffix}")
+                         f"physical bounds [{V_MIN:g}, {V_MAX:g}] "
+                         f"V{suffix}")
 
     def _refuse(self, code: str, message: str) -> None:
         with self._lock:
@@ -172,21 +171,16 @@ class OnlineAuditor:
     :class:`AuditRecord`; the service wires it to ``breaker.trip``.
     """
 
-    def __init__(self, every: int, divergence_v: float = 0.5,
-                 on_divergence: Optional[Callable[[AuditRecord], None]] = None,
-                 queue_cap: int = 8):
+    def __init__(self, every: int,
+                 on_divergence: Optional[Callable[[AuditRecord], None]] = None):
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
-        if divergence_v <= 0:
-            raise ValueError(
-                f"divergence_v must be > 0, got {divergence_v}")
         self.every = int(every)
-        self.divergence_v = float(divergence_v)
         self.on_divergence = on_divergence
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._queue: Deque[Tuple[CaseBundle, np.ndarray]] = deque(
-            maxlen=max(1, int(queue_cap)))
+            maxlen=AUDIT_QUEUE_CAP)
         self._observed = 0
         self._sampled = 0
         self._dropped = 0
@@ -256,8 +250,7 @@ class OnlineAuditor:
             np.asarray(golden, dtype=np.float64))))
         record = AuditRecord(
             case_name=case.name, divergence_v=divergence,
-            threshold_v=self.divergence_v,
-            diverged=divergence > self.divergence_v)
+            threshold_v=DIVERGENCE_V, diverged=divergence > DIVERGENCE_V)
         with self._lock:
             self._audited += 1
             self._worst_v = max(self._worst_v, divergence)
@@ -267,7 +260,7 @@ class OnlineAuditor:
             record_degradation(
                 "serve.audit", "serving", "diverged",
                 f"served map for {case.name!r} off golden by "
-                f"{divergence:.3e} V (> {self.divergence_v:g} V)")
+                f"{divergence:.3e} V (> {DIVERGENCE_V:g} V)")
             if self.on_divergence is not None:
                 self.on_divergence(record)
 

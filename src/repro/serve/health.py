@@ -45,6 +45,9 @@ SERVICE_STATES = ("healthy", "degraded", "unhealthy")
 #: Version tag of the timeline JSON artifact uploaded by CI.
 HEALTH_TIMELINE_FORMAT = "lmm-ir-health-timeline-v1"
 
+#: health transitions the timeline keeps; the oldest drop past this
+TIMELINE_CAP = 512
+
 
 @dataclass(frozen=True)
 class WorkerHealth:
@@ -117,14 +120,10 @@ class HealthMonitor:
     any non-healthy worker or a half-open breaker is ``degraded``.
     """
 
-    def __init__(self, stale_after_s: float = 1.0,
-                 timeline_cap: int = 512):
+    def __init__(self, stale_after_s: float = 1.0):
         if stale_after_s <= 0:
             raise ValueError(
                 f"stale_after_s must be > 0, got {stale_after_s}")
-        if timeline_cap < 1:
-            raise ValueError(
-                f"timeline_cap must be >= 1, got {timeline_cap}")
         self.stale_after_s = float(stale_after_s)
         self._lock = threading.Lock()
         self._workers: Dict[str, _WorkerRecord] = {}
@@ -132,7 +131,7 @@ class HealthMonitor:
         self._deaths = 0
         self._suppressed = 0
         self._service_state = "healthy"
-        self._timeline: Deque[Dict[str, object]] = deque(maxlen=timeline_cap)
+        self._timeline: Deque[Dict[str, object]] = deque(maxlen=TIMELINE_CAP)
         self._epoch = time.perf_counter()
 
     # -- worker lifecycle ----------------------------------------------

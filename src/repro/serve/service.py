@@ -94,21 +94,17 @@ class PredictionService:
         self.queue = RequestQueue(self.config.queue_capacity)
         self.health_monitor = HealthMonitor(
             stale_after_s=self.config.stale_after_s)
-        self.guard = OutputGuard(v_min=self.config.guard_min_v,
-                                 v_max=self.config.guard_max_v)
+        self.guard = OutputGuard()
         self.breaker: Optional[CircuitBreaker] = None
         if self.config.breaker_enabled:
             self.breaker = CircuitBreaker(
                 window=self.config.breaker_window,
-                threshold=self.config.breaker_threshold,
                 min_requests=self.config.breaker_min_requests,
-                cooldown_s=self.config.breaker_cooldown_s,
-                probes=self.config.breaker_probes)
+                cooldown_s=self.config.breaker_cooldown_s)
         self.auditor: Optional[OnlineAuditor] = None
         if self.config.audit_every:
             self.auditor = OnlineAuditor(
                 every=self.config.audit_every,
-                divergence_v=self.config.audit_divergence_v,
                 on_divergence=self._on_divergence)
         self.pool = WorkerPool(spec, self.config, on_result=self._record,
                                on_failure=self._on_failure, guard=self.guard,

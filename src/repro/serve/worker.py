@@ -67,6 +67,9 @@ from repro.train.loader import CasePreprocessor
 
 __all__ = ["PredictorSpec", "WorkerPool"]
 
+#: worker respawns before the pool declares itself failed
+MAX_RESPAWNS = 8
+
 ResultCallback = Callable[[PredictionRequest, ServeResult], None]
 FailureCallback = Callable[[BaseException], None]
 
@@ -648,7 +651,7 @@ class WorkerPool:
 
     def _reap_dead(self) -> None:
         """Retry or fail a dead worker's batch, then respawn it within
-        the ``max_respawns`` budget (past it, the pool fails)."""
+        the :data:`MAX_RESPAWNS` budget (past it, the pool fails)."""
         config = self.config
         to_fail: List[Tuple[List[PredictionRequest], BaseException]] = []
         with self._lock:
@@ -692,7 +695,7 @@ class WorkerPool:
                                                     key=batch[0].id)
                         self._pending.appendleft(
                             (time.perf_counter() + delay, batch))
-                if self._respawns >= config.max_respawns:
+                if self._respawns >= MAX_RESPAWNS:
                     self.failed = (f"{self._respawns} worker respawns "
                                    f"exhausted (crash-looping spec?)")
                     record_degradation("serve.pool", "respawn", "failed",
@@ -704,7 +707,7 @@ class WorkerPool:
                     record_degradation(
                         "serve.pool", worker.name, "respawn",
                         f"{cause}; respawn {self._respawns}/"
-                        f"{config.max_respawns}")
+                        f"{MAX_RESPAWNS}")
                     self._spawn_locked()
             if self.failed is not None:
                 while self._pending:

@@ -52,30 +52,17 @@ class TestEvalConfig:
         """Every EvalConfig field is settable from the environment."""
         reference = EvalConfig(
             target_edge=24, num_points=48, epochs=5, pretrain_epochs=1,
-            batch_size=3, lr=2.5e-4, fake_oversample=2, real_oversample=7,
-            hotspot_weight=3.5, seed=9,
+            batch_size=3, seed=9, infer_dtype="float64",
         )
         env = {
             "REPRO_EVAL_EDGE": "24", "REPRO_EVAL_POINTS": "48",
             "REPRO_EVAL_EPOCHS": "5", "REPRO_EVAL_PRETRAIN": "1",
-            "REPRO_EVAL_BATCH": "3", "REPRO_EVAL_LR": "2.5e-4",
-            "REPRO_EVAL_FAKE_OVERSAMPLE": "2",
-            "REPRO_EVAL_REAL_OVERSAMPLE": "7",
-            "REPRO_EVAL_HOTSPOT_WEIGHT": "3.5", "REPRO_EVAL_SEED": "9",
+            "REPRO_EVAL_BATCH": "3", "REPRO_EVAL_SEED": "9",
+            "REPRO_INFER_DTYPE": "float64",
         }
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         assert EvalConfig.from_env() == reference
-
-    def test_from_env_float_fields_parse_floats(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_LR", "1e-2")
-        monkeypatch.setenv("REPRO_EVAL_HOTSPOT_WEIGHT", "0.25")
-        config = EvalConfig.from_env()
-        assert config.lr == pytest.approx(1e-2)
-        assert config.hotspot_weight == pytest.approx(0.25)
-        # and the untouched fields keep their defaults
-        assert config.fake_oversample == EvalConfig.fake_oversample
-        assert config.real_oversample == EvalConfig.real_oversample
 
 
 class TestHarness:

@@ -15,6 +15,7 @@ from repro.core.pipeline import IRPredictor
 from repro.core.registry import MODEL_REGISTRY
 from repro.infer import (InferenceEngine, InferenceUnsupportedError,
                          resolve_infer_dtype)
+from repro.infer import plan as plan_module
 from repro.train.seed import seed_everything
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
@@ -96,16 +97,18 @@ class TestEngineParity:
         assert _rel_error(output, reference) <= 1e-4
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_fused_vs_unfused_float64(self, name):
+    def test_fused_vs_unfused_float64(self, name, monkeypatch):
         spec, model = _build(name)
         args = _inputs(spec)
-        unfused = InferenceEngine(model, dtype="float64", fuse=False,
-                                  fold_bn=False).run(*args)
         folded = InferenceEngine(model, dtype="float64",
                                  fold_bn=True).run(*args)
         # epilogue fusion alone is arithmetic-identical...
-        fused = InferenceEngine(model, dtype="float64", fuse=True,
+        fused = InferenceEngine(model, dtype="float64",
                                 fold_bn=False).run(*args)
+        monkeypatch.setattr(plan_module, "_fuse_epilogues",
+                            lambda *args: None)
+        unfused = InferenceEngine(model, dtype="float64",
+                                  fold_bn=False).run(*args)
         assert np.array_equal(unfused, fused)
         # ...BatchNorm weight folding reassociates, at ~1 ulp
         assert _rel_error(folded, unfused) <= 1e-10
@@ -165,6 +168,7 @@ class TestFailureModes:
             engine.run(np.zeros((2, 3)))
 
     def test_auto_mode_falls_back_to_autograd(self):
+        from repro.nn import functional as F
         from repro.train.loader import CasePreprocessor
         from repro.data.synthesis import make_suite
         suite = make_suite(num_fake=1, num_real=1, num_hidden=1, seed=5)
@@ -176,8 +180,8 @@ class TestFailureModes:
                 self.inner = model
 
             def forward(self, x, points=None):
-                return self.inner(x).reshape(
-                    (x.shape[0], 1) + tuple(x.shape[2:]))
+                return F.reshape(self.inner(x),
+                                 (x.shape[0], 1) + tuple(x.shape[2:]))
 
         wrapper = Wrapper().eval()
         preprocessor = CasePreprocessor(channels=("current",),
@@ -228,12 +232,11 @@ class TestFailureModes:
         assert np.isfinite(prediction).all()
 
     def test_engine_argument_typo_rejected(self):
-        from repro.core.pipeline import resolve_engine_mode
-        with pytest.raises(ValueError, match="engine="):
-            resolve_engine_mode("of")
-        assert resolve_engine_mode("off") is False
-        assert resolve_engine_mode("on") is True
-        assert resolve_engine_mode(None) == "auto"
+        for engine in ("of", "off", "on", None, 1):
+            with pytest.raises(ValueError, match="engine="):
+                IRPredictor(None, None, engine=engine)
+        for engine in ("auto", True, False):
+            assert IRPredictor(None, None, engine=engine).engine_mode is engine
 
     def test_kernels_allocate_missing_scratch(self):
         from repro.nn import functional as F
@@ -345,16 +348,6 @@ class TestFailureModes:
         engine = InferenceEngine(model)
         with pytest.raises(InferenceUnsupportedError):
             engine.run(np.zeros((1, 3, 16, 16)))
-
-    def test_engine_env_typo_rejected(self, monkeypatch):
-        from repro.core.pipeline import resolve_engine_mode
-        monkeypatch.setenv("REPRO_INFER_ENGINE", "of")  # typo of "off"
-        with pytest.raises(ValueError, match="REPRO_INFER_ENGINE"):
-            resolve_engine_mode("auto")
-        monkeypatch.setenv("REPRO_INFER_ENGINE", "off")
-        assert resolve_engine_mode("auto") is False
-        monkeypatch.setenv("REPRO_INFER_ENGINE", "auto")
-        assert resolve_engine_mode("auto") == "auto"
 
     def test_prep_cache_true_uses_default_size(self):
         from repro.train.loader import DEFAULT_CACHE_SIZE

@@ -123,7 +123,7 @@ def test_mean_step_is_np_mean_bit_for_bit(axis, keepdims, dtype):
     engine = InferenceEngine(
         _Call(lambda t: F.mean(t, axis=axis, keepdims=keepdims)).eval(),
         dtype=dtype)
-    # the plan itself: engine.run would shard axis 0 over lanes
+    # the plan itself, on an arena of its own
     output = engine.compile(x).run((x,), BufferArena())
     expected = np.mean(x.astype(dtype), axis=axis, keepdims=keepdims)
     assert output.dtype == expected.dtype

@@ -7,6 +7,7 @@ import pytest
 from repro import nn
 from repro.nn import functional as F
 from repro.infer import InferenceEngine, trace_module
+from repro.infer import plan as plan_module
 from repro.train.seed import seed_everything
 
 
@@ -64,15 +65,21 @@ def _randomized_bn(module):
     return module
 
 
+def _unfused(monkeypatch):
+    """Compile without epilogue fusion from here on."""
+    monkeypatch.setattr(plan_module, "_fuse_epilogues", lambda *args: None)
+
+
 class TestBatchNormFolding:
-    def test_folded_plan_collapses_bn_chain(self):
+    def test_folded_plan_collapses_bn_chain(self, monkeypatch):
         seed_everything(0)
         model = _randomized_bn(_ConvBNReLU()).eval()
         x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
-        unfused = InferenceEngine(model, fuse=False, fold_bn=False)
         folded = InferenceEngine(model, fold_bn=True)
-        n_unfused = len(_plan(unfused, x).steps)
         n_folded = len(_plan(folded, x).steps)
+        _unfused(monkeypatch)
+        unfused = InferenceEngine(model, fold_bn=False)
+        n_unfused = len(_plan(unfused, x).steps)
         # conv + 4 BN elementwise ops + relu collapse into one conv step
         assert n_folded == 1
         assert n_unfused >= 6
@@ -110,22 +117,23 @@ class TestBatchNormFolding:
 
 
 class TestEpilogueFusion:
-    def test_linear_bias_relu_fuses_and_stays_bit_exact(self):
+    def test_linear_bias_relu_fuses_and_stays_bit_exact(self, monkeypatch):
         seed_everything(0)
         model = _LinearBiasReLU().eval()
         x = np.random.default_rng(2).normal(size=(5, 6))
         reference = _autograd(model, x)
-        fused = InferenceEngine(model, dtype="float64")   # fuse=True
-        unfused = InferenceEngine(model, dtype="float64", fuse=False)
+        fused = InferenceEngine(model, dtype="float64")
         assert np.array_equal(fused.run(x), reference)
         # matmul + bias add + relu become a single step
         assert len(_plan(fused, x).steps) == 1
+        _unfused(monkeypatch)
+        unfused = InferenceEngine(model, dtype="float64")
         assert len(_plan(unfused, x).steps) == 3
         assert np.array_equal(unfused.run(x), reference)
 
 
 class TestConstantFolding:
-    def test_parameter_reshapes_fold_away(self):
+    def test_parameter_reshapes_fold_away(self, monkeypatch):
         seed_everything(0)
         model = _ConvBNReLU().eval()
         x = np.random.default_rng(4).normal(size=(1, 3, 8, 8))
@@ -133,7 +141,8 @@ class TestConstantFolding:
         # the trace contains the BN parameter reshapes...
         assert any(node.op == "reshape" for node in trace.nodes)
         # ...but the unfused plan has no reshape steps left: they are consts
-        engine = InferenceEngine(model, fuse=False, fold_bn=False)
+        _unfused(monkeypatch)
+        engine = InferenceEngine(model, fold_bn=False)
         plan = _plan(engine, x)
         ops = {step.run.__qualname__ for step in plan.steps}
         assert len(plan.steps) < len(

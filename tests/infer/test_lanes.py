@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn import functional as F
 from repro.core.registry import MODEL_REGISTRY
 from repro.infer import InferenceEngine, lanes
 from repro.train.seed import seed_everything
@@ -93,6 +94,56 @@ def test_sharded_forward_bit_exact_on_served_config(two_lanes, dtype):
     # shards of 1..4 rows: batches 5..8 compile no plan of their own
     assert engine.plan_count == 4
     assert engine.arena.live == 0 and engine.arena.lanes == 2
+
+
+class _Call(nn.Module):
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def forward(self, x):
+        return self.fn(x)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_batch_mean_is_not_sharded(two_lanes, dtype):
+    """A forward that reduces over the batch axis runs whole: its plans
+    say the rows are not independent, and ``run`` equals ``np.mean``
+    bit for bit instead of stacking per-shard means."""
+    x = np.random.default_rng(3).normal(size=(3, 7, 5, 11))
+    engine = InferenceEngine(
+        _Call(lambda t: F.mean(t, axis=(0, 3))).eval(), dtype=dtype)
+    output = engine.run(x)
+    expected = np.mean(x.astype(dtype), axis=(0, 3))
+    assert output.dtype == expected.dtype
+    assert np.array_equal(output, expected)
+    assert not engine.compile(x[:2]).rows_independent
+    assert engine.arena.live == 0
+
+
+@pytest.mark.parametrize("forward, independent", [
+    (lambda t: F.mean(t, axis=(1, 3), keepdims=True), True),
+    (lambda t: F.softmax(F.reshape(t, (t.shape[0], -1)), axis=-1), True),
+    (lambda t: F.transpose(F.relu(t), (0, 2, 1, 3)), True),
+    (lambda t: F.softmax(t, axis=0), False),
+    (lambda t: F.concat([t, t], axis=0), False),
+    (lambda t: F.mean(F.transpose(t, (1, 0, 2, 3)), axis=1), False),
+    (lambda t: F.reshape(t, (-1, 11)), False),
+    (lambda t: F.add(t, np.arange(t.shape[0] * 11.0).reshape(-1, 1, 1, 11)),
+     False),
+])
+def test_sharded_run_matches_the_whole_batch(two_lanes, forward,
+                                             independent):
+    """Whichever way a forward treats rows, ``run`` on a batch equals
+    the autograd forward of the whole batch bit for bit (float64), and
+    only a row-independent forward is sharded."""
+    x = np.random.default_rng(4).normal(size=(3, 7, 5, 11))
+    model = _Call(forward).eval()
+    engine = InferenceEngine(model, dtype="float64")
+    with nn.no_grad():
+        reference = model(nn.Tensor(x)).data
+    assert np.array_equal(engine.run(x), reference)
+    assert engine.compile(x[:2]).rows_independent is independent
 
 
 def test_concurrent_engines_share_the_pool(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn import functional as F
 from repro.nn.optim import clip_grad_norm
 
 RNG = np.random.default_rng(23)
@@ -17,7 +18,7 @@ def step_quadratic(opt, param, n=100):
     """Minimise f(x) = x^2 with the given optimiser."""
     for _ in range(n):
         opt.zero_grad()
-        loss = (param * param).sum()
+        loss = F.sum(F.mul(param, param))
         loss.backward()
         opt.step()
     return float(param.data[0])
@@ -33,7 +34,7 @@ class TestAdam:
         p = quadratic_param(1.0)
         opt = nn.Adam([p], lr=0.1)
         opt.zero_grad()
-        (p * p).sum().backward()
+        F.sum(F.mul(p, p)).backward()
         opt.step()
         assert np.isclose(abs(1.0 - p.data[0]), 0.1, rtol=1e-3)
 

@@ -16,6 +16,7 @@ import pytest
 from repro.faults.degrade import default_log, reset_default_log
 from repro.faults.plan import FaultPlan, FaultRule, InjectedFaultError
 from repro.faults.points import inject
+from repro.serve import breaker as breaker_module
 from repro.serve.breaker import CircuitBreaker, CircuitOpenError
 from repro.serve.config import ServeConfig
 from repro.serve.queue import BackpressureError
@@ -39,14 +40,14 @@ def test_starts_closed_and_successes_keep_it_closed():
 
 
 def test_no_trip_below_min_requests():
-    breaker = CircuitBreaker(window=8, threshold=0.5, min_requests=4)
+    breaker = CircuitBreaker(window=8, min_requests=4)
     breaker.record_failure(RuntimeError("one"))
     breaker.record_failure(RuntimeError("two"))
     assert breaker.state == "closed"  # 100% failure, but only 2 observed
 
 
 def test_trips_open_and_sheds_typed():
-    breaker = CircuitBreaker(window=8, threshold=0.5, min_requests=4,
+    breaker = CircuitBreaker(window=8, min_requests=4,
                              cooldown_s=60.0)
     for index in range(4):
         breaker.record_failure(RuntimeError(f"boom {index}"))
@@ -62,8 +63,7 @@ def test_trips_open_and_sheds_typed():
 
 
 def test_half_open_probe_success_closes_and_clears_window():
-    breaker = CircuitBreaker(window=8, threshold=0.5, min_requests=4,
-                             cooldown_s=0.05, probes=1)
+    breaker = CircuitBreaker(window=8, min_requests=4, cooldown_s=0.05)
     for _ in range(4):
         breaker.record_failure(RuntimeError("boom"))
     time.sleep(0.08)
@@ -83,7 +83,7 @@ def test_half_open_probe_success_closes_and_clears_window():
 
 
 def test_half_open_probe_failure_reopens():
-    breaker = CircuitBreaker(window=8, threshold=0.5, min_requests=4,
+    breaker = CircuitBreaker(window=8, min_requests=4,
                              cooldown_s=0.05)
     for _ in range(4):
         breaker.record_failure(RuntimeError("boom"))
@@ -98,8 +98,7 @@ def test_release_returns_probe_slot_instead_of_leaking_it():
     """A probe admission that resolves through a breaker-exempt path
     (shed at the queue, deadline-expired, shutdown) records no outcome;
     release() must hand the slot back or half-open wedges forever."""
-    breaker = CircuitBreaker(window=8, threshold=0.5, min_requests=4,
-                             cooldown_s=0.05, probes=1)
+    breaker = CircuitBreaker(window=8, min_requests=4, cooldown_s=0.05)
     breaker.release()                    # no-op while closed
     assert breaker.state == "closed"
     for _ in range(4):
@@ -116,20 +115,20 @@ def test_release_returns_probe_slot_instead_of_leaking_it():
     assert breaker.state == "closed"
 
 
-def test_leaked_probe_slot_rearms_after_probe_timeout():
+def test_leaked_probe_slot_rearms_after_probe_timeout(monkeypatch):
     """Backstop: even if a release() call is missed entirely, the
-    half-open state must re-arm its probe slots after probe_timeout_s
+    half-open state must re-arm its probe slots after the probe timeout
     instead of shedding every future request until restart."""
-    breaker = CircuitBreaker(window=8, threshold=0.5, min_requests=4,
-                             cooldown_s=0.02, probes=1,
-                             probe_timeout_s=0.05)
+    monkeypatch.setattr(breaker_module, "PROBE_TIMEOUT_S", 0.05)
+    breaker = CircuitBreaker(window=8, min_requests=4, cooldown_s=0.01)
+    assert breaker.probe_timeout_s == 0.05
     for _ in range(4):
         breaker.record_failure(RuntimeError("boom"))
     time.sleep(0.04)
     breaker.allow()                      # slot consumed, outcome lost
     with pytest.raises(CircuitOpenError):
         breaker.allow()
-    time.sleep(0.08)                     # > probe_timeout_s
+    time.sleep(0.08)                     # > the probe timeout
     breaker.allow()                      # re-armed, not wedged
     breaker.record_success()
     assert breaker.state == "closed"
@@ -143,9 +142,8 @@ def test_backpressure_after_probe_admission_does_not_wedge_breaker(
     the queue right after allow() granted the half-open probe must give
     the slot back, keeping future probes admissible."""
     config = ServeConfig(workers=1, queue_capacity=1, breaker_enabled=True,
-                         breaker_window=8, breaker_threshold=0.5,
-                         breaker_min_requests=4, breaker_cooldown_s=0.05,
-                         breaker_probes=1)
+                         breaker_window=8, breaker_min_requests=4,
+                         breaker_cooldown_s=0.05)
     # not started on purpose: admission works pre-start, so the single
     # queue slot can be filled deterministically
     service = PredictionService(serve_spec, config)
@@ -174,9 +172,7 @@ def test_forced_trip_opens_regardless_of_window():
 
 
 def test_validation():
-    for kwargs in ({"window": 0}, {"threshold": 0.0}, {"threshold": 1.5},
-                   {"min_requests": 0}, {"cooldown_s": -1.0}, {"probes": 0},
-                   {"probe_timeout_s": 0.0}):
+    for kwargs in ({"window": 0}, {"min_requests": 0}, {"cooldown_s": -1.0}):
         with pytest.raises(ValueError):
             CircuitBreaker(**kwargs)
 
@@ -187,9 +183,8 @@ def test_service_breaker_trips_sheds_and_recovers(serve_spec, serve_cases):
     probe request closes it again — every transition on the ledger."""
     config = ServeConfig(workers=1, queue_capacity=16, max_batch=1,
                          batch_window_s=0.0, breaker_enabled=True,
-                         breaker_window=8, breaker_threshold=0.5,
-                         breaker_min_requests=4, breaker_cooldown_s=1.0,
-                         breaker_probes=1)
+                         breaker_window=8, breaker_min_requests=4,
+                         breaker_cooldown_s=1.0)
     plan = FaultPlan(seed=9, rules=[
         FaultRule(point="serve.dispatch", action="error", at=(1, 2, 3, 4),
                   note="scripted dispatch burst")])

@@ -76,7 +76,6 @@ class TestServeConfigDeadline:
     def test_defaults_have_no_deadline(self):
         config = ServeConfig()
         assert config.deadline_s is None
-        assert config.max_respawns == 8
 
     def test_env_deadline_ms(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "250")
@@ -91,11 +90,9 @@ class TestServeConfigDeadline:
     def test_env_backoff_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_BACKOFF_BASE_MS", "5")
         monkeypatch.setenv("REPRO_SERVE_BACKOFF_CAP_MS", "100")
-        monkeypatch.setenv("REPRO_SERVE_MAX_RESPAWNS", "3")
         config = ServeConfig.from_env()
         assert config.backoff_base_s == pytest.approx(0.005)
         assert config.backoff_cap_s == pytest.approx(0.100)
-        assert config.max_respawns == 3
 
     def test_invalid_deadline_rejected(self):
         with pytest.raises(ValueError, match="deadline_s"):

@@ -17,6 +17,7 @@ import pytest
 from repro.faults.degrade import default_log, reset_default_log
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.points import inject
+from repro.serve import guard as guard_module
 from repro.serve.breaker import CircuitOpenError
 from repro.serve.config import ServeConfig
 from repro.serve.guard import (
@@ -75,7 +76,7 @@ def test_guard_passes_clean_prediction():
     (lambda m: m.__setitem__((0, 0), 99.0), "range"),
 ])
 def test_guard_refuses_impossible_maps(mutate, code):
-    guard = OutputGuard(v_min=0.0, v_max=10.0)
+    guard = OutputGuard()
     bad = _clean_map()
     mutate(bad)
     with pytest.raises(IntegrityError) as excinfo:
@@ -114,8 +115,6 @@ def test_guard_checksum_catches_mutation_in_transit():
 
 def test_guard_validation():
     with pytest.raises(ValueError):
-        OutputGuard(v_min=1.0, v_max=1.0)
-    with pytest.raises(ValueError):
         IntegrityError("not-a-code", "nope")
 
 
@@ -143,8 +142,7 @@ def test_auditor_samples_every_nth_and_passes_faithful_output(serve_cases):
     case = serve_cases[0]
     golden = _golden(case)
     hits = []
-    auditor = OnlineAuditor(every=3, divergence_v=0.5,
-                            on_divergence=hits.append)
+    auditor = OnlineAuditor(every=3, on_divergence=hits.append)
     auditor.start()
     try:
         for _ in range(6):
@@ -164,8 +162,7 @@ def test_auditor_flags_divergence_and_fires_callback(serve_cases):
     case = serve_cases[0]
     drifted = _golden(case) + 1.0  # a whole volt off the golden solve
     hits = []
-    auditor = OnlineAuditor(every=1, divergence_v=0.5,
-                            on_divergence=hits.append)
+    auditor = OnlineAuditor(every=1, on_divergence=hits.append)
     auditor.start()
     try:
         auditor.observe(case, drifted)
@@ -198,17 +195,17 @@ def test_auditor_survives_unsolvable_cases():
 def test_auditor_validation():
     with pytest.raises(ValueError):
         OnlineAuditor(every=0)
-    with pytest.raises(ValueError):
-        OnlineAuditor(every=1, divergence_v=0.0)
 
 
-def test_service_audit_divergence_opens_breaker(serve_spec, serve_cases):
+def test_service_audit_divergence_opens_breaker(serve_spec, serve_cases,
+                                                monkeypatch):
     """The service wires its auditor to the breaker: an untrained model's
     served map is far off the golden solve, so one audited request trips
     the breaker and later submits are shed."""
+    monkeypatch.setattr(guard_module, "DIVERGENCE_V", 1e-6)
     config = ServeConfig(workers=1, worker_kind="thread", queue_capacity=8,
                          max_batch=1, batch_window_s=0.0, audit_every=1,
-                         audit_divergence_v=1e-6, breaker_cooldown_s=60.0)
+                         breaker_cooldown_s=60.0)
     with PredictionService(serve_spec, config) as service:
         service.submit(serve_cases[0]).result(60.0)
         assert _wait_for(lambda: service.breaker.state == "open")

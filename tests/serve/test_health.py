@@ -15,6 +15,7 @@ import pytest
 
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.points import inject
+from repro.serve import health as health_module
 from repro.serve.health import (
     HEALTH_TIMELINE_FORMAT,
     HealthMonitor,
@@ -125,8 +126,9 @@ def test_timeline_records_transitions_and_is_versioned_json():
         assert event["t_s"] >= 0.0
 
 
-def test_timeline_is_bounded():
-    monitor = HealthMonitor(stale_after_s=60.0, timeline_cap=8)
+def test_timeline_is_bounded(monkeypatch):
+    monkeypatch.setattr(health_module, "TIMELINE_CAP", 8)
+    monitor = HealthMonitor(stale_after_s=60.0)
     monitor.register("thread-0")
     for _ in range(20):
         monitor.mark_stalled("thread-0")
@@ -170,5 +172,3 @@ def test_summary_state_is_fresh_not_snapshot_cache():
 def test_validation():
     with pytest.raises(ValueError):
         HealthMonitor(stale_after_s=0.0)
-    with pytest.raises(ValueError):
-        HealthMonitor(timeline_cap=0)

@@ -98,7 +98,7 @@ def test_signal_handler_drains_and_exits_zero(serve_spec, serve_cases,
     config = ServeConfig(workers=1, queue_capacity=32, max_batch=4,
                          batch_window_s=0.001, breaker_enabled=False)
     service = PredictionService(serve_spec, config).start()
-    previous = install_signal_handlers(service, drain_timeout_s=120.0)
+    previous = install_signal_handlers(service)
     try:
         tickets = [service.submit(case) for case in serve_cases]
         with pytest.raises(SystemExit) as excinfo:
@@ -131,7 +131,7 @@ def test_signal_handler_is_lock_free_under_held_service_locks(serve_spec,
     config = ServeConfig(workers=1, queue_capacity=8,
                          breaker_enabled=False)
     service = PredictionService(serve_spec, config).start()
-    previous = install_signal_handlers(service, drain_timeout_s=5.0)
+    previous = install_signal_handlers(service)
     try:
         ticket = service.submit(serve_cases[0])
         with pytest.raises(GracefulShutdown):
@@ -197,7 +197,7 @@ def test_signal_handlers_are_restorable(serve_spec):
     service = PredictionService(serve_spec, ServeConfig(workers=1))
     before_term = signal.getsignal(signal.SIGTERM)
     before_int = signal.getsignal(signal.SIGINT)
-    previous = install_signal_handlers(service, drain_timeout_s=1.0)
+    previous = install_signal_handlers(service)
     assert previous[signal.SIGTERM] is before_term
     assert previous[signal.SIGINT] is before_int
     assert signal.getsignal(signal.SIGTERM) is not before_term

@@ -30,6 +30,7 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.points import inject
 from repro.serve.config import ServeConfig
 from repro.serve.queue import ServeError, WorkerStalledError
+from repro.serve import worker as worker_module
 from repro.serve.service import PredictionService
 from tests.serve.conftest import perturbed_state
 
@@ -241,3 +242,34 @@ def test_forged_heartbeat_stall_degrades_then_recovers(serve_spec):
         # plan disarmed: beats resume and health self-clears
         assert _wait_for(lambda: service.health().state == "healthy",
                          timeout_s=10.0)
+
+
+def test_respawn_budget_exhaustion_fails_the_pool(serve_spec, serve_cases,
+                                                  monkeypatch):
+    """One death past ``MAX_RESPAWNS`` fails the pool: the batch the dead
+    worker left behind fails with ``ServeError``, health reads
+    unhealthy, and the ledger records ``serve.pool: respawn->failed``."""
+    monkeypatch.setattr(worker_module, "MAX_RESPAWNS", 1)
+    # a watchdog budget starts the supervisor, which reaps thread deaths
+    config = _kind_config("thread", watchdog_s=30.0)
+    with PredictionService(serve_spec, config) as service:
+        pool = service.pool
+
+        def kill_the_worker():
+            (worker,) = pool._workers.values()
+            # the worker loop returns as on stop(): a death to the reaper
+            worker.inbox.put(("stop",))
+
+        kill_the_worker()
+        assert _wait_for(lambda: pool._respawns == 1 and pool._workers,
+                         10.0)
+        assert pool.failed is None
+        kill_the_worker()
+        ticket = service.submit(serve_cases[0])
+        with pytest.raises(ServeError, match="respawns exhausted"):
+            ticket.result(10.0)
+        assert pool.failed is not None
+        assert service.health().state == "unhealthy"
+    counts = default_log().counts()
+    assert counts.get("serve.pool: thread-0->respawn") == 1
+    assert counts.get("serve.pool: respawn->failed") == 1

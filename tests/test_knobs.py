@@ -22,8 +22,6 @@ CONFIGS = (EvalConfig, ServeConfig)
     ("REPRO_SERVE_BREAKER", "No", False),
     ("REPRO_SERVE_BREAKER", " OFF", False),
     ("REPRO_SERVE_BREAKER", "disable", ValueError),
-    ("REPRO_INFER_ENGINE", "disable", ValueError),
-    ("REPRO_INFER_ENGINE", "Auto", "auto"),
     ("REPRO_SERVE_QUEUE", "", 64),
     ("REPRO_SERVE_QUEUE", "  ", 64),
     ("REPRO_SERVE_DEADLINE_MS", "", None),
@@ -31,7 +29,7 @@ CONFIGS = (EvalConfig, ServeConfig)
     ("REPRO_SERVE_DEADLINE_MS", "250", 0.25),
     ("REPRO_SERVE_WINDOW_MS", "7.5", 0.0075),
     ("REPRO_SERVE_WORKERS", "two", ValueError),
-    ("REPRO_SERVE_GUARD_MAX_V", "ten", ValueError),
+    ("REPRO_SOLVER_BUDGET_S", "ten", ValueError),
     ("REPRO_SOLVER_DIRECT_LIMIT", "-1", ValueError),
     ("REPRO_SOLVER_DIRECT_LIMIT", "0", ValueError),
     ("REPRO_SOLVER_DIRECT_LIMIT", "12", 12),
@@ -41,7 +39,7 @@ CONFIGS = (EvalConfig, ServeConfig)
     ("REPRO_SERVE_WORKER_KIND", "fiber", ValueError),
     ("REPRO_SERVE_WORKERS", "0", ValueError),
     ("REPRO_SERVE_DEADLINE_MS", "-5", ValueError),
-    ("REPRO_SERVE_BREAKER_THRESHOLD", "1.5", ValueError),
+    ("REPRO_SOLVER_BUDGET_S", "0", ValueError),
 ])
 def test_parse_policy(monkeypatch, name, raw, expected):
     monkeypatch.setenv(name, raw)
@@ -104,6 +102,11 @@ class TestDrift:
             assert kind in knobs.RULES and (not bound
                                             or bound in knobs.BOUNDS)
             knob.value  # raises if the default breaks its own rule
+
+    def test_every_rule_and_bound_is_used(self):
+        used = [knob.rule.partition(" ") for knob in knobs.KNOBS.values()]
+        assert set(knobs.RULES) - {kind for kind, _, _ in used} == set()
+        assert set(knobs.BOUNDS) - {bound for _, _, bound in used} == set()
 
     def test_every_literal_is_a_knob(self):
         unknown = set()
