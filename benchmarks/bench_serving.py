@@ -2,7 +2,7 @@
 
 The serving layer (``repro.serve``) wraps the PR 3/5 inference machinery
 in a long-lived daemon: bounded admission, micro-batching within a
-latency budget, hot-swappable weights, and thread/process workers.  The
+latency budget, and thread/process workers.  The
 gate (unmarked, the ``serving.parity`` registry entry) checks that every
 prediction served through the full daemon path (queue -> scheduler ->
 micro-batch -> worker) is bit-identical, at the default float32, to a direct

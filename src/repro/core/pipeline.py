@@ -121,8 +121,8 @@ class IRPredictor:
     defaulting to float32; ``"float64"`` is bit-exact against autograd).
     The engine snapshots weights at first use; ``load_state_dict`` bumps
     the model's ``state_version`` so compiled plans are invalidated
-    automatically on the next prediction (a serving hot-swap never serves
-    stale folded weights).  Direct
+    automatically on the next prediction (a checkpoint loaded after the
+    first prediction never serves stale folded weights).  Direct
     ``param.data`` mutation is invisible to the version counter — call
     :meth:`refresh_engine` after hand-editing weights.
     """

@@ -91,8 +91,8 @@ class InferenceEngine:
         """Invalidate plans compiled against superseded weights.
 
         ``Module.load_state_dict`` bumps the model's ``state_version``, so
-        a checkpoint loaded into a live model (a serving hot-swap, a
-        mid-session restore) is picked up on the next :meth:`run` without
+        a checkpoint loaded into a live model (a mid-session restore) is
+        picked up on the next :meth:`run` without
         the caller having to remember :meth:`refresh` — compiled plans
         bake the weights as constants, so serving a stale plan would
         silently keep predicting with the old weights.

@@ -125,12 +125,14 @@ class Module:
             state[name] = np.array(buf, copy=True)
         return state
 
-    def check_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Raise unless ``state`` holds exactly this module's parameter and
-        buffer keys, each with the shape it has now.
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Load every parameter and buffer from ``state`` and bump
+        :attr:`state_version`.
 
-        Raises :class:`KeyError` for missing or unexpected keys and
-        :class:`ValueError` for a shape mismatch; changes nothing.
+        ``state`` must hold exactly this module's parameter and buffer
+        keys (else :class:`KeyError`), each with the shape it has now
+        (else :class:`ValueError`); either raises before anything is
+        written.
         """
         own = {name: param.data for name, param in self.named_parameters()}
         own.update(self.named_buffers())
@@ -147,12 +149,6 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: {shape} vs {np.shape(current)}"
                 )
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load every parameter and buffer from ``state`` and bump
-        :attr:`state_version`; a state that fails
-        :meth:`check_state_dict` raises before anything is written."""
-        self.check_state_dict(state)
         loaded = [(param, np.asarray(state[name], dtype=param.data.dtype).copy())
                   for name, param in self.named_parameters()]
         for param, value in loaded:

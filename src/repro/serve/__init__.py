@@ -18,7 +18,7 @@ The layers, bottom to top:
   watchdog;
 * :mod:`repro.serve.service` — micro-batching scheduler + façade;
 * :mod:`repro.serve.registry` — content-addressed checkpoint registry
-  feeding hot-swaps;
+  whose active checkpoint the daemon loads before it starts;
 * :mod:`repro.serve.loadgen` — synthetic open-loop load generator.
 
 ``python -m repro.serve`` runs a self-contained demo daemon under

@@ -49,8 +49,7 @@ class GracefulShutdown(SystemExit):
         self.signame = signame
 
 
-def install_signal_handlers(service: PredictionService,
-                            signals=(signal.SIGTERM, signal.SIGINT)):
+def install_signal_handlers():
     """Graceful shutdown on SIGTERM/SIGINT: request a drain-with-deadline.
 
     The handler itself is lock-free.  It must **not** call
@@ -79,7 +78,7 @@ def install_signal_handlers(service: PredictionService,
             signal.signal(sig, signal.SIG_IGN)
         raise GracefulShutdown(name)
 
-    for sig in signals:
+    for sig in (signal.SIGTERM, signal.SIGINT):
         previous[sig] = signal.signal(sig, _handler)
     return previous
 
@@ -187,7 +186,7 @@ def main(argv=None) -> int:
           f"max_batch={config.max_batch}, "
           f"window={config.batch_window_s * 1e3:g}ms", flush=True)
     service = PredictionService(spec, config)
-    previous = install_signal_handlers(service)
+    previous = install_signal_handlers()
     try:
         service.start()
         try:

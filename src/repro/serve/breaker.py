@@ -1,7 +1,7 @@
 """Sliding-window circuit breaker for the serving daemon.
 
 When the pool starts failing most of what it touches — a crash-looping
-spec, a poisoned hot-swap, a dependency melting down — queueing more
+spec, poisoned weights, a dependency melting down — queueing more
 work just converts every new request into a slow failure.  The breaker
 watches a sliding window of per-request outcomes and, once the failure
 rate over at least ``min_requests`` observations reaches
@@ -20,7 +20,7 @@ backstop re-arms slots whose outcome never landed at all, so the
 breaker can never wedge in half-open with every probe "in flight"
 forever.  Every transition is recorded on the process-wide
 :class:`~repro.faults.degrade.DegradationLog` under component
-``serve.breaker``, so chaos soaks and operators see the same ledger.
+:data:`COMPONENT`, so chaos soaks and operators see the same ledger.
 
 :meth:`CircuitBreaker.trip` force-opens regardless of the window — the
 online output audit uses it when a served prediction diverges from the
@@ -50,6 +50,8 @@ PROBES = 1
 #: probe resolves within a request lifetime, so only a slot whose
 #: outcome was lost ever ages this long (see ``release()``)
 PROBE_TIMEOUT_S = 30.0
+#: degradation-ledger component of every breaker transition
+COMPONENT = "serve.breaker"
 
 
 class CircuitOpenError(ServeError):
@@ -70,7 +72,7 @@ class CircuitBreaker:
     """Thread-safe closed / open / half-open failure-rate breaker."""
 
     def __init__(self, window: int = 32, min_requests: int = 8,
-                 cooldown_s: float = 1.0, name: str = "serve.breaker"):
+                 cooldown_s: float = 1.0):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if min_requests < 1:
@@ -82,7 +84,6 @@ class CircuitBreaker:
         self.min_requests = int(min_requests)
         self.cooldown_s = float(cooldown_s)
         self.probe_timeout_s = max(PROBE_TIMEOUT_S, 4.0 * self.cooldown_s)
-        self.name = name
         self._lock = threading.Lock()
         self._outcomes: Deque[bool] = deque(maxlen=self.window)
         self._state = "closed"
@@ -205,7 +206,7 @@ class CircuitBreaker:
             # without it a lost probe outcome wedges the breaker in
             # half-open permanently, with no admission left to recover it
             record_degradation(
-                self.name, "half_open", "half_open",
+                COMPONENT, "half_open", "half_open",
                 f"no probe outcome recorded within "
                 f"{self.probe_timeout_s:g}s; re-arming "
                 f"{self._probes_inflight} probe slot(s)")
@@ -224,5 +225,5 @@ class CircuitBreaker:
         self._probes_inflight = 0
 
     def _transition_locked(self, to_state: str, reason: str) -> None:
-        record_degradation(self.name, self._state, to_state, reason)
+        record_degradation(COMPONENT, self._state, to_state, reason)
         self._state = to_state

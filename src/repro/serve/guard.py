@@ -19,7 +19,7 @@ ticket is fulfilled:
   ``every`` *fulfilled* results is re-solved against the golden
   :class:`~repro.solver.factorized.FactorizedPDN` on a background
   thread; a worst-pixel divergence beyond :data:`DIVERGENCE_V` means the
-  model itself has gone wrong (bad hot-swap, poisoned weights), and the
+  model itself has gone wrong (bad checkpoint, poisoned weights), and the
   auditor records the degradation and trips the service's circuit
   breaker via its callback.  The audit is detection, not protection —
   the guarded result was already served — which is exactly the breaker's

@@ -92,7 +92,6 @@ class ServeResult:
     queue_seconds: float        # submit -> dispatch to a worker
     batch_size: int             # requests coalesced into the forward
     worker: str                 # serving worker id, e.g. "thread-0"
-    model_version: int          # Module.state_version that served it
     attempts: int               # 1 + worker-death re-dispatches
 
 

@@ -1,13 +1,14 @@
-"""Checkpoint registry backing serving hot-swaps.
+"""Checkpoint registry feeding the serving daemon's startup load.
 
-:class:`ModelRegistry` stores named model checkpoints on disk and hands
-their state dicts to :meth:`PredictionService.swap`.  It is the one
-library user of :class:`~repro.solver.store.FactorizationStore`: entries
-are content-addressed by the hash of a JSON *identity* (format tag, name,
+:class:`ModelRegistry` stores named model checkpoints on disk; ``python
+-m repro.serve --registry`` loads the active one into the model before
+the service starts.  It is the one library user of
+:class:`~repro.solver.store.FactorizationStore`: entries are
+content-addressed by the hash of a JSON *identity* (format tag, name,
 weight digest), payloads are npz archives written payload-first /
 meta-last, and corrupt or tampered entries are refused rather than
-served — so a half-written checkpoint can never be hot-swapped into a
-live daemon.
+served — so a half-written checkpoint can never be loaded into a
+daemon.
 
 A small ``registry.json`` index maps human names to entry identities and
 tracks which checkpoint is *active* (what ``python -m repro.serve`` loads

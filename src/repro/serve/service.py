@@ -1,5 +1,5 @@
-"""The long-lived prediction service: admission, micro-batching,
-dispatch, and hot-swap.
+"""The long-lived prediction service: admission, micro-batching and
+dispatch.
 
 :class:`PredictionService` glues the serving layers together::
 
@@ -32,9 +32,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional
-
-import numpy as np
+from typing import Deque, List, Optional
 
 from repro.core.pipeline import IRPredictor
 from repro.data.case import CaseBundle
@@ -302,25 +300,6 @@ class PredictionService:
                 f"online audit: served map for {record.case_name!r} off "
                 f"golden by {record.divergence_v:.3e} V "
                 f"(> {record.threshold_v:g} V)")
-
-    # ------------------------------------------------------------------
-    def swap(self, state: Dict[str, np.ndarray],
-             timeout: Optional[float] = 60.0) -> None:
-        """Hot-swap model weights without dropping in-flight requests.
-
-        Dispatch pauses for the swap: requests already dispatched
-        complete on the old weights, and every request dispatched after
-        it is served by the new ones.  Raises
-        :class:`~repro.serve.queue.ServeError` when the swap cannot
-        finish within ``timeout`` seconds, on either worker kind, and
-        ``KeyError``/``ValueError`` before anything changes when ``state``
-        does not match the model's keys and shapes.
-        ``load_state_dict`` bumps ``Module.state_version``, so each
-        worker's compiled engine invalidates its plans automatically.
-        """
-        if not self._started or self._stopped:
-            raise ServiceClosedError("service is not running")
-        self.pool.swap(state, timeout=timeout)
 
     # ------------------------------------------------------------------
     def _ticket_context(self) -> str:

@@ -8,29 +8,25 @@ mutable hot-path state.
 
 :class:`WorkerPool` is the one supervisor: dispatch, the hung-worker
 watchdog, death handling (retries, backoff re-dispatch, the respawn
-budget), hot-swap sequencing, the ``failed`` state, stop-time totality,
-and every degradation-ledger and health call.  Under it, a private
+budget), the ``failed`` state, stop-time totality, and every
+degradation-ledger and health call.  Under it, a private
 transport keeps only mechanism:
 
 * **thread** (the default) — in-process threads sharing the spec's
   model.  A thread cannot be killed, so a stalled batch is failed with
   :class:`~repro.serve.queue.WorkerStalledError` and the thread flagged
-  until its forward returns.  On the single-core reference box process
-  fan-out buys nothing; micro-batching is the throughput lever.
+  until its forward returns.  A thread that exits reaps itself on its
+  way out, so a death is handled without a supervisor thread.  On the
+  single-core reference box process fan-out buys nothing;
+  micro-batching is the throughput lever.
 * **process** — OS processes started with ``spawn`` (the start method
   that never forks the threaded parent), each with a private model copy.  A stalled
   worker is SIGKILLed; a dead worker's batch is re-dispatched up to
   ``retries`` times, then failed with
   :class:`~repro.serve.queue.WorkerDiedError`.
 
-A hot-swap first checks the new state's keys and shapes against the
-spec's model (a bad state raises and changes nothing), then pauses
-dispatch, waits until no batch is outstanding (raising
-:class:`~repro.serve.queue.ServeError` past its ``timeout``), loads the
-weights, then resumes: in-flight requests finish on the old weights, and
-nothing ages against the watchdog during the swap.
-``Module.load_state_dict`` bumps ``state_version``, so compiled engines
-drop stale plans on their next forward (see ``repro.infer.engine``).
+Weights are whatever ``spec.model`` holds when the pool starts; a
+respawned worker is built from the same spec.
 """
 
 from __future__ import annotations
@@ -43,8 +39,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Deque, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.pipeline import IRPredictor
 from repro.faults.backoff import BackoffPolicy
@@ -186,15 +180,14 @@ def _worker_main(worker_id: int, spec: PredictorSpec, group_size: int,
     """Build the worker's private predictor, then serve its inbox.
 
     Protocol (supervisor -> worker): ``("predict", batch_id, cases)``,
-    ``("swap", swap_id, state)``, ``("sleep", seconds)`` (chaos/testing
-    hook: occupies the worker so liveness and watchdog handling can be
-    exercised deterministically), ``("stop",)``.
+    ``("sleep", seconds)`` (chaos/testing hook: occupies the worker so
+    liveness and watchdog handling can be exercised deterministically),
+    ``("stop",)``.
     Worker -> supervisor: ``("ready", wid)``, ``("beat", wid)``
     heartbeats emitted by the idle poll (a hung compute stops them —
     that is the liveness signal, so no side thread may fake them),
-    ``("done", wid, batch_id, entries, model_version)`` with one tagged
-    entry per case (see :func:`_batch_entries`), ``("swapped", wid,
-    swap_id, model_version)``, ``("error", wid, batch_id, text)``.
+    ``("done", wid, batch_id, entries)`` with one tagged entry per case
+    (see :func:`_batch_entries`), ``("error", wid, batch_id, text)``.
     """
     predictor = spec.build(group_size=group_size)
     outbox.put(("ready", worker_id))
@@ -210,26 +203,13 @@ def _worker_main(worker_id: int, spec: PredictorSpec, group_size: int,
         if kind == "sleep":
             time.sleep(float(message[1]))
             continue
-        if kind == "swap":
-            _, swap_id, state = message
-            predictor.model.load_state_dict(state)
-            outbox.put(("swapped", worker_id, swap_id,
-                        predictor.model.state_version))
-            continue
         _, batch_id, cases = message
         try:
             entries = _batch_entries(predictor, cases)
-            outbox.put(("done", worker_id, batch_id, entries,
-                        predictor.model.state_version))
+            outbox.put(("done", worker_id, batch_id, entries))
         except Exception as error:  # catastrophic (pickling, queue ...)
             outbox.put(("error", worker_id, batch_id,
                         f"{type(error).__name__}: {error}"))
-
-
-def _remaining(deadline: Optional[float]) -> Optional[float]:
-    """Seconds left until a perf_counter ``deadline`` (None = forever)."""
-    return None if deadline is None else max(
-        0.0, deadline - time.perf_counter())
 
 
 def _discard_queue(q) -> None:
@@ -272,23 +252,24 @@ class _ThreadTransport:
     kind = "thread"
     out_of_process = False
     queue_type = _stdlib_queue.Queue
-    runner_type = threading.Thread
 
     def __init__(self, pool: "WorkerPool"):
         self.pool = pool
         self.outbox = SimpleNamespace(put=pool._handle)
 
-    def catch_up(self, inbox) -> None:
-        pass  # a respawn wraps the shared, already swapped model
+    def runner(self, target, args, **kwargs) -> threading.Thread:
+        """A worker thread that reports its own exit, returned or raised,
+        so no background thread has to poll for it."""
+        def run() -> None:
+            try:
+                target(*args)
+            finally:
+                # the thread is still alive here: name the exiting worker
+                self.pool._reap_dead(exited=args[0])
+        return threading.Thread(target=run, **kwargs)
 
     def pump(self, timeout: float) -> None:
         self.pool._halt.wait(timeout)  # messages arrive inline
-
-    def swap(self, state: Dict[str, np.ndarray],
-             deadline: Optional[float]) -> None:
-        # every thread's predictor wraps the spec's model: one distinct
-        # model, loaded once, while no forward can be running
-        self.pool.spec.model.load_state_dict(state)
 
 
 class _ProcessTransport:
@@ -304,60 +285,18 @@ class _ProcessTransport:
         self.pool = pool
         context = multiprocessing.get_context("spawn")
         self.queue_type = context.Queue
-        self.runner_type = context.Process
+        self.runner = context.Process
         self.outbox = context.Queue()
-        # latest hot-swapped weights: a respawn (built from the original
-        # spec) must catch up before serving anything
-        self._swap_state: Optional[Dict[str, np.ndarray]] = None
-        self._swap_acks: Dict[int, set] = {}
-
-    def catch_up(self, inbox) -> None:
-        if self._swap_state is not None:
-            # FIFO on the inbox: the catch-up swap applies before any
-            # batch this worker is handed
-            inbox.put(("swap", -1, self._swap_state))
 
     def pump(self, timeout: float) -> None:
         """Route every result message that arrives within ``timeout``."""
         try:
             message = self.outbox.get(timeout=timeout)
             while True:
-                if message[0] == "swapped":
-                    with self.pool._lock:
-                        acks = self._swap_acks.get(message[2])
-                        if acks is not None:
-                            acks.add(message[1])
-                            self.pool._lock.notify_all()
-                else:
-                    self.pool._handle(message)
+                self.pool._handle(message)
                 message = self.outbox.get_nowait()
         except _stdlib_queue.Empty:
             pass
-
-    def swap(self, state: Dict[str, np.ndarray],
-             deadline: Optional[float]) -> None:
-        """Broadcast the weights and wait for every worker's ack."""
-        pool = self.pool
-        with pool._lock:
-            swap_id = next(pool._batch_ids)
-            self._swap_state = dict(state)
-            targets = set(pool._workers)
-            for worker in pool._workers.values():
-                worker.inbox.put(("swap", swap_id, state))
-            acked = self._swap_acks[swap_id] = set()
-
-            def missing() -> List[int]:
-                # a worker that dies mid-swap needs no ack: its respawn
-                # catches up to the new weights before serving anything
-                return sorted(targets.intersection(pool._workers) - acked)
-
-            try:
-                if not pool._lock.wait_for(lambda: not missing(),
-                                           _remaining(deadline)):
-                    raise ServeError(f"hot-swap timed out; workers "
-                                     f"{missing()} did not ack")
-            finally:
-                self._swap_acks.pop(swap_id, None)
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +342,6 @@ class WorkerPool:
         self._worker_ids = itertools.count()
         self._batch_ids = itertools.count()
         self._respawns = 0
-        self._swapping = False
         self._stopping = False
         self._halt = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
@@ -418,11 +356,9 @@ class WorkerPool:
 
     def dispatches_at_once(self) -> bool:
         """True when a batch submitted now would start on a worker at
-        once: one is idle, no batch waits ahead of it and no hot-swap
-        holds dispatch."""
+        once: one is idle and no batch waits ahead of it."""
         with self._lock:
-            return bool(self._idle) and not self._pending \
-                and not self._swapping
+            return bool(self._idle) and not self._pending
 
     # ------------------------------------------------------------------
     def start(self, ready_timeout: float = 120.0) -> None:
@@ -451,12 +387,11 @@ class WorkerPool:
         worker_id = next(self._worker_ids)
         name = self._name(worker_id)
         inbox = transport.queue_type()
-        runner = transport.runner_type(
+        runner = transport.runner(
             target=_worker_main, name=f"repro-serve-{name}", daemon=True,
             args=(worker_id, self.spec, config.max_batch, inbox,
                   transport.outbox, config.heartbeat_s))
         runner.start()
-        transport.catch_up(inbox)
         worker = self._workers[worker_id] = _Worker(worker_id, name, inbox,
                                                     runner)
         if self.health is not None:
@@ -483,8 +418,6 @@ class WorkerPool:
             self._dispatch_locked()
 
     def _dispatch_locked(self) -> None:
-        if self._swapping:
-            return  # a hot-swap holds dispatch until the weights land
         now = time.perf_counter()
         index = 0
         while self._idle and index < len(self._pending):
@@ -532,6 +465,12 @@ class WorkerPool:
                         worker.ready.set()
                         self._idle.append(worker_id)
                         self._dispatch_locked()
+            elif self._pending:
+                # an idle worker's beat hands out retries whose backoff
+                # has elapsed: no supervisor does on an unwatched thread
+                # pool
+                with self._lock:
+                    self._dispatch_locked()
             if self.health is not None:
                 self.health.beat(name)
             return
@@ -563,13 +502,13 @@ class WorkerPool:
             # a completed batch is the strongest liveness proof
             self.health.beat(name)
         if kind == "done":
-            self._resolve(batch, message[3], name, message[4])
+            self._resolve(batch, message[3], name)
         else:
             _fail_batch(batch, PredictionFailedError(
                 f"worker {name} failed: {message[3]}"), self.on_failure)
 
     def _resolve(self, batch: List[PredictionRequest], entries: list,
-                 worker: str, model_version: int) -> None:
+                 worker: str) -> None:
         """Fulfil (or fail) each request from its worker entry, re-verifying
         every prediction through the integrity guard first."""
         completed = time.perf_counter()
@@ -606,7 +545,6 @@ class WorkerPool:
                 queue_seconds=dispatched - request.submitted,
                 batch_size=len(batch),
                 worker=worker,
-                model_version=int(model_version),
                 attempts=request.attempts + 1,
             )
             request.ticket.fulfill(result)
@@ -649,16 +587,20 @@ class WorkerPool:
                 f"failed and the thread flagged unhealthy)"),
                 self.on_failure)
 
-    def _reap_dead(self) -> None:
+    def _reap_dead(self, exited: Optional[int] = None) -> None:
         """Retry or fail a dead worker's batch, then respawn it within
-        the :data:`MAX_RESPAWNS` budget (past it, the pool fails)."""
+        the :data:`MAX_RESPAWNS` budget (past it, the pool fails).
+
+        ``exited`` names a thread worker reporting its own exit: it is
+        dead though its thread is still running this call.
+        """
         config = self.config
         to_fail: List[Tuple[List[PredictionRequest], BaseException]] = []
         with self._lock:
             if self._stopping:
                 return  # a worker exiting on stop() is not a death
             dead = [worker for worker in self._workers.values()
-                    if not worker.runner.is_alive()]
+                    if worker.id == exited or not worker.runner.is_alive()]
             if not dead:
                 return
             for worker in dead:
@@ -719,48 +661,6 @@ class WorkerPool:
             _fail_batch(batch, error, self.on_failure)
 
     # ------------------------------------------------------------------
-    def swap(self, state: Dict[str, np.ndarray],
-             timeout: Optional[float] = 60.0) -> None:
-        """Load new weights on every worker; raises
-        :class:`~repro.serve.queue.ServeError` when the swap cannot
-        finish within ``timeout`` seconds (None waits forever).
-
-        ``state`` is checked against the spec's model first
-        (:meth:`~repro.nn.module.Module.check_state_dict`): a missing or
-        unexpected key (:class:`KeyError`) or a mis-shaped parameter or
-        buffer (:class:`ValueError`) raises before dispatch pauses, and
-        the old weights keep serving.  Dispatch then pauses, so batches
-        already handed out finish on the old weights and nothing new
-        starts until the swap is over; on a timeout dispatch resumes.  A
-        timeout before the weights were sent leaves the old ones loaded;
-        a process worker that only missed the ack deadline still applies
-        the queued swap.
-        """
-        self.spec.model.check_state_dict(state)
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._lock:
-            if not self._lock.wait_for(lambda: not self._swapping,
-                                       _remaining(deadline)):
-                raise ServeError(f"hot-swap timed out after {timeout}s "
-                                 f"behind another hot-swap")
-            self._swapping = True
-        try:
-            with self._lock:
-                if not self._lock.wait_for(lambda: not self._outstanding,
-                                           _remaining(deadline)):
-                    held = sorted(self._name(worker_id)
-                                  for worker_id in self._outstanding)
-                    raise ServeError(
-                        f"hot-swap timed out after {timeout}s: {held} "
-                        f"still hold a batch; the old weights stay loaded")
-            self._transport.swap(state, deadline)
-        finally:
-            with self._lock:
-                self._swapping = False
-                self._dispatch_locked()
-                self._lock.notify_all()
-
-    # ------------------------------------------------------------------
     def stop(self, timeout: float = 5.0) -> None:
         """Stop the pool; every batch it still holds resolves.
 
@@ -792,7 +692,7 @@ class WorkerPool:
             _discard_queue(worker.inbox)
         with self._lock:  # let the last results be routed
             self._lock.wait_for(lambda: not self._outstanding,
-                                _remaining(deadline))
+                                max(0.0, deadline - time.perf_counter()))
         self._halt.set()
         if self._supervisor is not None:
             self._supervisor.join(timeout)

@@ -1,13 +1,12 @@
 """Shared fixtures for the serving-layer tests.
 
 The model is tiny (the serving contracts under test — admission,
-batching, hot-swap, worker liveness — are independent of model size) and
+batching, worker liveness — are independent of model size) and
 deliberately *untrained*: serving only ever runs ``eval()`` forwards, and
 an untrained net still produces deterministic, weight-dependent outputs,
-which is all parity and swap tests need.
+which is all parity tests need.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.model import LMMIR, LMMIRConfig
@@ -41,13 +40,8 @@ def serve_preprocessor(serve_cases):
 
 @pytest.fixture
 def serve_spec(serve_preprocessor):
-    """Fresh model per test: swap tests mutate weights in place."""
+    """Fresh spec per test: nothing a test does to its model leaks."""
     return PredictorSpec(model=tiny_model(), preprocessor=serve_preprocessor,
                          name="tiny", kwargs={"tta_samples": 1,
                                               "prep_cache": 8})
 
-
-def perturbed_state(model, factor=1.01):
-    """A same-shape state dict that provably changes predictions."""
-    return {key: np.asarray(value) * factor
-            for key, value in model.state_dict().items()}

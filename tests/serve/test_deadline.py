@@ -20,8 +20,7 @@ from repro.serve.queue import PredictionTicket
 def _result():
     return ServeResult(prediction=np.zeros((2, 2)), tat_seconds=0.01,
                        latency_seconds=0.02, queue_seconds=0.0,
-                       batch_size=1, worker="thread-0", model_version=0,
-                       attempts=1)
+                       batch_size=1, worker="thread-0", attempts=1)
 
 
 class TestTicketStateMachine:

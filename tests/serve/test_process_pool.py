@@ -1,5 +1,5 @@
-"""Process-worker liveness contracts: spawn isolation, hot-swap acks,
-and deterministic killed-worker handling.
+"""Process-worker liveness contracts: spawn isolation and deterministic
+killed-worker handling.
 
 Determinism of the kill tests comes from the worker protocol's ``sleep``
 control message (a chaos hook consumed before the next batch): the
@@ -22,7 +22,6 @@ import pytest
 from repro.serve.config import ServeConfig
 from repro.serve.queue import WorkerDiedError
 from repro.serve.service import PredictionService
-from tests.serve.conftest import perturbed_state
 
 
 def _config(**overrides):
@@ -51,48 +50,27 @@ def _kill_busy_worker(service, case, sleep_s=30.0):
     return ticket
 
 
-def test_process_serving_parity_swap_and_retry(serve_spec, serve_cases):
-    """One spawn pays for three contracts: bit-parity through a real OS
-    process, hot-swap with acks (old weights never serve post-swap), and
-    kill-with-retry — including that the *respawned* worker catches up to
-    the swapped weights instead of reverting to the spec's."""
-    direct_v1 = serve_spec.build()
-    references_v1 = {case.name: direct_v1.predict_case(case)[0]
-                     for case in serve_cases}
-    state_v2 = perturbed_state(serve_spec.model)
+def test_process_serving_parity_and_retry(serve_spec, serve_cases):
+    """One spawn pays for two contracts: bit-parity through a real OS
+    process, and kill-with-retry — the orphaned batch is served by the
+    respawned worker, bit-identical to the direct prediction."""
+    direct = serve_spec.build()
+    references = {case.name: direct.predict_case(case)[0]
+                  for case in serve_cases}
 
     with PredictionService(serve_spec, _config(retries=1)) as service:
         results = [service.predict(case, timeout=120)
                    for case in serve_cases[:2]]
         for case, result in zip(serve_cases, results):
-            assert np.array_equal(result.prediction,
-                                  references_v1[case.name])
+            assert np.array_equal(result.prediction, references[case.name])
             assert result.worker.startswith("process-")
-            assert result.model_version == 0
-
-        service.swap(state_v2, timeout=60)
-        swapped = service.predict(serve_cases[0], timeout=120)
-        assert swapped.model_version == 1
-        assert not np.array_equal(swapped.prediction,
-                                  references_v1[serve_cases[0].name])
 
         ticket = _kill_busy_worker(service, serve_cases[1])
         retried = ticket.result(timeout=180)
         assert retried.attempts == 2          # one death, one success
-        # the respawned worker serves the *swapped* weights, not the
-        # stale spec weights it was rebuilt from
-        assert retried.model_version == 1
-        assert not np.array_equal(retried.prediction,
-                                  references_v1[serve_cases[1].name])
-
-    # process workers never touch the parent's model object: build the
-    # v2 reference by loading the swapped state explicitly
-    serve_spec.model.load_state_dict(state_v2)
-    direct_v2 = serve_spec.build()
-    assert np.array_equal(swapped.prediction,
-                          direct_v2.predict_case(serve_cases[0])[0])
+        assert retried.worker != results[1].worker  # the respawn served it
     assert np.array_equal(retried.prediction,
-                          direct_v2.predict_case(serve_cases[1])[0])
+                          references[serve_cases[1].name])
 
 
 def test_killed_worker_without_retries_fails_loudly(serve_spec,

@@ -12,16 +12,15 @@ The acceptance criteria pinned here, all deterministic:
 * **backpressure** — submits over the queue bound fail with the
   documented :class:`BackpressureError` and the accepted requests are
   unaffected;
-* **hot-swap** — a swap under load drops nothing: every in-flight
-  request completes, and every result matches the reference prediction
-  of the model version that served it.
+* **contention** — more worker threads than cores, resolving inline on
+  the shared supervisor state, serve every request bit-identically and
+  leave the pool's bookkeeping consistent.
 """
 
 import threading
 
 import numpy as np
 import pytest
-from tests.serve.conftest import perturbed_state
 
 from repro.nn.functional import set_trace_hook
 from repro.nn.tensor import is_grad_enabled
@@ -152,123 +151,27 @@ class TestBackpressure:
             ticket.result(timeout=1)
 
 
-class TestHotSwap:
-    def test_swap_changes_predictions_and_matches_reference(
-            self, serve_spec, serve_cases):
-        state_v2 = perturbed_state(serve_spec.model)
-        with PredictionService(serve_spec, _config()) as service:
-            before = service.predict(serve_cases[0], timeout=60)
-            service.swap(state_v2)
-            after = service.predict(serve_cases[0], timeout=60)
-        assert after.model_version == before.model_version + 1
-        assert not np.array_equal(before.prediction, after.prediction)
-        reference = serve_spec.build()  # spec model now holds state_v2
-        assert np.array_equal(after.prediction,
-                              reference.predict_case(serve_cases[0])[0])
-
-    @pytest.mark.parametrize("kind", ["parameter", "buffer"])
-    def test_mis_shaped_swap_changes_nothing(self, serve_spec, serve_cases,
-                                             kind):
-        """A state whose last parameter, or a BatchNorm ``running_var``
-        buffer, has the wrong shape makes ``swap`` raise before any
-        weight is written: later predictions, at b1 and at a batch size
-        first compiled after the failed swap, stay bit-identical to the
-        old weights' and report the old model version."""
-        model = serve_spec.model
-        if kind == "parameter":
-            key = [name for name, _ in model.named_parameters()][-1]
-        else:
-            key = [name for name, _ in model.named_buffers()
-                   if name.endswith("running_var")][-1]
-        bad = perturbed_state(model)
-        bad[key] = np.zeros(np.shape(bad[key]) + (2,))
-        direct = serve_spec.build()
-        references = [direct.predict_case(case)[0] for case in serve_cases]
-        config = _config(max_batch=4, batch_window_s=0.25)
-        with PredictionService(serve_spec, config) as service:
-            before = service.predict(serve_cases[0], timeout=60)
-            with pytest.raises(ValueError):
-                service.swap(bad)
-            after = service.predict(serve_cases[0], timeout=60)
-            tickets = [service.submit(case) for case in serve_cases]
-            batched = [ticket.result(timeout=60) for ticket in tickets]
-        assert before.batch_size == after.batch_size == 1
-        assert max(result.batch_size for result in batched) > 1
-        for result in [before, after] + batched:
-            assert result.model_version == 0
-        assert np.array_equal(after.prediction, references[0])
-        for reference, result in zip(references, batched):
-            assert np.array_equal(result.prediction, reference)
-
-    def test_swap_under_load_completes_every_in_flight_request(
-            self, serve_spec, serve_cases):
-        """Nothing is dropped by a swap, and every served prediction is
-        consistent with the version that reports having served it."""
-        references = {}  # version -> direct per-case reference maps
-        v1 = serve_spec.build()
-        references[0] = {case.name: v1.predict_case(case)[0]
-                         for case in serve_cases}
-        state_v2 = perturbed_state(serve_spec.model)
-
-        config = _config(queue_capacity=64, max_batch=2,
-                         batch_window_s=0.0)
-        with PredictionService(serve_spec, config) as service:
-            tickets = []
-            for round_index in range(4):
-                for case in serve_cases:
-                    tickets.append((case, service.submit(case)))
-                if round_index == 1:
-                    service.swap(state_v2)  # mid-stream, under load
-            results = [(case, ticket.result(timeout=60))
-                       for case, ticket in tickets]
-
-        v2 = serve_spec.build()
-        references[1] = {case.name: v2.predict_case(case)[0]
-                         for case in serve_cases}
-        versions = {result.model_version for _, result in results}
-        assert versions <= {0, 1}
-        assert 1 in versions  # the post-swap rounds ran on the new model
-        for case, result in results:
-            assert np.array_equal(
-                result.prediction,
-                references[result.model_version][case.name]), case.name
-
+class TestContention:
     def test_supervisor_state_survives_thread_contention(
             self, serve_spec, serve_cases):
         """More worker threads than cores, each compiling its own engine
         and resolving its batches inline on the shared supervisor state,
-        a tiny switch interval, and swaps racing the load: every result
-        matches the reference of the version that served it, and the
-        pool ends with nothing outstanding or pending and every worker
-        idle exactly once — a lost or doubled update would break that."""
+        under a tiny switch interval: every result matches the direct
+        reference bit for bit, and the pool ends with nothing outstanding
+        or pending and every worker idle exactly once — a lost or doubled
+        update would break that."""
         import sys
-        import threading
 
-        model = serve_spec.model
-        states = [model.state_dict()]
-        for _ in range(2):
-            states.append({key: value * 1.01
-                           for key, value in states[-1].items()})
         config = _config(workers=4, queue_capacity=64, max_batch=2,
                          batch_window_s=0.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with PredictionService(serve_spec, config) as service:
-                swapper = threading.Thread(target=lambda: [
-                    service.swap(state, timeout=30.0)
-                    for state in states[1:]])
-                submit = [serve_cases[i % len(serve_cases)]
-                          for i in range(32)]
                 tickets = [(case, service.submit(case))
-                           for case in submit[:16]]
-                swapper.start()
-                tickets += [(case, service.submit(case))
-                            for case in submit[16:]]
+                           for case in (serve_cases * 8)]
                 results = [(case, ticket.result(timeout=60))
                            for case, ticket in tickets]
-                swapper.join(60)
-                assert not swapper.is_alive()
                 pool = service.pool
                 with pool._lock:
                     assert not pool._outstanding and not pool._pending
@@ -279,16 +182,12 @@ class TestHotSwap:
         # of that may leak into this thread's autograd state
         assert is_grad_enabled()
         assert set_trace_hook(None) is None
-        references = []
-        for state in states:
-            model.load_state_dict(state)
-            direct = serve_spec.build()
-            references.append({case.name: direct.predict_case(case)[0]
-                               for case in serve_cases})
+        direct = serve_spec.build()
+        references = {case.name: direct.predict_case(case)[0]
+                      for case in serve_cases}
         for case, result in results:
-            assert np.array_equal(
-                result.prediction,
-                references[result.model_version][case.name]), case.name
+            assert np.array_equal(result.prediction,
+                                  references[case.name]), case.name
 
 
 class TestFailuresAndStats:

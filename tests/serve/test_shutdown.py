@@ -98,7 +98,7 @@ def test_signal_handler_drains_and_exits_zero(serve_spec, serve_cases,
     config = ServeConfig(workers=1, queue_capacity=32, max_batch=4,
                          batch_window_s=0.001, breaker_enabled=False)
     service = PredictionService(serve_spec, config).start()
-    previous = install_signal_handlers(service)
+    previous = install_signal_handlers()
     try:
         tickets = [service.submit(case) for case in serve_cases]
         with pytest.raises(SystemExit) as excinfo:
@@ -131,7 +131,7 @@ def test_signal_handler_is_lock_free_under_held_service_locks(serve_spec,
     config = ServeConfig(workers=1, queue_capacity=8,
                          breaker_enabled=False)
     service = PredictionService(serve_spec, config).start()
-    previous = install_signal_handlers(service)
+    previous = install_signal_handlers()
     try:
         ticket = service.submit(serve_cases[0])
         with pytest.raises(GracefulShutdown):
@@ -193,11 +193,10 @@ def test_thread_pool_stop_fails_wedged_batches(serve_spec, serve_cases,
     assert not runner.is_alive()
 
 
-def test_signal_handlers_are_restorable(serve_spec):
-    service = PredictionService(serve_spec, ServeConfig(workers=1))
+def test_signal_handlers_are_restorable():
     before_term = signal.getsignal(signal.SIGTERM)
     before_int = signal.getsignal(signal.SIGINT)
-    previous = install_signal_handlers(service)
+    previous = install_signal_handlers()
     assert previous[signal.SIGTERM] is before_term
     assert previous[signal.SIGINT] is before_int
     assert signal.getsignal(signal.SIGTERM) is not before_term
@@ -205,4 +204,3 @@ def test_signal_handlers_are_restorable(serve_spec):
         signal.signal(sig, old)
     assert signal.getsignal(signal.SIGTERM) is before_term
     assert signal.getsignal(signal.SIGINT) is before_int
-    service.stop()

@@ -11,15 +11,11 @@ on the replacement worker.
 
 Stalls are forged deterministically: a ``serve.predict`` delay rule
 wedges a thread forward, and the ``("sleep", s)`` worker-protocol chaos
-hook occupies a process worker.  The same two wedges pin down hot-swap
-semantics: a swap pauses dispatch, so nothing ages against the watchdog
-while it runs, and it raises :class:`ServeError` when its ``timeout``
-passes.  The forged *heartbeat* stall (a
+hook occupies a process worker.  The forged *heartbeat* stall (a
 ``serve.heartbeat`` error rule eating beats) exercises the degraded
 health rollup without hanging anything.
 """
 
-import threading
 import time
 
 import numpy as np
@@ -32,7 +28,6 @@ from repro.serve.config import ServeConfig
 from repro.serve.queue import ServeError, WorkerStalledError
 from repro.serve import worker as worker_module
 from repro.serve.service import PredictionService
-from tests.serve.conftest import perturbed_state
 
 
 @pytest.fixture(autouse=True)
@@ -92,67 +87,6 @@ def _kind_config(worker_kind, **overrides):
                 heartbeat_s=0.02, stale_after_s=30.0, breaker_enabled=False)
     base.update(overrides)
     return ServeConfig(**base)
-
-
-@pytest.mark.parametrize("worker_kind", ["thread", "process"])
-def test_swap_wait_does_not_count_toward_watchdog(serve_spec, serve_cases,
-                                                  worker_kind, monkeypatch):
-    """A batch submitted during a slow hot-swap must not age against the
-    watchdog budget: dispatch pauses for the swap, so the stall clock
-    only starts once the forward can run on the new weights, and a slow
-    swap never gets innocent batches failed or healthy workers flagged."""
-    # the budget leaves room for the first forward's plan compile
-    config = _kind_config(worker_kind, watchdog_s=0.5)
-    slow_s = 3 * config.watchdog_s
-    state = perturbed_state(serve_spec.model)
-    with PredictionService(serve_spec, config) as service:
-        if worker_kind == "thread":
-            load = serve_spec.model.load_state_dict
-
-            def slow_load(new_state):
-                time.sleep(slow_s)
-                return load(new_state)
-
-            monkeypatch.setattr(serve_spec.model, "load_state_dict",
-                                slow_load)
-        else:
-            # the child loads its own model copy: the sleep hook queued
-            # ahead of the swap message makes that swap just as slow
-            _occupy_sole_worker(service, sleep_s=slow_s)
-        swapper = threading.Thread(target=service.swap, args=(state,))
-        swapper.start()
-        assert _wait_for(lambda: service.pool._swapping)
-        ticket = service.submit(serve_cases[0])
-        swapper.join(30.0)
-        assert not swapper.is_alive()
-        result = ticket.result(30.0)            # served once the swap ends
-    assert result.model_version == 1
-    assert [event for event in default_log().events("serve.watchdog")
-            if event.to_mode in ("stalled", "killed")] == []
-
-
-@pytest.mark.parametrize("worker_kind", ["thread", "process"])
-def test_swap_timeout_raises_behind_wedged_forward(serve_spec, serve_cases,
-                                                   worker_kind):
-    """A swap that cannot finish within its ``timeout`` raises
-    :class:`ServeError` on time — on both transports — instead of
-    blocking for as long as a wedged forward holds its batch."""
-    config = _kind_config(worker_kind)
-    plan = FaultPlan(seed=7, rules=[
-        FaultRule(point="serve.predict", action="delay", seconds=3.0,
-                  at=(1,), note="wedge the first forward")])
-    with inject(plan):
-        with PredictionService(serve_spec, config) as service:
-            if worker_kind == "process":
-                _occupy_sole_worker(service, sleep_s=3.0)
-            ticket = service.submit(serve_cases[0])
-            _wait_dispatched(service.pool)
-            started = time.perf_counter()
-            with pytest.raises(ServeError, match="timed out"):
-                service.swap(perturbed_state(serve_spec.model), timeout=0.3)
-            assert time.perf_counter() - started < 1.0
-            result = ticket.result(60.0)
-    assert result.model_version == 0            # the old weights served
 
 
 def _occupy_sole_worker(service, sleep_s=60.0):
@@ -244,32 +178,65 @@ def test_forged_heartbeat_stall_degrades_then_recovers(serve_spec):
                          timeout_s=10.0)
 
 
+def _die_twice(service, serve_spec, serve_cases, kill):
+    """Kill the sole thread worker of a default-config service twice with
+    ``MAX_RESPAWNS`` at 1, submitting a case after each death: the first
+    is served by the respawn, the second fails typed once the budget is
+    spent — each within 1 s, where an unreaped death would hang."""
+    pool = service.pool
+    assert pool._supervisor is None  # no watchdog: nothing polls for deaths
+    kill(pool)
+    served = service.submit(serve_cases[0]).result(1.0)
+    assert served.worker == "thread-1"
+    assert pool.failed is None
+    kill(pool)
+    with pytest.raises(ServeError, match="respawns exhausted"):
+        service.submit(serve_cases[1]).result(1.0)
+    assert service.health().state == "unhealthy"
+    direct, _ = serve_spec.build().predict_case(serve_cases[0])
+    assert np.array_equal(served.prediction, direct)
+
+
 def test_respawn_budget_exhaustion_fails_the_pool(serve_spec, serve_cases,
                                                   monkeypatch):
-    """One death past ``MAX_RESPAWNS`` fails the pool: the batch the dead
-    worker left behind fails with ``ServeError``, health reads
-    unhealthy, and the ledger records ``serve.pool: respawn->failed``."""
+    """A thread worker whose loop returns (``("stop",)`` on its inbox) is
+    reaped on the default config; one death past ``MAX_RESPAWNS`` fails
+    the pool, and the ledger records ``serve.pool: respawn->failed``."""
     monkeypatch.setattr(worker_module, "MAX_RESPAWNS", 1)
-    # a watchdog budget starts the supervisor, which reaps thread deaths
-    config = _kind_config("thread", watchdog_s=30.0)
-    with PredictionService(serve_spec, config) as service:
-        pool = service.pool
 
-        def kill_the_worker():
-            (worker,) = pool._workers.values()
-            # the worker loop returns as on stop(): a death to the reaper
-            worker.inbox.put(("stop",))
+    def stop_the_worker(pool):
+        (worker,) = pool._workers.values()
+        worker.inbox.put(("stop",))
+        # the next submit follows the reap; a death with a batch in
+        # flight is the handler-fault test's
+        assert _wait_for(lambda: worker.id not in pool._workers, 1.0)
 
-        kill_the_worker()
-        assert _wait_for(lambda: pool._respawns == 1 and pool._workers,
-                         10.0)
-        assert pool.failed is None
-        kill_the_worker()
-        ticket = service.submit(serve_cases[0])
-        with pytest.raises(ServeError, match="respawns exhausted"):
-            ticket.result(10.0)
-        assert pool.failed is not None
-        assert service.health().state == "unhealthy"
+    with PredictionService(serve_spec, ServeConfig(workers=1)) as service:
+        _die_twice(service, serve_spec, serve_cases, stop_the_worker)
     counts = default_log().counts()
     assert counts.get("serve.pool: thread-0->respawn") == 1
     assert counts.get("serve.pool: respawn->failed") == 1
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_handler_fault_kills_and_reaps_a_thread_worker(serve_spec,
+                                                       serve_cases,
+                                                       monkeypatch):
+    """An exception from the pool's message handler on both a batch's
+    result and its error report escapes the worker loop and ends the
+    thread: the orphaned batch is retried on the respawn."""
+    monkeypatch.setattr(worker_module, "MAX_RESPAWNS", 1)
+    handle = worker_module.WorkerPool._handle
+    fail_next = []  # message kinds whose next delivery raises
+
+    def flaky_handle(pool, message):
+        if message[0] in fail_next:
+            fail_next.remove(message[0])
+            raise RuntimeError(f"{message[0]} handler fault")
+        handle(pool, message)
+
+    monkeypatch.setattr(worker_module.WorkerPool, "_handle", flaky_handle)
+    with PredictionService(serve_spec, ServeConfig(workers=1)) as service:
+        _die_twice(service, serve_spec, serve_cases,
+                   lambda pool: fail_next.extend(["done", "error"]))
